@@ -4,28 +4,25 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-## Seed counts for the widened randomized sweeps.  The canonical knobs are
-## the REPRO_* names (the same environment variables the tests read, so
-## `REPRO_FUZZ_SEEDS=100 make fuzz` and `make fuzz REPRO_FUZZ_SEEDS=100`
-## behave identically); the bare legacy names (FUZZ_SEEDS / CRASH_SEEDS /
-## SESSION_SEEDS) keep working as aliases.
-REPRO_FUZZ_SEEDS ?= $(or $(FUZZ_SEEDS),50)
-REPRO_CRASH_SEEDS ?= $(or $(CRASH_SEEDS),60)
-REPRO_SESSION_SEEDS ?= $(or $(SESSION_SEEDS),100)
-REPRO_CHAOS_SEEDS ?= $(or $(CHAOS_SEEDS),60)
+## Seed counts for the widened randomized sweeps: the REPRO_* names are the
+## same environment variables the tests read, so `REPRO_FUZZ_SEEDS=100 make
+## fuzz` and `make fuzz REPRO_FUZZ_SEEDS=100` behave identically.
+REPRO_FUZZ_SEEDS ?= 50
+REPRO_CRASH_SEEDS ?= 60
+REPRO_SESSION_SEEDS ?= 100
+REPRO_CHAOS_SEEDS ?= 60
 
 .PHONY: test fuzz fuzz-sessions crash-fuzz chaos-fuzz bench bench-async \
 	bench-columnar bench-incremental bench-query bench-recovery \
 	bench-sessions bench-overload docs-check examples all
 
-## Tier-1 test suite (fast; what CI gates on).  Includes the async
-## scheduler/oracle equivalence module (tests/test_async_compute.py) and a
-## small deterministic slice of the randomized fuzz harness
-## (tests/test_equivalence_fuzz.py).
+## Tier-1 test suite (what CI gates on): everything pytest collects from
+## the root — tests/, the paper-figure benchmarks/ at smoke size, and the
+## benchmark contract (bench/test_bench_contract.py).
 test:
-	$(PYTHON) -m pytest -x -q tests
+	$(PYTHON) -m pytest -x -q
 
-## Widened randomized-equivalence sweep: seeds 1..$(FUZZ_SEEDS) of the
+## Widened randomized-equivalence sweep: seeds 1..$(REPRO_FUZZ_SEEDS) of the
 ## unbounded structural-edit harness (sync engine vs async engine vs Sheet
 ## oracle; edits beyond the stored extent, above RCV anchors, and at the
 ## MAX_ROWS/MAX_COLUMNS boundary).  Seeded and bounded, so a failure
@@ -41,7 +38,7 @@ fuzz:
 fuzz-sessions:
 	REPRO_SESSION_SEEDS=$(REPRO_SESSION_SEEDS) $(PYTHON) -m pytest -q tests/test_sessions.py
 
-## Widened crash-recovery sweep: seeds 1..$(CRASH_SEEDS) of the
+## Widened crash-recovery sweep: seeds 1..$(REPRO_CRASH_SEEDS) of the
 ## fault-injection harness (random kills mid-write, torn final frames,
 ## transient IO errors) against sync edits, batches, structural edits and
 ## the async scheduler; every run recovers the workspace and asserts exact

@@ -3,8 +3,8 @@
 Each ``benchmarks/test_bench_*.py`` regenerates one paper table or figure by
 wrapping the corresponding experiment runner (``repro.experiments``) in
 pytest-benchmark.  The resulting rows are printed so a benchmark run doubles
-as a reproduction report; EXPERIMENTS.md records the paper-vs-measured
-comparison for every artefact.
+as a reproduction report; the README's "Tracked hot-path benchmarks" table and
+docs/architecture.md ("Experiments and benchmarks") say what each tracks.
 """
 
 import sys

@@ -1,8 +1,8 @@
-"""Legacy setuptools entry point.
+"""Setuptools entry point, and the only place project metadata lives.
 
-Kept so that ``pip install -e .`` works in offline environments without the
-``wheel`` package (pip then uses the classic ``setup.py develop`` code path).
-All project metadata lives in ``pyproject.toml``.
+A plain ``setup.py`` so that ``pip install -e .`` works in offline
+environments without the ``wheel`` package (pip then uses the classic
+``setup.py develop`` code path).
 """
 
 from setuptools import find_packages, setup

@@ -45,7 +45,6 @@ at batch exit.
 from __future__ import annotations
 
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -334,22 +333,6 @@ class ComputeScheduler:
         evaluations; remaining work stays queued.
         """
         return self._drain(limit, None, deadline=deadline, clock=clock)
-
-    def drain(self, budget_n: int) -> int:
-        """Deprecated count-budgeted drain; use :meth:`drain_for`.
-
-        A cell-count budget bounds *work items*, not *time*: one expensive
-        formula blows the read-latency envelope the idle drain exists to
-        protect.  Kept as a shim for callers still tuned in cell counts.
-        """
-        warnings.warn(
-            "ComputeScheduler.drain(budget_n) is deprecated; use "
-            "drain_for(budget_ms) — a count budget does not bound latency",
-            DeprecationWarning, stacklevel=2,
-        )
-        if budget_n <= 0:
-            return 0
-        return self._drain(budget_n, None, best_effort=True)
 
     def drain_for(self, budget_ms: float, *,
                   clock: Callable[[], float] = time.monotonic) -> int:

@@ -59,11 +59,12 @@ the stored extent is an implementation detail, never a boundary the caller
 can see (deletes clip to the stored portion, inserts extend lazily) — and
 keep formulas live instead of letting them silently read shifted cells:
 
-* The storage model shifts first (no cascading renumbering of stored
-  tuples), then ``DependencyGraph.apply_structural_edit`` re-keys every
-  dependency registration — formula-cell keys, precedent cells, and range
-  spans — through the same coordinate mapping
-  (:class:`~repro.formula.rewrite.StructuralEdit`).
+* One :class:`~repro.grid.structural.StructuralEdit` describes the edit
+  to every layer.  The storage model absorbs it first
+  (``HybridDataModel.apply_structural_edit`` — no cascading renumbering of
+  stored tuples), then ``DependencyGraph.apply_structural_edit`` re-keys
+  every dependency registration — formula-cell keys, precedent cells, and
+  range spans — through the same coordinate mapping.
 * Formulas whose precedents moved get their source text rewritten: the old
   text parses through the bounded AST cache, the AST is shifted with
   :func:`~repro.formula.rewrite.rewrite_formula` (ranges straddling the
@@ -79,7 +80,6 @@ from __future__ import annotations
 
 import csv
 import time
-import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -114,7 +114,6 @@ from repro.grid.address import MAX_COLUMNS, MAX_ROWS, CellAddress
 from repro.grid.cell import Cell, CellValue
 from repro.grid.range import RangeRef
 from repro.grid.sheet import Sheet
-from repro.grid.structural import check_delete_line, check_insert_line
 from repro.models.base import ModelKind
 from repro.models.hybrid import HybridDataModel, HybridRegion
 from repro.models.tom import TableOrientedModel
@@ -262,16 +261,13 @@ class DataSpread:
     async_recompute:
         When ``True``, edits enqueue their affected subtree on the compute
         scheduler instead of recomputing synchronously; drain with
-        ``flush_compute()``.  Requires ``auto_evaluate``.
+        ``flush_compute()``.
     idle_drain_ms:
         When positive (async mode only), every read opportunistically
         drains queued cells for up to this many milliseconds, so staleness
         converges without an explicit ``flush_compute()`` while the read's
         latency stays bounded by *time*, not by a count of formulas of
         unknown cost.
-    idle_drain_budget:
-        Deprecated count-budgeted predecessor of ``idle_drain_ms`` (cells
-        per read); ignored when ``idle_drain_ms`` is set.
     durability:
         ``"none"`` (default) keeps cells purely in memory; ``"wal"``
         write-ahead-logs every committed write into ``storage_dir`` at the
@@ -306,11 +302,9 @@ class DataSpread:
         mapping_scheme: str = "hierarchical",
         cache_capacity: int = 100_000,
         database: Database | None = None,
-        auto_evaluate: bool = True,
         parse_cache_capacity: int = DEFAULT_PARSE_CACHE_CAPACITY,
         async_recompute: bool = False,
         idle_drain_ms: float = 0.0,
-        idle_drain_budget: int = 0,
         durability: str = "none",
         storage_dir: str | None = None,
         wal_options: dict | None = None,
@@ -321,7 +315,6 @@ class DataSpread:
         self.costs = costs
         self.mapping_scheme = mapping_scheme
         self.database = database if database is not None else Database(costs)
-        self.auto_evaluate = auto_evaluate
         self._model = HybridDataModel(mapping_scheme=mapping_scheme)
         self._backend = self._make_backend(durability, storage_dir, wal_options)
         self._dependencies = DependencyGraph()
@@ -391,21 +384,9 @@ class DataSpread:
         self.async_recompute = async_recompute
         if idle_drain_ms < 0:
             raise ValueError("idle_drain_ms must be >= 0")
-        if idle_drain_budget < 0:
-            raise ValueError("idle_drain_budget must be >= 0")
         #: Milliseconds of queued work opportunistically evaluated per read
-        #: (0 disables).  The time budget bounds read latency directly; the
-        #: count budget below is the deprecated predecessor.
+        #: (0 disables).  The time budget bounds read latency directly.
         self.idle_drain_ms = idle_drain_ms
-        if idle_drain_budget > 0:
-            warnings.warn(
-                "DataSpread(idle_drain_budget=N) is deprecated; use "
-                "idle_drain_ms — a cell-count budget does not bound latency",
-                DeprecationWarning, stacklevel=2,
-            )
-        #: Deprecated: queued cells opportunistically evaluated per read
-        #: (0 disables; ignored when ``idle_drain_ms`` is set).
-        self.idle_drain_budget = idle_drain_budget
         self._idle_draining = False
 
     # ------------------------------------------------------------------ #
@@ -1018,7 +999,7 @@ class DataSpread:
             self._mark_batch_dirty(address)
         elif self._async:
             self._scheduler.mark_dirty((address,), owner=self._session_scope)
-        elif self.auto_evaluate:
+        else:
             self._recompute_dependents(address)
 
     def set_formula(self, row: int, column: int, formula: str) -> CellValue:
@@ -1070,8 +1051,7 @@ class DataSpread:
         value = self._safe_evaluate(node, address)
         self._cache.put(row, column, Cell(value=value, formula=text))
         self._aggregates_commit(capture, value)
-        if self.auto_evaluate:
-            self._recompute_dependents(address)
+        self._recompute_dependents(address)
         return value
 
     def clear_cell(self, row: int, column: int) -> None:
@@ -1092,7 +1072,7 @@ class DataSpread:
             self._mark_batch_dirty(address)
         elif self._async:
             self._scheduler.mark_dirty((address,), owner=self._session_scope)
-        elif self.auto_evaluate:
+        else:
             self._recompute_dependents(address)
 
     # ------------------------------------------------------------------ #
@@ -1105,41 +1085,26 @@ class DataSpread:
     # reference — through the same coordinate mapping; inserting beyond the
     # extent extends storage lazily (a no-op until a write lands there).
     # Only meaningless coordinates (negative anchors, line 0 deletes,
-    # non-positive counts) raise :class:`~repro.errors.PositionError`.
+    # non-positive counts) raise :class:`~repro.errors.PositionError` — when
+    # the :class:`StructuralEdit` is built, before anything is touched.
 
     def insert_row_after(self, row: int, count: int = 1) -> None:
         """Insert rows; stored data shifts and formula references shift with it."""
-        check_insert_line(row, count, axis="row")
-        self._apply_structural_edit(
-            StructuralEdit.insert_rows(row, count),
-            lambda: self._model.insert_row_after(row, count),
-        )
+        self._apply_structural_edit(StructuralEdit.insert_rows(row, count))
 
     def delete_row(self, row: int, count: int = 1) -> None:
         """Delete rows; references to deleted cells collapse to ``#REF!``."""
-        check_delete_line(row, count, axis="row")
-        self._apply_structural_edit(
-            StructuralEdit.delete_rows(row, count),
-            lambda: self._model.delete_row(row, count),
-        )
+        self._apply_structural_edit(StructuralEdit.delete_rows(row, count))
 
     def insert_column_after(self, column: int, count: int = 1) -> None:
         """Insert columns; stored data shifts and formula references shift with it."""
-        check_insert_line(column, count, axis="column")
-        self._apply_structural_edit(
-            StructuralEdit.insert_columns(column, count),
-            lambda: self._model.insert_column_after(column, count),
-        )
+        self._apply_structural_edit(StructuralEdit.insert_columns(column, count))
 
     def delete_column(self, column: int, count: int = 1) -> None:
         """Delete columns; references to deleted cells collapse to ``#REF!``."""
-        check_delete_line(column, count, axis="column")
-        self._apply_structural_edit(
-            StructuralEdit.delete_columns(column, count),
-            lambda: self._model.delete_column(column, count),
-        )
+        self._apply_structural_edit(StructuralEdit.delete_columns(column, count))
 
-    def _apply_structural_edit(self, edit: StructuralEdit, model_op) -> None:
+    def _apply_structural_edit(self, edit: StructuralEdit) -> None:
         """One structural edit, end to end: shift storage, re-key the graph,
         rewrite affected formula text, and recompute.
 
@@ -1181,7 +1146,7 @@ class DataSpread:
             # across the cache clear and re-key them through the edit,
             # exactly like the graph re-keys its registrations.
             provisional = self._cache.provisional_items()
-            model_op()
+            self._model.apply_structural_edit(edit)
             self._cache.clear()
             # View anchors sit at sentinel coordinates the edit's mapping
             # would shift or drop; pull them out of the graph first and
@@ -1387,8 +1352,6 @@ class DataSpread:
     @async_recompute.setter
     def async_recompute(self, enabled: bool) -> None:
         enabled = bool(enabled)
-        if enabled and not self.auto_evaluate:
-            raise ValueError("async_recompute requires auto_evaluate")
         if self._async and not enabled:
             # Leaving async mode drains the queue so the synchronous
             # invariant (every stored value is fresh) holds again.
@@ -1793,8 +1756,7 @@ class DataSpread:
         """Record a dirtied address in the top frame (first touch wins).
 
         The global first-touch check keeps addresses unique across frames,
-        so the bottom-up union of frame dirt preserves first-set order —
-        the order ``auto_evaluate=False`` batches evaluate in.
+        so the bottom-up union of frame dirt preserves first-set order.
         """
         for frame in self._frames:
             if address in frame.dirty:
@@ -1867,17 +1829,17 @@ class DataSpread:
     def _maybe_idle_drain(self) -> None:
         """Opportunistically retire queued compute work on a read.
 
-        Active only in async mode with a positive ``idle_drain_ms`` (or the
-        deprecated ``idle_drain_budget`` count), outside batches (batched
-        edits are not even scheduled yet), and never re-entrantly (a
-        drain's own evaluations read cells through the cache, not through
-        this path, but ``get_fresh_value`` style nesting must not recurse).
+        Active only in async mode with a positive ``idle_drain_ms``, outside
+        batches (batched edits are not even scheduled yet), and never
+        re-entrantly (a drain's own evaluations read cells through the
+        cache, not through this path, but ``get_fresh_value`` style nesting
+        must not recurse).
         Cycles are left queued rather than raised — an opportunistic drain
         must never fail a read.
         """
         if (
             not self._async
-            or (self.idle_drain_ms <= 0 and self.idle_drain_budget <= 0)
+            or self.idle_drain_ms <= 0
             or self._idle_draining
             or self.in_batch
             or not self._scheduler.pending_count
@@ -1885,13 +1847,7 @@ class DataSpread:
             return
         self._idle_draining = True
         try:
-            if self.idle_drain_ms > 0:
-                self._scheduler.drain_for(self.idle_drain_ms)
-            else:
-                # Deprecated count-budget path, routed through the internal
-                # drain so configuring the shim does not warn on every read.
-                self._scheduler._drain(self.idle_drain_budget, None,
-                                       best_effort=True)
+            self._scheduler.drain_for(self.idle_drain_ms)
         finally:
             self._idle_draining = False
 
@@ -1980,19 +1936,9 @@ class DataSpread:
 
     def _recompute_batch(self, dirty: dict[CellAddress, None]) -> None:
         """One topological recompute over the union of a batch's dirty seeds."""
-        if self.auto_evaluate:
-            self.recompute_passes += 1
-            for address in self._dependencies.recompute_order(dirty):
-                self._reevaluate(address)
-        else:
-            # Match the non-batch contract: a stored formula still computes
-            # its own value even when dependent propagation is disabled,
-            # and it does so in first-set order.  When each cell is edited
-            # at most once in the batch this reproduces the identical
-            # un-batched call sequence exactly; a cell re-edited within one
-            # batch evaluates only its final formula, once.
-            for address in dirty:
-                self._reevaluate(address)
+        self.recompute_passes += 1
+        for address in self._dependencies.recompute_order(dirty):
+            self._reevaluate(address)
 
     def _reevaluate(self, address: CellAddress) -> None:
         view = self._views.get(address)
@@ -2005,20 +1951,33 @@ class DataSpread:
         existing = self._cache.get(address.row, address.column)
         if existing.formula is None:
             return
-        value = self._safe_evaluate(existing.formula, address)
-        if value != existing.value:
+        self._commit_computed(
+            address, existing, self._safe_evaluate(existing.formula, address))
+
+    def _commit_computed(self, address: CellAddress, existing: Cell, value: CellValue,
+                         *, commit_placeholder: bool = False) -> None:
+        """Land a formula cell's freshly computed ``value``.
+
+        A changed value is stored and then routed to the running aggregates
+        as a delta (topological order guarantees downstream aggregates read
+        this cell only after the delta lands; storing first means a failed
+        write leaves the aggregates untouched).  With ``commit_placeholder``
+        a provisional placeholder is written back through the real put even
+        when the value happens to equal the placeholder's — commitment
+        (formula text landing in storage) is the point, not just the value.
+        """
+        changed = value != existing.value
+        if changed or (commit_placeholder
+                       and self._cache.is_provisional(address.row, address.column)):
             self._cache.put(address.row, address.column, existing.with_value(value))
-            # Topological order guarantees downstream aggregates read this
-            # cell only after the delta lands.
+        if changed:
             self._aggregates.apply_edit(address, existing.value, value)
 
     def _scheduler_evaluate(self, address: CellAddress) -> None:
         """Evaluate one queued cell and *commit* it.
 
         Unlike :meth:`_reevaluate`, a provisional placeholder is always
-        written back through the real put — even when the computed value
-        happens to equal the placeholder — because commitment (formula text
-        landing in storage) is the point, not just the value.
+        written back (see :meth:`_commit_computed`).
 
         Inside an open batch the committing put lands in the discardable
         pending map, so the evaluation is recorded (and the displaced
@@ -2037,11 +1996,9 @@ class DataSpread:
         if self.in_batch:
             self._snapshot_provisional(address)
             self._frames[-1].drained[address] = None
-        value = self._safe_evaluate(existing.formula, address)
-        if value != existing.value:
-            self._aggregates.apply_edit(address, existing.value, value)
-        if value != existing.value or self._cache.is_provisional(address.row, address.column):
-            self._cache.put(address.row, address.column, existing.with_value(value))
+        self._commit_computed(
+            address, existing, self._safe_evaluate(existing.formula, address),
+            commit_placeholder=True)
 
     def _quarantine_cell(self, address: CellAddress, error: BaseException) -> None:
         """Commit a poisoned formula's cell as ``#ERROR!``.
@@ -2059,11 +2016,7 @@ class DataSpread:
         if self.in_batch:
             self._snapshot_provisional(address)
             self._frames[-1].drained[address] = None
-        value = "#ERROR!"
-        if value != existing.value:
-            self._aggregates.apply_edit(address, existing.value, value)
-        if value != existing.value or self._cache.is_provisional(address.row, address.column):
-            self._cache.put(address.row, address.column, existing.with_value(value))
+        self._commit_computed(address, existing, "#ERROR!", commit_placeholder=True)
 
     def _flush_batch_writes(self) -> None:
         """Push buffered batch writes to storage mid-batch.

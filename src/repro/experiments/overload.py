@@ -135,7 +135,6 @@ def _run_configuration(writers: int, *, admission: bool, edits: int,
     policy = RetryPolicy(max_attempts=5, base_delay_ms=1.0,
                          max_delay_ms=32.0, clock=clock, sleep=clock.sleep)
     ws = Workspace(
-        idle_drain_budget=0,
         clock=clock,
         retry_policy=policy,
     )

@@ -103,7 +103,7 @@ def _transaction_interlude(writer, base_row: int, committed: list[tuple]) -> Non
 
 def _run_configuration(writers: int, readers: int, *, edits: int,
                        formulas: int) -> dict[str, Any]:
-    ws = Workspace(idle_drain_budget=0)
+    ws = Workspace()
     try:
         sessions = [ws.open_session(f"writer-{n}") for n in range(writers)]
         viewers = [ws.open_session(f"reader-{n}") for n in range(readers)]

@@ -2,13 +2,14 @@
 
 When rows or columns are inserted or deleted, stored cells shift — and every
 formula reference pointing at them must shift too, or the formula silently
-reads the wrong cells.  This module is the single source of truth for that
-coordinate arithmetic:
+reads the wrong cells.  One class owns that coordinate arithmetic and this
+module applies it to formulas:
 
-* :class:`StructuralEdit` describes one edit (axis + insert/delete + line +
-  count) and maps individual lines, addresses, and rectangular spans through
-  it.  A reference whose entire referent falls inside a deletion maps to
-  ``None``.
+* :class:`~repro.grid.structural.StructuralEdit` (defined beside the shared
+  validators in the grid layer, re-exported here) describes one edit (axis +
+  insert/delete + line + count) and maps individual lines, addresses, and
+  rectangular spans through it.  A reference whose entire referent falls
+  inside a deletion maps to ``None``.
 * :func:`rewrite_formula` applies an edit to a parsed AST with a structural
   visitor: ``CellRefNode``/``RangeRefNode`` leaves are shifted (ranges that
   straddle the edit expand or contract), fully deleted referents collapse to
@@ -25,8 +26,6 @@ about where a reference landed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.formula.ast_nodes import (
     BinaryOpNode,
     CellRefNode,
@@ -36,130 +35,12 @@ from repro.formula.ast_nodes import (
     RangeRefNode,
     UnaryOpNode,
 )
-from repro.grid.address import MAX_COLUMNS, MAX_ROWS, CellAddress
-from repro.grid.range import RangeRef
+from repro.grid.structural import StructuralEdit
+
+__all__ = ["REF_ERROR", "StructuralEdit", "rewrite_formula"]
 
 #: The node a fully deleted referent collapses to.
 REF_ERROR = ErrorNode(code="#REF!")
-
-
-@dataclass(frozen=True, slots=True)
-class StructuralEdit:
-    """One structural edit: insert or delete ``count`` rows or columns.
-
-    ``line`` is the 1-based row/column index the edit anchors on: for an
-    insert, new lines appear immediately *after* ``line`` (0 inserts before
-    the first line); for a delete, ``line`` is the *first* deleted line.
-    """
-
-    axis: str      # "row" or "column"
-    kind: str      # "insert" or "delete"
-    line: int
-    count: int
-
-    def __post_init__(self) -> None:
-        if self.axis not in ("row", "column"):
-            raise ValueError(f"unknown axis {self.axis!r}")
-        if self.kind not in ("insert", "delete"):
-            raise ValueError(f"unknown edit kind {self.kind!r}")
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-
-    # ------------------------------------------------------------------ #
-    # constructors mirroring the engine's structural operations
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def insert_rows(cls, after: int, count: int = 1) -> "StructuralEdit":
-        """Rows inserted immediately after row ``after``."""
-        return cls(axis="row", kind="insert", line=after, count=count)
-
-    @classmethod
-    def delete_rows(cls, first: int, count: int = 1) -> "StructuralEdit":
-        """Rows ``first .. first+count-1`` deleted."""
-        return cls(axis="row", kind="delete", line=first, count=count)
-
-    @classmethod
-    def insert_columns(cls, after: int, count: int = 1) -> "StructuralEdit":
-        """Columns inserted immediately after column ``after``."""
-        return cls(axis="column", kind="insert", line=after, count=count)
-
-    @classmethod
-    def delete_columns(cls, first: int, count: int = 1) -> "StructuralEdit":
-        """Columns ``first .. first+count-1`` deleted."""
-        return cls(axis="column", kind="delete", line=first, count=count)
-
-    # ------------------------------------------------------------------ #
-    # coordinate mapping
-    # ------------------------------------------------------------------ #
-    def map_line(self, line: int) -> int | None:
-        """Where one row/column index lands, or ``None`` when deleted."""
-        if self.kind == "insert":
-            return line + self.count if line > self.line else line
-        if line < self.line:
-            return line
-        if line < self.line + self.count:
-            return None
-        return line - self.count
-
-    def map_span(self, start: int, end: int) -> tuple[int, int] | None:
-        """Where an inclusive ``[start, end]`` span lands.
-
-        A span straddling an insert expands; a span overlapping a deletion
-        contracts; a span entirely inside a deletion maps to ``None``.
-        """
-        if self.kind == "insert":
-            return (
-                start + self.count if start > self.line else start,
-                end + self.count if end > self.line else end,
-            )
-        first, past = self.line, self.line + self.count
-        if end < first:
-            return start, end
-        if start >= past:
-            return start - self.count, end - self.count
-        new_start = start if start < first else first
-        new_end = end - self.count if end >= past else first - 1
-        if new_start > new_end:
-            return None
-        return new_start, new_end
-
-    @property
-    def _axis_limit(self) -> int:
-        """The largest legal index on the edited axis."""
-        return MAX_ROWS if self.axis == "row" else MAX_COLUMNS
-
-    def map_address(self, address: CellAddress) -> CellAddress | None:
-        """Where a cell address lands, or ``None`` when its cell is gone.
-
-        A cell is gone either because it was deleted or because an insert
-        pushed it past the sheet's row/column limit (off the sheet).
-        """
-        if self.axis == "row":
-            row = self.map_line(address.row)
-            if row is None or row > MAX_ROWS:
-                return None
-            return CellAddress(row, address.column)
-        column = self.map_line(address.column)
-        if column is None or column > MAX_COLUMNS:
-            return None
-        return CellAddress(address.row, column)
-
-    def map_range(self, region: RangeRef) -> RangeRef | None:
-        """Where a rectangular range lands, or ``None`` when fully gone.
-
-        A range pushed partially past the sheet's row/column limit by an
-        insert is clamped to the limit; one pushed entirely past it maps to
-        ``None`` like a fully deleted range.
-        """
-        if self.axis == "row":
-            span = self.map_span(region.top, region.bottom)
-            if span is None or span[0] > MAX_ROWS:
-                return None
-            return RangeRef(span[0], region.left, min(span[1], MAX_ROWS), region.right)
-        span = self.map_span(region.left, region.right)
-        if span is None or span[0] > MAX_COLUMNS:
-            return None
-        return RangeRef(region.top, span[0], region.bottom, min(span[1], MAX_COLUMNS))
 
 
 def rewrite_formula(node: FormulaNode, edit: StructuralEdit) -> tuple[FormulaNode, bool]:

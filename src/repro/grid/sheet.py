@@ -17,7 +17,7 @@ from repro.grid.address import CellAddress
 from repro.grid.bounding import BoundingBox
 from repro.grid.cell import Cell, CellValue
 from repro.grid.range import RangeRef
-from repro.grid.structural import check_delete_line, check_insert_line
+from repro.grid.structural import StructuralEdit, check_delete_line, check_insert_line
 
 
 class Sheet:
@@ -235,7 +235,7 @@ class Sheet:
         # Imported lazily: the formula engine sits above the grid layer.
         from repro.errors import FormulaSyntaxError
         from repro.formula.parser import parse_formula
-        from repro.formula.rewrite import StructuralEdit, rewrite_formula
+        from repro.formula.rewrite import rewrite_formula
         from repro.formula.serializer import to_formula
 
         edit = StructuralEdit(axis=axis, kind=kind, line=line, count=count)

@@ -9,6 +9,7 @@ from repro.grid.address import CellAddress
 from repro.grid.cell import Cell, CellValue
 from repro.grid.range import RangeRef
 from repro.grid.sheet import Sheet
+from repro.grid.structural import StructuralEdit
 from repro.storage.costs import CostParameters
 
 
@@ -29,7 +30,8 @@ class DataModel(ABC):
     created for and translates internally.
 
     The interface mirrors the spreadsheet-oriented operations of Section III:
-    ``get_cells``, ``update_cell``, and row/column insert/delete.
+    ``get_cells``, ``update_cell``, and row/column insert/delete (which all
+    route through :meth:`apply_structural_edit`).
     """
 
     kind: ModelKind
@@ -102,7 +104,7 @@ class DataModel(ABC):
         for row, column, cell in items:
             self.update_cell(row, column, cell)
 
-    def check_structural_edit(self, axis: str, kind: str, line: int, count: int) -> None:
+    def check_structural_edit(self, edit: StructuralEdit) -> None:
         """Pre-flight hook: raise if this model cannot absorb a structural edit.
 
         The hybrid router calls this for every model it is about to
@@ -115,20 +117,28 @@ class DataModel(ABC):
         """
 
     @abstractmethod
+    def apply_structural_edit(self, edit: StructuralEdit) -> None:
+        """Shift the stored cells through one row/column insert or delete.
+
+        The one storage-mutating body for structural edits; the four
+        Section-III operations below are conveniences over it.
+        """
+
     def insert_row_after(self, row: int, count: int = 1) -> None:
         """Insert ``count`` empty rows after absolute row ``row``."""
+        self.apply_structural_edit(StructuralEdit.insert_rows(row, count))
 
-    @abstractmethod
     def delete_row(self, row: int, count: int = 1) -> None:
         """Delete ``count`` rows starting at absolute row ``row``."""
+        self.apply_structural_edit(StructuralEdit.delete_rows(row, count))
 
-    @abstractmethod
     def insert_column_after(self, column: int, count: int = 1) -> None:
         """Insert ``count`` empty columns after absolute column ``column``."""
+        self.apply_structural_edit(StructuralEdit.insert_columns(column, count))
 
-    @abstractmethod
     def delete_column(self, column: int, count: int = 1) -> None:
         """Delete ``count`` columns starting at absolute column ``column``."""
+        self.apply_structural_edit(StructuralEdit.delete_columns(column, count))
 
     # ------------------------------------------------------------------ #
     # accounting / recoverability

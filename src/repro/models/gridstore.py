@@ -1,4 +1,4 @@
-"""Orientation-agnostic tuple-per-line store shared by ROM and COM.
+"""Orientation-agnostic tuple-per-line storage shared by ROM and COM.
 
 ROM stores one database tuple per sheet *row*; COM stores one tuple per sheet
 *column*.  Both need the same machinery: a positional mapping from the
@@ -7,15 +7,22 @@ stable tuple pointer, and a slot-indirection list on the minor axis so that
 inserting or deleting a minor line does not rewrite every stored tuple.
 
 :class:`LineGridStore` implements that machinery once, in terms of "major"
-and "minor" axes; ROM and COM wrap it with the appropriate orientation.
+and "minor" axes, and :class:`LineOrientedModel` is the data model over it
+with the major axis as data; ROM and COM are its two orientations.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterator
 
 from repro.errors import DataModelError
-from repro.grid.cell import Cell
+from repro.grid.address import CellAddress
+from repro.grid.cell import Cell, CellValue
+from repro.grid.range import RangeRef
+from repro.grid.sheet import Sheet
+from repro.grid.structural import StructuralEdit
+from repro.models.base import DataModel
 from repro.positional import PositionalMapping, create_mapping
 from repro.storage.heap import HeapFile
 from repro.storage.tuples import TuplePointer
@@ -107,17 +114,6 @@ class LineGridStore:
             cells.append(_to_cell(stored))
         return cells
 
-    def get_major_line(self, major: int) -> list[Cell]:
-        """All visible cells of one major line, in minor order."""
-        if major < 1 or major > self.major_count:
-            return [Cell() for _ in range(self.minor_count)]
-        record = self._read_record(major)
-        cells = []
-        for slot in self._minor_slots:
-            stored = record[slot] if slot < len(record) else None
-            cells.append(_to_cell(stored))
-        return cells
-
     def set(self, major: int, minor: int, cell: Cell) -> None:
         """Store ``cell`` at (major, minor), growing the region as needed."""
         if major < 1 or minor < 1:
@@ -198,7 +194,12 @@ class LineGridStore:
             raise DataModelError(f"invalid major delete ({major}, count={count})")
         for pointer in self._mapping.delete_span(major, count):
             record = self._heap.read(pointer)
-            self._filled -= sum(1 for stored in record if stored is not None)
+            # Only visible slots count: a deleted minor line leaves its slot
+            # behind in the record, already subtracted when it went.
+            self._filled -= sum(
+                1 for slot in self._minor_slots
+                if slot < len(record) and record[slot] is not None
+            )
             self._heap.delete(pointer)
 
     def insert_minor_after(self, minor: int, count: int = 1) -> None:
@@ -234,19 +235,6 @@ class LineGridStore:
                     self._filled -= 1
 
     # ------------------------------------------------------------------ #
-    def iter_filled(self) -> Iterator[tuple[int, int, Cell]]:
-        """Iterate ``(major, minor, cell)`` for every filled cell."""
-        slot_to_minor = {slot: index + 1 for index, slot in enumerate(self._minor_slots)}
-        for major in range(1, self.major_count + 1):
-            record = self._read_record(major)
-            for slot, stored in enumerate(record):
-                if stored is None:
-                    continue
-                minor = slot_to_minor.get(slot)
-                if minor is not None:
-                    yield major, minor, _to_cell(stored)
-
-    # ------------------------------------------------------------------ #
     def _read_record(self, major: int) -> tuple:
         return self._heap.read(self._mapping.fetch(major))
 
@@ -259,3 +247,167 @@ def _to_cell(stored: StoredCell | None) -> Cell:
         return Cell()
     value, formula = stored
     return Cell(value=value, formula=formula)
+
+
+class LineOrientedModel(DataModel):
+    """One database tuple per line of the *major* axis (Section IV).
+
+    Subclasses fix :attr:`major_axis`: ``"row"`` is ROM, ``"column"`` is COM
+    — the paper defines COM as the transpose of ROM, so every coordinate
+    passes through :meth:`_oriented` and nothing else differs.  Major-line
+    insert/delete costs O(log N) thanks to the positional mapping (Section
+    V); minor-line insert/delete uses slot indirection so stored tuples are
+    never rewritten eagerly.
+    """
+
+    #: The axis stored one tuple per line: ``"row"`` or ``"column"``.
+    major_axis: str
+
+    def __init__(
+        self,
+        top: int = 1,
+        left: int = 1,
+        *,
+        rows: int = 0,
+        columns: int = 0,
+        mapping_scheme: str = "hierarchical",
+    ) -> None:
+        #: First stored line of each axis, in absolute sheet coordinates.
+        self._anchor = {"row": top, "column": left}
+        self._store = LineGridStore(mapping_scheme=mapping_scheme)
+        major, minor = self._oriented(rows, columns)
+        if major:
+            self._store.ensure_major(major)
+        if minor:
+            self._store.ensure_minor(minor)
+
+    def _oriented(self, row, column):
+        """``(row, column)`` as ``(major, minor)`` — and, being a transpose
+        or the identity, ``(major, minor)`` back as ``(row, column)``."""
+        return (row, column) if self.major_axis == "row" else (column, row)
+
+    # ------------------------------------------------------------------ #
+    # construction
+    # ------------------------------------------------------------------ #
+    @classmethod
+    def from_sheet(
+        cls,
+        sheet: Sheet,
+        region: RangeRef | None = None,
+        *,
+        mapping_scheme: str = "hierarchical",
+    ) -> "LineOrientedModel":
+        """Load the cells of ``sheet`` (optionally restricted to ``region``)."""
+        if region is None:
+            box = sheet.bounding_box()
+            region = box.to_range() if box is not None else RangeRef(1, 1, 1, 1)
+        model = cls(
+            top=region.top,
+            left=region.left,
+            rows=region.rows,
+            columns=region.columns,
+            mapping_scheme=mapping_scheme,
+        )
+        # Group by major line so each stored tuple is written exactly once —
+        # per-cell updates rewrite a long line's record per cell.
+        row_major = cls.major_axis == "row"
+        lines: dict[int, dict[int, Cell]] = {}
+        for address, cell in sheet.get_cells(region).items():
+            row, column = address.row - region.top + 1, address.column - region.left + 1
+            major, minor = (row, column) if row_major else (column, row)
+            lines.setdefault(major, {})[minor] = cell
+        for major in sorted(lines):
+            model._store.set_major_line(major, lines[major])
+        return model
+
+    # ------------------------------------------------------------------ #
+    # reads
+    # ------------------------------------------------------------------ #
+    def _shape(self) -> tuple[int, int]:
+        """Stored ``(rows, columns)``."""
+        return self._oriented(self._store.major_count, self._store.minor_count)
+
+    def region(self) -> RangeRef:
+        rows, columns = self._shape()
+        top, left = self._anchor["row"], self._anchor["column"]
+        return RangeRef(top, left, top + max(rows, 1) - 1, left + max(columns, 1) - 1)
+
+    def cell_count(self) -> int:
+        return self._store.filled_cells
+
+    def _lines(self, region: RangeRef) -> Iterator[Iterator[tuple[int, int, Cell]]]:
+        """The stored major lines inside ``region``, one iterator per line.
+
+        Each yields ``(row, column, cell)`` — absolute coordinates — for
+        every position of the line's slice of the region, filled or not.
+        The orientation is decided here, once per line, so the per-cell
+        loops of the callers are the same for ROM and COM.
+        """
+        overlap = self.region().intersection(region)
+        if overlap is None:
+            return
+        (major_first, major_last), (minor_first, minor_last) = self._oriented(
+            (overlap.top, overlap.bottom), (overlap.left, overlap.right))
+        major_anchor, minor_anchor = self._oriented(
+            self._anchor["row"], self._anchor["column"])
+        minors = range(minor_first, minor_last + 1)
+        row_major = self.major_axis == "row"
+        for major in range(major_first, major_last + 1):
+            cells = self._store.get_major_slice(
+                major - major_anchor + 1,
+                minor_first - minor_anchor + 1, minor_last - minor_anchor + 1)
+            yield (zip(repeat(major), minors, cells) if row_major
+                   else zip(minors, repeat(major), cells))
+
+    def get_cells(self, region: RangeRef) -> dict[CellAddress, Cell]:
+        result: dict[CellAddress, Cell] = {}
+        for line in self._lines(region):
+            for row, column, cell in line:
+                if not cell.is_empty:
+                    result[CellAddress(row, column)] = cell
+        return result
+
+    def get_values(self, region: RangeRef) -> dict[tuple[int, int], CellValue]:
+        result: dict[tuple[int, int], CellValue] = {}
+        for line in self._lines(region):
+            for row, column, cell in line:
+                if not cell.is_empty:
+                    result[(row, column)] = cell.value
+        return result
+
+    def _position(self, row: int, column: int) -> tuple[int, int]:
+        """The store's 1-based ``(major, minor)`` of an absolute coordinate."""
+        return self._oriented(
+            row - self._anchor["row"] + 1, column - self._anchor["column"] + 1)
+
+    def get_cell(self, row: int, column: int) -> Cell:
+        return self._store.get(*self._position(row, column))
+
+    # ------------------------------------------------------------------ #
+    # writes
+    # ------------------------------------------------------------------ #
+    def update_cell(self, row: int, column: int, cell: Cell) -> None:
+        self._store.set(*self._position(row, column), cell)
+
+    def apply_structural_edit(self, edit: StructuralEdit) -> None:
+        # Strictly above/left of the anchor only the anchor moves; beyond the
+        # stored extent the store lazily no-ops (implicit empty space).
+        self._anchor[edit.axis], line, count = edit.relative_to(self._anchor[edit.axis])
+        if not count:
+            return
+        store = self._store
+        if edit.axis == self.major_axis:
+            change = store.insert_major_after if edit.kind == "insert" else store.delete_major
+        else:
+            change = store.insert_minor_after if edit.kind == "insert" else store.delete_minor
+        change(line, count)
+
+    def shift(self, rows: int = 0, columns: int = 0) -> None:
+        """Translate the whole region (used by the hybrid model)."""
+        self._anchor["row"] += rows
+        self._anchor["column"] += columns
+
+    @property
+    def positional_mapping(self) -> PositionalMapping:
+        """The major-axis positional mapping (exposed for the Section V experiments)."""
+        return self._store.mapping

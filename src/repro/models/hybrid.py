@@ -7,8 +7,10 @@ routes ``get_cells``/``update_cell`` to the owning region; cells outside any
 region fall into a catch-all RCV table (the paper notes a single RCV table
 suffices for all loose cells).
 
-Row/column structural operations shift the anchors of regions below/right of
-the edit and delegate to the models whose regions span the edited line.
+A structural edit arrives as one :class:`~repro.grid.structural.StructuralEdit`
+(either axis, insert or delete): regions below/right of it shift their
+anchors, and the models whose regions span the edited lines absorb the part
+that lands inside them.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.grid.address import CellAddress
 from repro.grid.cell import Cell, CellValue
 from repro.grid.range import RangeRef
 from repro.grid.sheet import Sheet
-from repro.grid.structural import check_delete_line, check_insert_line
+from repro.grid.structural import StructuralEdit
 from repro.models.base import DataModel, ModelKind
 from repro.models.com import ColumnOrientedModel
 from repro.models.rcv import RowColumnValueModel
@@ -300,126 +302,44 @@ class HybridDataModel(DataModel):
             )
         self._catch_all.update_cell(row, column, cell)
 
-    def _preflight_row_edit(self, kind: str, row: int, count: int) -> None:
-        """Validate a row edit against every model it will be delegated to.
+    def apply_structural_edit(self, edit: StructuralEdit) -> None:
+        """Shift every region through ``edit`` and delegate what lands inside.
 
-        Runs before any region shifts so a model that must refuse (a linked
-        table) fails the whole edit atomically, never mid-loop.
+        A region's new range is exactly where :meth:`StructuralEdit.map_span`
+        puts its old one; the model behind it absorbs the part of the edit
+        inside the region (:meth:`StructuralEdit.clip_to`) and is translated
+        by however far the range's first line moved.  A region a delete
+        swallows whole maps nowhere: its model absorbs the delete (a linked
+        table drops its records) and the region is forgotten — kept as an
+        empty line it would shadow whichever region shifts into its place.
         """
-        last = row + count - 1
+        # Validate against every model the edit will be delegated to before
+        # any region shifts, so a model that must refuse (a linked table)
+        # fails the whole edit atomically, never mid-loop.
+        plan = []
         for entry in self._regions:
-            if kind == "insert":
-                if entry.range.top <= row < entry.range.bottom:
-                    entry.model.check_structural_edit("row", kind, row, count)
-                continue
-            overlap_top = max(entry.range.top, row)
-            overlap_bottom = min(entry.range.bottom, last)
-            if overlap_top <= overlap_bottom:
-                entry.model.check_structural_edit(
-                    "row", kind, overlap_top, overlap_bottom - overlap_top + 1
-                )
-
-    def _preflight_column_edit(self, kind: str, column: int, count: int) -> None:
-        """Column-axis counterpart of :meth:`_preflight_row_edit`."""
-        last = column + count - 1
-        for entry in self._regions:
-            if kind == "insert":
-                if entry.range.left <= column < entry.range.right:
-                    entry.model.check_structural_edit("column", kind, column, count)
-                continue
-            overlap_left = max(entry.range.left, column)
-            overlap_right = min(entry.range.right, last)
-            if overlap_left <= overlap_right:
-                entry.model.check_structural_edit(
-                    "column", kind, overlap_left, overlap_right - overlap_left + 1
-                )
-
-    def insert_row_after(self, row: int, count: int = 1) -> None:
-        check_insert_line(row, count, axis="row")
-        self._preflight_row_edit("insert", row, count)
-        for entry in self._regions:
-            if entry.range.top > row:
-                entry.model.shift(rows=count)  # type: ignore[attr-defined]
-                entry.range = entry.range.shifted(rows=count)
-            elif entry.range.bottom > row:
-                entry.model.insert_row_after(row, count)
-                entry.range = RangeRef(
-                    entry.range.top, entry.range.left,
-                    entry.range.bottom + count, entry.range.right,
-                )
+            start, end = edit.span_of(entry.range)
+            inside = edit.clip_to(start, end)
+            if inside is not None:
+                entry.model.check_structural_edit(inside)
+            plan.append((entry, inside, start, end))
+        survivors = []
+        for entry, inside, start, end in plan:
+            if inside is not None:
+                entry.model.apply_structural_edit(inside)
+            span = edit.map_span(start, end)
+            # A swallowed region's (emptied) model still follows the deletion
+            # point: the engine keeps its own handle on linked tables.
+            moved = (span[0] if span is not None else edit.line) - start
+            if moved:
+                rows, columns = (moved, 0) if edit.axis == "row" else (0, moved)
+                entry.model.shift(rows, columns)  # type: ignore[attr-defined]
+            if span is not None:
+                entry.range = edit.with_span(entry.range, *span)
+                survivors.append(entry)
+        self._regions = survivors
         if self._catch_all is not None:
-            self._catch_all.insert_row_after(row, count)
-
-    def delete_row(self, row: int, count: int = 1) -> None:
-        check_delete_line(row, count, axis="row")
-        self._preflight_row_edit("delete", row, count)
-        last = row + count - 1
-        for entry in self._regions:
-            if entry.range.top > last:
-                # Entirely below the deletion: the whole region shifts up.
-                entry.model.shift(rows=-count)  # type: ignore[attr-defined]
-                entry.range = entry.range.shifted(rows=-count)
-                continue
-            overlap_top = max(entry.range.top, row)
-            overlap_bottom = min(entry.range.bottom, last)
-            if overlap_top > overlap_bottom:
-                continue  # entirely above the deletion: unaffected
-            # Deleted lines strictly above the region re-anchor it upward;
-            # the overlapping lines shrink it.
-            above = max(0, entry.range.top - row)
-            removed = overlap_bottom - overlap_top + 1
-            entry.model.delete_row(overlap_top, removed)
-            if above:
-                entry.model.shift(rows=-above)  # type: ignore[attr-defined]
-            new_top = entry.range.top - above
-            entry.range = RangeRef(
-                new_top, entry.range.left,
-                max(entry.range.bottom - above - removed, new_top), entry.range.right,
-            )
-        if self._catch_all is not None:
-            self._catch_all.delete_row(row, count)
-
-    def insert_column_after(self, column: int, count: int = 1) -> None:
-        check_insert_line(column, count, axis="column")
-        self._preflight_column_edit("insert", column, count)
-        for entry in self._regions:
-            if entry.range.left > column:
-                entry.model.shift(columns=count)  # type: ignore[attr-defined]
-                entry.range = entry.range.shifted(columns=count)
-            elif entry.range.right > column:
-                entry.model.insert_column_after(column, count)
-                entry.range = RangeRef(
-                    entry.range.top, entry.range.left,
-                    entry.range.bottom, entry.range.right + count,
-                )
-        if self._catch_all is not None:
-            self._catch_all.insert_column_after(column, count)
-
-    def delete_column(self, column: int, count: int = 1) -> None:
-        check_delete_line(column, count, axis="column")
-        self._preflight_column_edit("delete", column, count)
-        last = column + count - 1
-        for entry in self._regions:
-            if entry.range.left > last:
-                entry.model.shift(columns=-count)  # type: ignore[attr-defined]
-                entry.range = entry.range.shifted(columns=-count)
-                continue
-            overlap_left = max(entry.range.left, column)
-            overlap_right = min(entry.range.right, last)
-            if overlap_left > overlap_right:
-                continue
-            above = max(0, entry.range.left - column)
-            removed = overlap_right - overlap_left + 1
-            entry.model.delete_column(overlap_left, removed)
-            if above:
-                entry.model.shift(columns=-above)  # type: ignore[attr-defined]
-            new_left = entry.range.left - above
-            entry.range = RangeRef(
-                entry.range.top, new_left,
-                entry.range.bottom, max(entry.range.right - above - removed, new_left),
-            )
-        if self._catch_all is not None:
-            self._catch_all.delete_column(column, count)
+            self._catch_all.apply_structural_edit(edit)
 
     def shift(self, rows: int = 0, columns: int = 0) -> None:
         """Translate every constituent region."""

@@ -13,18 +13,48 @@ stored cells (no cascading updates).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.grid.address import CellAddress
 from repro.grid.cell import Cell, CellValue
 from repro.grid.range import RangeRef
 from repro.grid.sheet import Sheet
-from repro.grid.structural import (
-    check_delete_line,
-    check_insert_line,
-    clip_delete_to_anchor,
-)
+from repro.grid.structural import StructuralEdit
 from repro.models.base import DataModel, ModelKind
 from repro.positional import PositionalMapping, create_mapping
 from repro.storage.costs import CostParameters
+
+
+@dataclass(slots=True)
+class _Axis:
+    """One axis of an RCV table: its anchor and its line identifiers."""
+
+    #: Absolute sheet coordinate of the first mapped line.
+    anchor: int
+    #: Presentational position (1-based, anchor-relative) -> stable identifier.
+    ids: PositionalMapping
+    next_id: int = 0
+
+    def new_id(self) -> int:
+        identifier = self.next_id
+        self.next_id += 1
+        return identifier
+
+    def ensure(self, count: int) -> None:
+        """Map at least ``count`` lines (appending fresh identifiers)."""
+        self.ids.extend_to(count, self.new_id)
+
+    def id_at(self, line: int) -> int:
+        """The identifier of absolute ``line``, growing the axis to reach it."""
+        if line < self.anchor:
+            # Grow upward: prepend identifiers so the anchor moves to ``line``
+            # (writes are not restricted to land below the first-seen cell).
+            for _ in range(self.anchor - line):
+                self.ids.insert_at(1, self.new_id())
+            self.anchor = line
+        relative = line - self.anchor + 1
+        self.ensure(relative)
+        return self.ids.fetch(relative)
 
 
 class RowColumnValueModel(DataModel):
@@ -41,15 +71,12 @@ class RowColumnValueModel(DataModel):
         columns: int = 0,
         mapping_scheme: str = "hierarchical",
     ) -> None:
-        self._top = top
-        self._left = left
+        #: ``(row identifier, column identifier) -> cell``.
         self._cells: dict[tuple[int, int], Cell] = {}
-        self._row_ids: PositionalMapping = create_mapping(mapping_scheme)
-        self._column_ids: PositionalMapping = create_mapping(mapping_scheme)
-        self._next_row_id = 0
-        self._next_column_id = 0
-        self._ensure_rows(rows)
-        self._ensure_columns(columns)
+        self._rows = _Axis(top, create_mapping(mapping_scheme))
+        self._columns = _Axis(left, create_mapping(mapping_scheme))
+        self._rows.ensure(rows)
+        self._columns.ensure(columns)
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -76,57 +103,19 @@ class RowColumnValueModel(DataModel):
         return model
 
     # ------------------------------------------------------------------ #
-    # identifier management
-    # ------------------------------------------------------------------ #
-    def _next_row_identifier(self) -> int:
-        row_id = self._next_row_id
-        self._next_row_id += 1
-        return row_id
-
-    def _next_column_identifier(self) -> int:
-        column_id = self._next_column_id
-        self._next_column_id += 1
-        return column_id
-
-    def _ensure_rows(self, count: int) -> None:
-        self._row_ids.extend_to(count, self._next_row_identifier)
-
-    def _ensure_columns(self, count: int) -> None:
-        self._column_ids.extend_to(count, self._next_column_identifier)
-
-    def _row_id(self, row: int) -> int:
-        if row < self._top:
-            # Grow upward: prepend identifiers so the anchor moves to ``row``
-            # (writes are not restricted to land below the first-seen cell).
-            for _ in range(self._top - row):
-                self._row_ids.insert_at(1, self._next_row_identifier())
-            self._top = row
-        relative = row - self._top + 1
-        self._ensure_rows(relative)
-        return self._row_ids.fetch(relative)
-
-    def _column_id(self, column: int) -> int:
-        if column < self._left:
-            for _ in range(self._left - column):
-                self._column_ids.insert_at(1, self._next_column_identifier())
-            self._left = column
-        relative = column - self._left + 1
-        self._ensure_columns(relative)
-        return self._column_ids.fetch(relative)
-
-    # ------------------------------------------------------------------ #
     # reads
     # ------------------------------------------------------------------ #
     def region(self) -> RangeRef:
-        rows = max(len(self._row_ids), 1)
-        columns = max(len(self._column_ids), 1)
-        return RangeRef(self._top, self._left, self._top + rows - 1, self._left + columns - 1)
+        top, left = self._rows.anchor, self._columns.anchor
+        return RangeRef(top, left, top + max(len(self._rows.ids), 1) - 1,
+                        left + max(len(self._columns.ids), 1) - 1)
 
     def cell_count(self) -> int:
         return len(self._cells)
 
     def get_cells(self, region: RangeRef) -> dict[CellAddress, Cell]:
-        if not self._row_ids or not self._column_ids:
+        rows, columns = self._rows, self._columns
+        if not rows.ids or not columns.ids:
             return {}  # no mapped positions: nothing stored is visible
         own = self.region()
         overlap = own.intersection(region)
@@ -136,28 +125,30 @@ class RowColumnValueModel(DataModel):
         if overlap.area <= len(self._cells):
             # Probe each position of the requested rectangle.
             for row in range(overlap.top, overlap.bottom + 1):
-                row_id = self._row_ids.fetch(row - self._top + 1)
+                row_id = rows.ids.fetch(row - rows.anchor + 1)
                 for column in range(overlap.left, overlap.right + 1):
-                    column_id = self._column_ids.fetch(column - self._left + 1)
+                    column_id = columns.ids.fetch(column - columns.anchor + 1)
                     cell = self._cells.get((row_id, column_id))
                     if cell is not None:
                         result[CellAddress(row, column)] = cell
         else:
             # Fewer stored cells than probe positions: invert the mapping once.
-            row_positions = {self._row_ids.fetch(p): p for p in
-                             range(overlap.top - self._top + 1, overlap.bottom - self._top + 2)}
-            column_positions = {self._column_ids.fetch(p): p for p in
-                                range(overlap.left - self._left + 1, overlap.right - self._left + 2)}
+            row_positions = {rows.ids.fetch(p): p for p in
+                             range(overlap.top - rows.anchor + 1, overlap.bottom - rows.anchor + 2)}
+            column_positions = {columns.ids.fetch(p): p for p in
+                                range(overlap.left - columns.anchor + 1,
+                                      overlap.right - columns.anchor + 2)}
             for (row_id, column_id), cell in self._cells.items():
                 row_position = row_positions.get(row_id)
                 column_position = column_positions.get(column_id)
                 if row_position is not None and column_position is not None:
-                    result[CellAddress(self._top + row_position - 1,
-                                       self._left + column_position - 1)] = cell
+                    result[CellAddress(rows.anchor + row_position - 1,
+                                       columns.anchor + column_position - 1)] = cell
         return result
 
     def get_values(self, region: RangeRef) -> dict[tuple[int, int], CellValue]:
-        if not self._row_ids or not self._column_ids:
+        rows, columns = self._rows, self._columns
+        if not rows.ids or not columns.ids:
             return {}
         own = self.region()
         overlap = own.intersection(region)
@@ -166,26 +157,27 @@ class RowColumnValueModel(DataModel):
         result: dict[tuple[int, int], CellValue] = {}
         if overlap.area <= len(self._cells):
             column_ids = [
-                (column, self._column_ids.fetch(column - self._left + 1))
+                (column, columns.ids.fetch(column - columns.anchor + 1))
                 for column in range(overlap.left, overlap.right + 1)
             ]
             for row in range(overlap.top, overlap.bottom + 1):
-                row_id = self._row_ids.fetch(row - self._top + 1)
+                row_id = rows.ids.fetch(row - rows.anchor + 1)
                 for column, column_id in column_ids:
                     cell = self._cells.get((row_id, column_id))
                     if cell is not None:
                         result[(row, column)] = cell.value
         else:
-            row_positions = {self._row_ids.fetch(p): p for p in
-                             range(overlap.top - self._top + 1, overlap.bottom - self._top + 2)}
-            column_positions = {self._column_ids.fetch(p): p for p in
-                                range(overlap.left - self._left + 1, overlap.right - self._left + 2)}
+            row_positions = {rows.ids.fetch(p): p for p in
+                             range(overlap.top - rows.anchor + 1, overlap.bottom - rows.anchor + 2)}
+            column_positions = {columns.ids.fetch(p): p for p in
+                                range(overlap.left - columns.anchor + 1,
+                                      overlap.right - columns.anchor + 2)}
             for (row_id, column_id), cell in self._cells.items():
                 row_position = row_positions.get(row_id)
                 column_position = column_positions.get(column_id)
                 if row_position is not None and column_position is not None:
-                    result[(self._top + row_position - 1,
-                            self._left + column_position - 1)] = cell.value
+                    result[(rows.anchor + row_position - 1,
+                            columns.anchor + column_position - 1)] = cell.value
         return result
 
     def get_values_dense(self, region: RangeRef) -> list[CellValue]:
@@ -196,17 +188,18 @@ class RowColumnValueModel(DataModel):
         dictionary probes instead of an O(log n) positional fetch per row —
         the read path the columnar aggregate build reduces over.
         """
+        rows, columns = self._rows, self._columns
         width = region.right - region.left + 1
         dense: list[CellValue] = [None] * region.area
-        if not self._row_ids or not self._column_ids:
+        if not rows.ids or not columns.ids:
             return dense
         overlap = self.region().intersection(region)
         if overlap is None:
             return dense
-        row_ids = self._row_ids.fetch_range(
-            overlap.top - self._top + 1, overlap.bottom - self._top + 1)
-        column_ids = self._column_ids.fetch_range(
-            overlap.left - self._left + 1, overlap.right - self._left + 1)
+        row_ids = rows.ids.fetch_range(
+            overlap.top - rows.anchor + 1, overlap.bottom - rows.anchor + 1)
+        column_ids = columns.ids.fetch_range(
+            overlap.left - columns.anchor + 1, overlap.right - columns.anchor + 1)
         cells = self._cells
         base = (overlap.top - region.top) * width + (overlap.left - region.left)
         if len(column_ids) == 1:
@@ -229,19 +222,20 @@ class RowColumnValueModel(DataModel):
         return dense
 
     def get_cell(self, row: int, column: int) -> Cell:
-        relative_row = row - self._top + 1
-        relative_column = column - self._left + 1
-        if (relative_row < 1 or relative_row > len(self._row_ids)
-                or relative_column < 1 or relative_column > len(self._column_ids)):
+        rows, columns = self._rows, self._columns
+        relative_row = row - rows.anchor + 1
+        relative_column = column - columns.anchor + 1
+        if (relative_row < 1 or relative_row > len(rows.ids)
+                or relative_column < 1 or relative_column > len(columns.ids)):
             return Cell()
-        key = (self._row_ids.fetch(relative_row), self._column_ids.fetch(relative_column))
+        key = (rows.ids.fetch(relative_row), columns.ids.fetch(relative_column))
         return self._cells.get(key, Cell())
 
     # ------------------------------------------------------------------ #
     # writes
     # ------------------------------------------------------------------ #
     def update_cell(self, row: int, column: int, cell: Cell) -> None:
-        key = (self._row_id(row), self._column_id(column))
+        key = (self._rows.id_at(row), self._columns.id_at(column))
         if cell.is_empty:
             self._cells.pop(key, None)
         else:
@@ -254,7 +248,7 @@ class RowColumnValueModel(DataModel):
         resolving each distinct row/column identifier once per call turns
         2·n positional-mapping fetches into (distinct rows + distinct
         columns).  Identifiers are stable, so memoising them within one call
-        is safe even though ``_row_id``/``_column_id`` may grow the extent.
+        is safe even though ``id_at`` may grow the extent.
         """
         row_ids: dict[int, int] = {}
         column_ids: dict[int, int] = {}
@@ -262,67 +256,41 @@ class RowColumnValueModel(DataModel):
         for row, column, cell in items:
             row_id = row_ids.get(row)
             if row_id is None:
-                row_id = row_ids[row] = self._row_id(row)
+                row_id = row_ids[row] = self._rows.id_at(row)
             column_id = column_ids.get(column)
             if column_id is None:
-                column_id = column_ids[column] = self._column_id(column)
+                column_id = column_ids[column] = self._columns.id_at(column)
             key = (row_id, column_id)
             if cell.is_empty:
                 cells.pop(key, None)
             else:
                 cells[key] = cell
 
-    def insert_row_after(self, row: int, count: int = 1) -> None:
-        check_insert_line(row, count, axis="row")
-        relative = row - self._top + 1
-        if relative < 0:
-            # Strictly above the anchor: the whole region shifts down.
-            self._top += count
+    def apply_structural_edit(self, edit: StructuralEdit) -> None:
+        axis = self._rows if edit.axis == "row" else self._columns
+        # Strictly above/left of the anchor only the anchor moves.
+        axis.anchor, line, count = edit.relative_to(axis.anchor)
+        if not count:
             return
-        if relative >= len(self._row_ids):
-            # At or beyond the last stored row: nothing stored shifts, the
+        if edit.kind == "insert":
+            # At or beyond the last mapped line nothing stored shifts: the
             # mapping extends lazily when a cell is actually written there.
+            if line < len(axis.ids):
+                for offset in range(count):
+                    axis.ids.insert_at(line + 1 + offset, axis.new_id())
             return
-        for offset in range(count):
-            self._row_ids.insert_at(relative + 1 + offset, self._next_row_identifier())
-
-    def delete_row(self, row: int, count: int = 1) -> None:
-        check_delete_line(row, count, axis="row")
-        self._top, start, remaining = clip_delete_to_anchor(row, count, self._top)
-        if not remaining:
-            return
-        removed_ids = set(self._row_ids.delete_span(start, remaining))
+        removed_ids = set(axis.ids.delete_span(line, count))
         if removed_ids:
+            part = 0 if edit.axis == "row" else 1
             self._cells = {
-                key: cell for key, cell in self._cells.items() if key[0] not in removed_ids
-            }
-
-    def insert_column_after(self, column: int, count: int = 1) -> None:
-        check_insert_line(column, count, axis="column")
-        relative = column - self._left + 1
-        if relative < 0:
-            self._left += count
-            return
-        if relative >= len(self._column_ids):
-            return
-        for offset in range(count):
-            self._column_ids.insert_at(relative + 1 + offset, self._next_column_identifier())
-
-    def delete_column(self, column: int, count: int = 1) -> None:
-        check_delete_line(column, count, axis="column")
-        self._left, start, remaining = clip_delete_to_anchor(column, count, self._left)
-        if not remaining:
-            return
-        removed_ids = set(self._column_ids.delete_span(start, remaining))
-        if removed_ids:
-            self._cells = {
-                key: cell for key, cell in self._cells.items() if key[1] not in removed_ids
+                key: cell for key, cell in self._cells.items()
+                if key[part] not in removed_ids
             }
 
     def shift(self, rows: int = 0, columns: int = 0) -> None:
         """Translate the whole region (used by the hybrid model)."""
-        self._top += rows
-        self._left += columns
+        self._rows.anchor += rows
+        self._columns.anchor += columns
 
     # ------------------------------------------------------------------ #
     def storage_cost(self, costs: CostParameters) -> float:

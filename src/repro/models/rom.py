@@ -2,21 +2,12 @@
 
 from __future__ import annotations
 
-from repro.grid.address import CellAddress
-from repro.grid.cell import Cell, CellValue
-from repro.grid.range import RangeRef
-from repro.grid.sheet import Sheet
-from repro.grid.structural import (
-    check_delete_line,
-    check_insert_line,
-    clip_delete_to_anchor,
-)
-from repro.models.base import DataModel, ModelKind
-from repro.models.gridstore import LineGridStore
+from repro.models.base import ModelKind
+from repro.models.gridstore import LineOrientedModel
 from repro.storage.costs import CostParameters
 
 
-class RowOrientedModel(DataModel):
+class RowOrientedModel(LineOrientedModel):
     """ROM(RowID, Col1, ..., Colcmax): the relational-style representation.
 
     Efficient for dense, tabular regions and for whole-row access; row
@@ -26,146 +17,7 @@ class RowOrientedModel(DataModel):
     """
 
     kind = ModelKind.ROM
+    major_axis = "row"
 
-    def __init__(
-        self,
-        top: int = 1,
-        left: int = 1,
-        *,
-        rows: int = 0,
-        columns: int = 0,
-        mapping_scheme: str = "hierarchical",
-    ) -> None:
-        self._top = top
-        self._left = left
-        self._store = LineGridStore(mapping_scheme=mapping_scheme)
-        if rows:
-            self._store.ensure_major(rows)
-        if columns:
-            self._store.ensure_minor(columns)
-
-    # ------------------------------------------------------------------ #
-    # construction
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_sheet(
-        cls,
-        sheet: Sheet,
-        region: RangeRef | None = None,
-        *,
-        mapping_scheme: str = "hierarchical",
-    ) -> "RowOrientedModel":
-        """Load the cells of ``sheet`` (optionally restricted to ``region``)."""
-        if region is None:
-            box = sheet.bounding_box()
-            region = box.to_range() if box is not None else RangeRef(1, 1, 1, 1)
-        model = cls(
-            top=region.top,
-            left=region.left,
-            rows=region.rows,
-            columns=region.columns,
-            mapping_scheme=mapping_scheme,
-        )
-        # Group by row so each stored tuple is written exactly once —
-        # per-cell updates rewrite a wide row's record per cell.
-        lines: dict[int, dict[int, Cell]] = {}
-        for address, cell in sheet.get_cells(region).items():
-            lines.setdefault(address.row - region.top + 1, {})[
-                address.column - region.left + 1] = cell
-        for major in sorted(lines):
-            model._store.set_major_line(major, lines[major])
-        return model
-
-    # ------------------------------------------------------------------ #
-    # reads
-    # ------------------------------------------------------------------ #
-    def region(self) -> RangeRef:
-        rows = max(self._store.major_count, 1)
-        columns = max(self._store.minor_count, 1)
-        return RangeRef(self._top, self._left, self._top + rows - 1, self._left + columns - 1)
-
-    def cell_count(self) -> int:
-        return self._store.filled_cells
-
-    def get_cells(self, region: RangeRef) -> dict[CellAddress, Cell]:
-        own = self.region()
-        overlap = own.intersection(region)
-        if overlap is None:
-            return {}
-        result: dict[CellAddress, Cell] = {}
-        minor_start = overlap.left - self._left + 1
-        minor_end = overlap.right - self._left + 1
-        for row in range(overlap.top, overlap.bottom + 1):
-            cells = self._store.get_major_slice(row - self._top + 1, minor_start, minor_end)
-            for offset, cell in enumerate(cells):
-                if not cell.is_empty:
-                    result[CellAddress(row, overlap.left + offset)] = cell
-        return result
-
-    def get_values(self, region: RangeRef) -> dict[tuple[int, int], CellValue]:
-        own = self.region()
-        overlap = own.intersection(region)
-        if overlap is None:
-            return {}
-        result: dict[tuple[int, int], CellValue] = {}
-        minor_start = overlap.left - self._left + 1
-        minor_end = overlap.right - self._left + 1
-        for row in range(overlap.top, overlap.bottom + 1):
-            cells = self._store.get_major_slice(row - self._top + 1, minor_start, minor_end)
-            for offset, cell in enumerate(cells):
-                if not cell.is_empty:
-                    result[(row, overlap.left + offset)] = cell.value
-        return result
-
-    def get_cell(self, row: int, column: int) -> Cell:
-        return self._store.get(row - self._top + 1, column - self._left + 1)
-
-    # ------------------------------------------------------------------ #
-    # writes
-    # ------------------------------------------------------------------ #
-    def update_cell(self, row: int, column: int, cell: Cell) -> None:
-        self._store.set(row - self._top + 1, column - self._left + 1, cell)
-
-    def insert_row_after(self, row: int, count: int = 1) -> None:
-        check_insert_line(row, count, axis="row")
-        relative = row - self._top + 1
-        if relative < 0:
-            # Insert strictly above the region: the anchor simply moves down.
-            self._top += count
-            return
-        # Beyond the stored extent the store lazily no-ops (implicit space).
-        self._store.insert_major_after(relative, count)
-
-    def delete_row(self, row: int, count: int = 1) -> None:
-        check_delete_line(row, count, axis="row")
-        self._top, start, remaining = clip_delete_to_anchor(row, count, self._top)
-        if remaining:
-            self._store.delete_major(start, remaining)
-
-    def insert_column_after(self, column: int, count: int = 1) -> None:
-        check_insert_line(column, count, axis="column")
-        relative = column - self._left + 1
-        if relative < 0:
-            self._left += count
-            return
-        self._store.insert_minor_after(relative, count)
-
-    def delete_column(self, column: int, count: int = 1) -> None:
-        check_delete_line(column, count, axis="column")
-        self._left, start, remaining = clip_delete_to_anchor(column, count, self._left)
-        if remaining:
-            self._store.delete_minor(start, remaining)
-
-    def shift(self, rows: int = 0, columns: int = 0) -> None:
-        """Translate the whole region (used by the hybrid model)."""
-        self._top += rows
-        self._left += columns
-
-    # ------------------------------------------------------------------ #
     def storage_cost(self, costs: CostParameters) -> float:
-        return costs.rom_cost(self._store.major_count, self._store.minor_count)
-
-    @property
-    def positional_mapping(self):
-        """The row positional mapping (exposed for the Section V experiments)."""
-        return self._store.mapping
+        return costs.rom_cost(*self._shape())

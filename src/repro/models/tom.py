@@ -12,6 +12,7 @@ from repro.errors import LinkTableError
 from repro.grid.address import CellAddress
 from repro.grid.cell import Cell
 from repro.grid.range import RangeRef
+from repro.grid.structural import StructuralEdit
 from repro.models.base import DataModel, ModelKind
 from repro.storage.costs import CostParameters
 from repro.storage.database import Table
@@ -104,47 +105,42 @@ class TableOrientedModel(DataModel):
         new_pointer = self._table.update(pointer, tuple(record))
         self._pointers[record_index] = new_pointer
 
-    def check_structural_edit(self, axis: str, kind: str, line: int, count: int) -> None:
+    def check_structural_edit(self, edit: StructuralEdit) -> None:
         """Refuse edits a linked table cannot absorb, before anything mutates.
 
         Column structure is the table's schema, and the header row is
         generated from it — neither can be edited through the grid.  Row
         deletes must land entirely on data records (the hybrid router has
-        already clipped ``line``/``count`` to this region's overlap).
+        already clipped the edit to this region's overlap).
         """
-        if axis == "column":
+        if edit.axis == "column":
             raise LinkTableError(
-                f"column {kind} on a linked table requires a schema change"
+                f"column {edit.kind} on a linked table requires a schema change"
             )
-        if kind == "delete":
-            record_index = line - self._top - (1 if self._header else 0)
-            if record_index < 0 or record_index + count > len(self._pointers):
+        if edit.kind == "delete":
+            record_index = self._record_index(edit.line)
+            if record_index < 0 or record_index + edit.count > len(self._pointers):
                 raise LinkTableError(
-                    f"rows [{line}, {line + count - 1}] are outside the linked table"
+                    f"rows [{edit.line}, {edit.line + edit.count - 1}] "
+                    "are outside the linked table"
                 )
 
-    def insert_row_after(self, row: int, count: int = 1) -> None:
-        """Insert blank records after the presentational ``row``."""
-        record_index = row - self._top - (1 if self._header else 0) + 1
-        record_index = min(max(record_index, 0), len(self._pointers))
+    def _record_index(self, row: int) -> int:
+        """Index into the record list of presentational ``row``."""
+        return row - self._top - (1 if self._header else 0)
+
+    def apply_structural_edit(self, edit: StructuralEdit) -> None:
+        self.check_structural_edit(edit)
+        record_index = self._record_index(edit.line)
+        if edit.kind == "delete":
+            for _ in range(edit.count):
+                self._table.delete(self._pointers.pop(record_index))
+            return
+        # Blank records go in after the presentational row ``edit.line``.
+        record_index = min(max(record_index + 1, 0), len(self._pointers))
         blank = tuple(None for _ in self._table.schema.columns)
-        for offset in range(count):
-            pointer = self._table.insert(blank)
-            self._pointers.insert(record_index + offset, pointer)
-
-    def delete_row(self, row: int, count: int = 1) -> None:
-        record_index = row - self._top - (1 if self._header else 0)
-        if record_index < 0 or record_index + count > len(self._pointers):
-            raise LinkTableError(f"rows [{row}, {row + count - 1}] are outside the linked table")
-        for _ in range(count):
-            pointer = self._pointers.pop(record_index)
-            self._table.delete(pointer)
-
-    def insert_column_after(self, column: int, count: int = 1) -> None:
-        raise LinkTableError("column insertion on a linked table requires a schema change")
-
-    def delete_column(self, column: int, count: int = 1) -> None:
-        raise LinkTableError("column deletion on a linked table requires a schema change")
+        for offset in range(edit.count):
+            self._pointers.insert(record_index + offset, self._table.insert(blank))
 
     def shift(self, rows: int = 0, columns: int = 0) -> None:
         """Translate the linked region (used by the hybrid model)."""

@@ -679,7 +679,7 @@ def run_async_crash_recovery(seed: int, *, steps: int = 50) -> bool:
     # Fewer appends happen outside flushes (where the crash arm is parked),
     # so aim the crash countdown lower than the sync runner's.
     plan = FaultPlan.random(rng, max_appends=60)
-    spread = DataSpread(async_recompute=True, idle_drain_budget=0,
+    spread = DataSpread(async_recompute=True,
                         durability="wal", storage_dir=workdir,
                         wal_options=plan.wal_options())
     spread.aggregate_store.min_state_area = 1
@@ -1012,7 +1012,6 @@ def run_overload(seed: int, *, writers: int = 3, readers: int = 2,
     policy = RetryPolicy(max_attempts=4, base_delay_ms=1.0,
                          max_delay_ms=64.0, clock=clock, sleep=clock.sleep)
     ws = Workspace(
-        idle_drain_budget=0,
         max_pending_compute=OVERLOAD_MAX_PENDING,
         max_pending_per_owner=OVERLOAD_MAX_PENDING // 2,
         session_lease_ms=OVERLOAD_LEASE_MS,

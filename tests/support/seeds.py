@@ -1,34 +1,25 @@
 """Unified seed-count environment scheme for the randomized sweeps.
 
-Every widened sweep reads one ``REPRO_*_SEEDS`` variable (the canonical
-scheme) naming how many seeds to run — ``REPRO_FUZZ_SEEDS=50`` means
-seeds 1..50.  Unset (or empty), the sweep falls back to its fast
-deterministic tier-1 slice.
-
-Historically the Makefile knobs (``FUZZ_SEEDS`` / ``CRASH_SEEDS``) and the
-variables the tests actually read (``REPRO_FUZZ_SEEDS`` /
-``REPRO_CRASH_SEEDS``) drifted apart; the bare legacy names are still
-honored as aliases so existing invocations keep working, but the
-``REPRO_*`` name wins when both are set.
+Every widened sweep reads one ``REPRO_*_SEEDS`` variable naming how many
+seeds to run — ``REPRO_FUZZ_SEEDS=50`` means seeds 1..50.  Unset (or
+empty), the sweep falls back to its fast deterministic tier-1 slice.  The
+Makefile passes the same names through, so ``REPRO_FUZZ_SEEDS=100 make
+fuzz`` and ``make fuzz REPRO_FUZZ_SEEDS=100`` behave identically.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
-def seed_set(primary_env: str, fast_seeds: Iterable[int],
-             *, aliases: Sequence[str] = ()) -> list[int]:
+def seed_set(env: str, fast_seeds: Iterable[int]) -> list[int]:
     """The seed list a sweep should run.
 
-    ``primary_env`` (a ``REPRO_*_SEEDS`` name) is consulted first, then
-    each legacy alias in order; the first non-empty value wins and selects
-    seeds ``1..n``.  With no variable set, the fast tier-1 ``fast_seeds``
-    slice runs instead.
+    A non-empty ``env`` (a ``REPRO_*_SEEDS`` name) selects seeds ``1..n``;
+    with it unset, the fast tier-1 ``fast_seeds`` slice runs instead.
     """
-    for name in (primary_env, *aliases):
-        requested = os.environ.get(name)
-        if requested:
-            return list(range(1, int(requested) + 1))
+    requested = os.environ.get(env)
+    if requested:
+        return list(range(1, int(requested) + 1))
     return list(fast_seeds)

@@ -293,13 +293,6 @@ class TestAsyncEngine:
         spread.set_value(1, 1, 8)  # synchronous again
         assert spread.get_value(2, 1) == 4
 
-    def test_async_requires_auto_evaluate(self):
-        with pytest.raises(ValueError):
-            DataSpread(auto_evaluate=False, async_recompute=True)
-        spread = DataSpread(auto_evaluate=False)
-        with pytest.raises(ValueError):
-            spread.async_recompute = True
-
 
 class TestCacheOverlay:
     def test_probe_and_scan_branches_agree(self):
@@ -454,24 +447,23 @@ class TestShiftedStripeReuse:
 # RCV bulk-write batching (satellite)
 # ---------------------------------------------------------------------- #
 class TestRcvBulkWrites:
-    def test_distinct_rows_and_columns_resolved_once(self):
+    def test_distinct_rows_and_columns_resolved_once(self, monkeypatch):
         model = RowColumnValueModel(top=1, left=1)
-        row_calls = []
-        column_calls = []
-        original_row_id = model._row_id
-        original_column_id = model._column_id
-        model._row_id = lambda row: (row_calls.append(row), original_row_id(row))[1]
-        model._column_id = lambda column: (
-            column_calls.append(column), original_column_id(column)
-        )[1]
+        resolved = []
+        axis_type = type(model._rows)
+        original_id_at = axis_type.id_at
+        monkeypatch.setattr(
+            axis_type, "id_at",
+            lambda axis, line: (resolved.append(axis), original_id_at(axis, line))[1],
+        )
         items = [
             (row, column, Cell(value=row * 100 + column))
             for row in range(1, 11)
             for column in range(1, 11)
         ]
         model.update_cells(items)
-        assert len(row_calls) == 10
-        assert len(column_calls) == 10
+        assert sum(axis is model._rows for axis in resolved) == 10
+        assert sum(axis is model._columns for axis in resolved) == 10
         assert model.cell_count() == 100
         assert model.get_cell(7, 3).value == 703
 
@@ -645,8 +637,8 @@ class TestComputeSchedulerUnit:
 # idle-drain policy (PR 5 satellite)
 # ---------------------------------------------------------------------- #
 class TestIdleDrain:
-    def _dirty_spread(self, budget: int) -> DataSpread:
-        spread = DataSpread(async_recompute=True, idle_drain_budget=budget)
+    def _dirty_spread(self, budget_ms: float) -> DataSpread:
+        spread = DataSpread(async_recompute=True, idle_drain_ms=budget_ms)
         with spread.batch():
             for row in range(1, 11):
                 spread.set_value(row, 1, row)
@@ -654,24 +646,8 @@ class TestIdleDrain:
                 spread.set_formula(row, 2, f"A{row}*2")
         return spread
 
-    def test_reads_converge_staleness_without_flush_compute(self):
-        spread = self._dirty_spread(budget=2)
-        assert spread.compute_pending == 10
-        reads = 0
-        while spread.compute_pending and reads < 50:
-            spread.get_value(20, 20)  # an unrelated cell still drains work
-            reads += 1
-        assert spread.compute_pending == 0
-        assert reads == 5  # budget 2 per read over 10 queued cells
-        assert all(spread.get_value(row, 2) == row * 2 for row in range(1, 11))
-
-    def test_zero_budget_keeps_reads_passive(self):
-        spread = self._dirty_spread(budget=0)
-        spread.get_value(1, 2)
-        assert spread.compute_pending == 10
-
     def test_batched_reads_do_not_drain(self):
-        spread = self._dirty_spread(budget=4)
+        spread = self._dirty_spread(budget_ms=100.0)
         with spread.batch():
             spread.get_value(1, 2)
             assert spread.compute_pending == 10
@@ -679,7 +655,7 @@ class TestIdleDrain:
         assert spread.compute_pending < 10
 
     def test_cyclic_work_never_fails_a_read(self):
-        spread = DataSpread(async_recompute=True, idle_drain_budget=3)
+        spread = DataSpread(async_recompute=True, idle_drain_ms=100.0)
         with spread.batch():
             spread.set_formula(1, 1, "B1+1")
             spread.set_formula(1, 2, "A1+1")
@@ -689,21 +665,16 @@ class TestIdleDrain:
             spread.flush_compute()  # the explicit drain still surfaces it
 
     def test_drain_retires_acyclic_work_around_a_cycle(self):
-        scheduler_spread = DataSpread(async_recompute=True, idle_drain_budget=0)
+        scheduler_spread = DataSpread(async_recompute=True)
         with scheduler_spread.batch():
             scheduler_spread.set_formula(1, 1, "B1+1")
             scheduler_spread.set_formula(1, 2, "A1+1")
             scheduler_spread.set_value(5, 1, 7)
             scheduler_spread.set_formula(5, 2, "A5*3")
         scheduler = scheduler_spread.compute_scheduler
-        assert scheduler.drain(10) == 1  # A5*3 evaluates; the cycle stays
+        assert scheduler.drain_for(1000.0) == 1  # A5*3 evaluates; the cycle stays
         assert scheduler_spread.get_value(5, 2) == 21
         assert scheduler.pending_count == 2
-        assert scheduler.drain(0) == 0
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError):
-            DataSpread(async_recompute=True, idle_drain_budget=-1)
 
 
 class TestTimeBudgetedIdleDrain:
@@ -765,16 +736,3 @@ class TestTimeBudgetedIdleDrain:
     def test_negative_ms_budget_rejected(self):
         with pytest.raises(ValueError):
             DataSpread(async_recompute=True, idle_drain_ms=-0.5)
-
-    def test_count_budget_is_a_deprecated_shim(self):
-        with pytest.warns(DeprecationWarning):
-            spread = self._dirty_spread(idle_drain_budget=2)
-        spread.get_value(20, 20)  # the legacy path still drains per read
-        assert spread.compute_pending == 8
-
-    def test_scheduler_drain_shim_warns_and_delegates(self):
-        spread = self._dirty_spread()
-        scheduler = spread.compute_scheduler
-        with pytest.warns(DeprecationWarning):
-            assert scheduler.drain(4) == 4
-        assert scheduler.pending_count == 6

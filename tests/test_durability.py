@@ -47,8 +47,7 @@ _FAST_CRASH_SEEDS = range(31, 37)
 
 
 def _crash_seed_set() -> list[int]:
-    return seed_set("REPRO_CRASH_SEEDS", _FAST_CRASH_SEEDS,
-                    aliases=("CRASH_SEEDS",))
+    return seed_set("REPRO_CRASH_SEEDS", _FAST_CRASH_SEEDS)
 
 
 # ---------------------------------------------------------------------- #

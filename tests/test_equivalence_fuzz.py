@@ -27,7 +27,7 @@ _FAST_SEEDS = range(21, 27)
 
 
 def _seed_set() -> list[int]:
-    return seed_set("REPRO_FUZZ_SEEDS", _FAST_SEEDS, aliases=("FUZZ_SEEDS",))
+    return seed_set("REPRO_FUZZ_SEEDS", _FAST_SEEDS)
 
 
 @pytest.mark.parametrize("seed", _seed_set())

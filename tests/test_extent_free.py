@@ -33,6 +33,7 @@ from repro.models import (
     RowColumnValueModel,
     RowOrientedModel,
 )
+from repro.storage.costs import POSTGRES_COSTS
 
 PRIMITIVES = [RowOrientedModel, ColumnOrientedModel, RowColumnValueModel]
 SCHEMES = ["as-is", "monotonic", "hierarchical"]
@@ -50,7 +51,11 @@ def data_sheet() -> Sheet:
     )
 
 
-def grid(target, window: RangeRef = RangeRef(1, 1, 60, 40)) -> dict:
+#: Everything the tests below can reach, on either axis.
+WINDOW = RangeRef(1, 1, 60, 60)
+
+
+def grid(target, window: RangeRef = WINDOW) -> dict:
     """The (row, column) -> value map of a model or sheet, for comparison."""
     return {
         (address.row, address.column): cell.value
@@ -137,6 +142,47 @@ class TestModelsMatchNaiveSheet:
             getattr(anchored_model, kind)(line, count)
             getattr(oracle, kind)(line, count)
             assert grid(anchored_model) == grid(oracle), (seed, kind, line, count)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_com_is_rom_transposed(self, scheme, seed):
+        """COM over the transposed sheet, driven by the transposed script,
+        is ROM transposed — cells, region, count and (with the row and
+        column roles swapped by the transposition) storage cost."""
+        rng = random.Random(seed)
+        top, left = rng.randint(1, 6), rng.randint(1, 6)
+        sheet, mirror = Sheet(), Sheet()
+        for row in range(top, top + rng.randint(2, 9)):
+            for column in range(left, left + rng.randint(2, 9)):
+                if rng.random() < 0.6:
+                    sheet.set_value(row, column, row * 100 + column)
+                    mirror.set_value(column, row, row * 100 + column)
+        rom = RowOrientedModel.from_sheet(sheet, mapping_scheme=scheme)
+        com = ColumnOrientedModel.from_sheet(mirror, mapping_scheme=scheme)
+        for step in range(40):
+            if rng.random() < 0.25:
+                # ROM/COM take writes at or past their anchor only.
+                own = rom.region()
+                row, column = rng.randint(own.top, 30), rng.randint(own.left, 30)
+                cell = Cell(value=None if rng.random() < 0.3 else step)
+                rom.update_cell(row, column, cell)
+                com.update_cell(column, row, cell)
+            else:
+                kind = rng.choice(["insert", "delete"])
+                line = rng.randint(0 if kind == "insert" else 1, 30)
+                count = rng.randint(1, 4)
+                axis = rng.choice(["row", "column"])
+                other = "column" if axis == "row" else "row"
+                rom.apply_structural_edit(StructuralEdit(axis, kind, line, count))
+                com.apply_structural_edit(StructuralEdit(other, kind, line, count))
+            context = (scheme, seed, step)
+            assert {(c, r): v for (r, c), v in grid(rom).items()} == grid(com), context
+            assert {(c, r): v for (r, c), v in rom.get_values(WINDOW).items()} \
+                == com.get_values(WINDOW), context
+            own = rom.region()
+            assert com.region() == RangeRef(own.left, own.top, own.right, own.bottom), context
+            assert com.cell_count() == rom.cell_count(), context
+            assert com.storage_cost(POSTGRES_COSTS) == rom.storage_cost(POSTGRES_COSTS), context
 
     def test_writes_after_out_of_extent_edits(self, anchored_model):
         """The lazily-unextended mapping must still accept writes that land
@@ -233,6 +279,57 @@ class TestHybridReanchoring:
         hybrid.delete_row(1, 5)
         hybrid.delete_column(1, 2)
         assert hybrid.get_value(15, 4) == "loose"
+
+    def test_region_swallowed_by_a_delete_does_not_shadow_its_neighbour(self):
+        sheet = Sheet.from_rows([[1, 2], [3, 4], [5, 6], [7, 8], [9, 10]], top=5, left=1)
+        plan = [(RangeRef(5, 1, 6, 2), ModelKind.ROM), (RangeRef(7, 1, 9, 2), ModelKind.COM)]
+        hybrid = HybridDataModel.from_decomposition(sheet, plan)
+        hybrid.delete_row(5, 2)  # swallows the first region; the second moves up
+        sheet.delete_row(5, 2)
+        assert [entry.range for entry in hybrid.regions] == [RangeRef(5, 1, 7, 2)]
+        assert grid(hybrid) == grid(sheet)
+        assert hybrid.get_value(5, 1) == 5
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
+    def test_region_ranges_follow_map_span(self, seed):
+        """After any edit every region sits exactly where ``map_span`` puts
+        its old range — shifted, expanded, shrunk from either edge, or gone
+        when a delete swallows it — and the grid still equals the oracle."""
+        rng = random.Random(seed)
+        blocks = [
+            (RangeRef(3, 2, 6, 5), ModelKind.ROM), (RangeRef(8, 2, 12, 4), ModelKind.COM),
+            (RangeRef(3, 8, 5, 12), ModelKind.RCV), (RangeRef(14, 7, 15, 9), ModelKind.ROM),
+        ]
+        oracle = Sheet()
+        for block, _kind in blocks:
+            for address in block.addresses():
+                if rng.random() < 0.7:
+                    oracle.set_value(
+                        address.row, address.column, address.row * 100 + address.column)
+        oracle.set_value(20, 14, "loose")  # lands in the catch-all table
+        hybrid = HybridDataModel.from_decomposition(oracle, blocks)
+        for step in range(25):
+            kind = rng.choice(["insert", "delete"])
+            edit = StructuralEdit(
+                rng.choice(["row", "column"]), kind,
+                rng.randint(0 if kind == "insert" else 1, 18), rng.randint(1, 5))
+            expected = []
+            for entry in hybrid.regions:
+                old = entry.range
+                if edit.axis == "row":
+                    span = edit.map_span(old.top, old.bottom)
+                    moved = span and RangeRef(span[0], old.left, span[1], old.right)
+                else:
+                    span = edit.map_span(old.left, old.right)
+                    moved = span and RangeRef(old.top, span[0], old.bottom, span[1])
+                if moved is not None:
+                    expected.append(moved)
+            hybrid.apply_structural_edit(edit)
+            method = {"insert": "insert_{}_after", "delete": "delete_{}"}[kind]
+            getattr(oracle, method.format(edit.axis))(edit.line, edit.count)
+            assert [entry.range for entry in hybrid.regions] == expected, (seed, step, edit)
+            assert grid(hybrid) == grid(oracle), (seed, step, edit)
+            assert hybrid.cell_count() == oracle.cell_count(), (seed, step, edit)
 
     def test_hybrid_matches_oracle_across_boundary_cases(self):
         for kind, line, count in STRUCTURAL_CASES:

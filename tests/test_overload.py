@@ -113,8 +113,7 @@ def _fill_queue(spread: DataSpread, formulas: int) -> None:
 
 class TestAdmissionControl:
     def test_edit_past_global_quota_is_shed(self):
-        spread = DataSpread(async_recompute=True, idle_drain_budget=0,
-                            max_pending_compute=3)
+        spread = DataSpread(async_recompute=True, max_pending_compute=3)
         _fill_queue(spread, 3)
         with pytest.raises(EngineOverloadedError) as info:
             spread.set_formula(10, 2, "=A1+1")
@@ -124,8 +123,7 @@ class TestAdmissionControl:
         assert spread.get_cell(10, 2).formula is None
 
     def test_coalescing_edit_is_always_admitted(self):
-        spread = DataSpread(async_recompute=True, idle_drain_budget=0,
-                            max_pending_compute=3)
+        spread = DataSpread(async_recompute=True, max_pending_compute=3)
         _fill_queue(spread, 3)
         # Rewriting an already-queued cell adds no depth: admitted.
         spread.set_formula(2, 2, "=A1*3")
@@ -133,8 +131,7 @@ class TestAdmissionControl:
         assert spread.get_value(2, 2) == 21
 
     def test_drain_reopens_admission(self):
-        spread = DataSpread(async_recompute=True, idle_drain_budget=0,
-                            max_pending_compute=3)
+        spread = DataSpread(async_recompute=True, max_pending_compute=3)
         _fill_queue(spread, 3)
         with pytest.raises(EngineOverloadedError):
             spread.set_formula(10, 2, "=A1+1")
@@ -144,8 +141,7 @@ class TestAdmissionControl:
         assert spread.get_value(10, 2) == 8
 
     def test_committed_batch_work_is_never_refused(self):
-        spread = DataSpread(async_recompute=True, idle_drain_budget=0,
-                            max_pending_compute=2)
+        spread = DataSpread(async_recompute=True, max_pending_compute=2)
         # The batch's dirty set far exceeds the quota; commit must not shed.
         with spread.batch():
             spread.set_value(1, 1, 5)
@@ -156,7 +152,7 @@ class TestAdmissionControl:
         assert spread.get_value(9, 2) == 10
 
     def test_per_session_quota_isolates_noisy_writer(self):
-        ws = Workspace(idle_drain_budget=0, max_pending_per_owner=2)
+        ws = Workspace(max_pending_per_owner=2)
         noisy = ws.open_session("noisy")
         polite = ws.open_session("polite")
         noisy.set_value(1, 1, 1)
@@ -173,7 +169,7 @@ class TestAdmissionControl:
         ws.close()
 
     def test_high_water_mark_is_tracked(self):
-        spread = DataSpread(async_recompute=True, idle_drain_budget=0)
+        spread = DataSpread(async_recompute=True)
         _fill_queue(spread, 4)
         assert spread.compute_scheduler.stats.high_water >= 4
         spread.flush_compute()
@@ -184,7 +180,7 @@ class TestAdmissionControl:
 # deadlines & degraded reads
 # ---------------------------------------------------------------------- #
 def _deadline_workspace(clock: VirtualClock, **kwargs) -> Workspace:
-    return Workspace(idle_drain_budget=0, clock=clock, **kwargs)
+    return Workspace(clock=clock, **kwargs)
 
 
 class TestDeadlineReads:
@@ -273,8 +269,7 @@ class TestDeadlineReads:
 
     def test_flush_compute_timeout_stops_cooperatively(self):
         clock = VirtualClock()
-        spread = DataSpread(async_recompute=True, idle_drain_budget=0,
-                            clock=clock)
+        spread = DataSpread(async_recompute=True, clock=clock)
         spread.set_value(1, 1, 1)
         for index in range(6):
             spread.set_formula(2 + index, 2, "=A1*2")
@@ -384,7 +379,7 @@ class TestRetryPolicy:
 # ---------------------------------------------------------------------- #
 class TestReaper:
     def _workspace(self, clock: VirtualClock, lease_ms: float = 100.0) -> Workspace:
-        return Workspace(idle_drain_budget=0, clock=clock,
+        return Workspace(clock=clock,
                          session_lease_ms=lease_ms)
 
     def test_idle_transaction_is_reaped_and_locks_release(self):
@@ -440,7 +435,7 @@ class TestReaper:
 
     def test_no_lease_means_no_reaping(self):
         clock = VirtualClock()
-        ws = Workspace(idle_drain_budget=0, clock=clock)
+        ws = Workspace(clock=clock)
         session = ws.open_session("s")
         session.savepoint()
         clock.advance(3600.0)
@@ -507,7 +502,7 @@ class TestReaper:
 class TestHealthAndQuarantine:
     def test_health_snapshot_shape(self):
         clock = VirtualClock()
-        ws = Workspace(idle_drain_budget=0, clock=clock,
+        ws = Workspace(clock=clock,
                        session_lease_ms=250.0)
         session = ws.open_session("client")
         session.set_value(1, 1, 1)
@@ -538,7 +533,7 @@ class TestHealthAndQuarantine:
     def test_quarantined_cell_surfaces_and_requeues(self):
         from repro.grid.address import CellAddress
 
-        spread = DataSpread(async_recompute=True, idle_drain_budget=0)
+        spread = DataSpread(async_recompute=True)
         scheduler = spread.compute_scheduler
         spread.set_value(1, 1, 4)
         self._poison(scheduler, [CellAddress(1, 2)])
@@ -557,7 +552,7 @@ class TestHealthAndQuarantine:
     def test_requeue_specific_address_only(self):
         from repro.grid.address import CellAddress
 
-        spread = DataSpread(async_recompute=True, idle_drain_budget=0)
+        spread = DataSpread(async_recompute=True)
         scheduler = spread.compute_scheduler
         spread.set_value(1, 1, 4)
         self._poison(scheduler, [CellAddress(1, 2), CellAddress(1, 3)])
@@ -573,7 +568,7 @@ class TestHealthAndQuarantine:
 
     def test_workspace_counters_surface(self):
         clock = VirtualClock()
-        ws = Workspace(idle_drain_budget=0, clock=clock,
+        ws = Workspace(clock=clock,
                        max_pending_compute=2, session_lease_ms=100.0)
         session = ws.open_session("s")
         session.set_value(1, 1, 1)
@@ -617,8 +612,7 @@ class TestNoRealSleep:
 # ---------------------------------------------------------------------- #
 class TestChaosFuzz:
     @pytest.mark.parametrize(
-        "seed", seed_set("REPRO_CHAOS_SEEDS", FAST_CHAOS_SEEDS,
-                         aliases=("CHAOS_SEEDS",)))
+        "seed", seed_set("REPRO_CHAOS_SEEDS", FAST_CHAOS_SEEDS))
     def test_overload_chaos(self, seed):
         metrics = run_overload(seed)
         # Convergence and boundedness are asserted inside the harness;

@@ -450,23 +450,6 @@ class TestReviewRegressions:
         assert spread.get_value(2, 1) == "before"
         assert spread.get_value(1, 2) == "outer"
 
-    def test_batch_without_auto_evaluate_matches_unbatched_order(self):
-        """With auto_evaluate off, batched formulas evaluate in the order
-        they were set — same as the identical un-batched call sequence
-        (guaranteed when each cell is edited at most once per batch)."""
-        def edits(spread):
-            spread.set_value(1, 1, 1)          # A1
-            spread.set_formula(1, 3, "B1+1")   # C1 reads B1 before B1 is set
-            spread.set_formula(1, 2, "A1+1")   # B1
-
-        plain = DataSpread(auto_evaluate=False)
-        edits(plain)
-        batched = DataSpread(auto_evaluate=False)
-        with batched.batch():
-            edits(batched)
-        for column in (1, 2, 3):
-            assert batched.get_value(1, column) == plain.get_value(1, column), column
-
     def test_batch_flushes_raw_writes_before_recompute(self):
         """At recompute time the batch's raw writes are already in storage,
         so range reads do not scan a pending map holding every batched cell."""

@@ -32,8 +32,7 @@ _FAST_SESSION_SEEDS = range(41, 47)
 
 
 def _session_seed_set() -> list[int]:
-    return seed_set("REPRO_SESSION_SEEDS", _FAST_SESSION_SEEDS,
-                    aliases=("SESSION_SEEDS",))
+    return seed_set("REPRO_SESSION_SEEDS", _FAST_SESSION_SEEDS)
 
 
 # ---------------------------------------------------------------------- #
@@ -473,21 +472,10 @@ class TestDurableSessions:
 class TestSeedScheme:
     def test_primary_env_selects_seed_range(self, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_SEEDS", "4")
-        assert seed_set("REPRO_TEST_SEEDS", [9], aliases=("TEST_SEEDS",)) == [1, 2, 3, 4]
-
-    def test_legacy_alias_still_honored(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TEST_SEEDS", raising=False)
-        monkeypatch.setenv("TEST_SEEDS", "3")
-        assert seed_set("REPRO_TEST_SEEDS", [9], aliases=("TEST_SEEDS",)) == [1, 2, 3]
-
-    def test_primary_wins_over_alias(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_SEEDS", "2")
-        monkeypatch.setenv("TEST_SEEDS", "5")
-        assert seed_set("REPRO_TEST_SEEDS", [9], aliases=("TEST_SEEDS",)) == [1, 2]
+        assert seed_set("REPRO_TEST_SEEDS", [9]) == [1, 2, 3, 4]
 
     def test_unset_falls_back_to_fast_slice(self, monkeypatch):
         monkeypatch.delenv("REPRO_TEST_SEEDS", raising=False)
-        monkeypatch.delenv("TEST_SEEDS", raising=False)
         assert seed_set("REPRO_TEST_SEEDS", range(3, 5)) == [3, 4]
 
     def test_makefile_targets_use_the_unified_scheme(self):
@@ -498,10 +486,7 @@ class TestSeedScheme:
         assert "REPRO_FUZZ_SEEDS=$(REPRO_FUZZ_SEEDS)" in text
         assert "REPRO_CRASH_SEEDS=$(REPRO_CRASH_SEEDS)" in text
         assert "REPRO_SESSION_SEEDS=$(REPRO_SESSION_SEEDS)" in text
-        # Legacy aliases stay wired as fallbacks.
-        assert "$(or $(FUZZ_SEEDS),50)" in text
-        assert "$(or $(CRASH_SEEDS),60)" in text
-        assert "$(or $(SESSION_SEEDS),100)" in text
+        assert "REPRO_CHAOS_SEEDS=$(REPRO_CHAOS_SEEDS)" in text
 
 
 # ---------------------------------------------------------------------- #
