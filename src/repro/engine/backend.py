@@ -16,8 +16,10 @@ that funnel:
 
     * a synchronous single edit is one fsynced singleton record;
     * a batch flush is one ``begin``..``commit`` group (atomic on replay);
-    * a structural edit is a group pairing the mid-batch flush with the
-      ``structural`` record, so recovery either sees both or neither;
+    * a structural edit is one group holding the mid-batch flush, the
+      ``structural`` record and every formula text the edit rewrote, so
+      recovery sees all of it or none — one commit however many formulas
+      moved;
     * async provisional placeholders never reach the cache's writers, so
       they are never logged — only the scheduler's committing evaluate
       writes are, one singleton each.

@@ -63,17 +63,26 @@ keep formulas live instead of letting them silently read shifted cells:
   to every layer.  The storage model absorbs it first
   (``HybridDataModel.apply_structural_edit`` — no cascading renumbering of
   stored tuples), then ``DependencyGraph.apply_structural_edit`` re-keys
-  every dependency registration — formula-cell keys, precedent cells, and
-  range spans — through the same coordinate mapping.
-* Formulas whose precedents moved get their source text rewritten: the old
-  text parses through the bounded AST cache, the AST is shifted with
-  :func:`~repro.formula.rewrite.rewrite_formula` (ranges straddling the
-  edit expand or contract; fully deleted referents collapse to ``#REF!``),
-  serialized back to text, and primed into the cache.
-* The rewritten formulas and their transitive dependents recompute in one
-  topological pass.  Mid-batch, the edit is a commit point: buffered writes
-  flush first, pre-batch and batch-local formulas are renumbered alike, and
-  the rewritten cells join the batch's recompute at exit.
+  the dependency registrations the edit *reaches* — formula-cell keys,
+  precedent cells, and range spans — through the same coordinate mapping;
+  registrations wholly before the edit line are left as they are.
+* **Rewritten:** every formula with a reference that moved gets its source
+  text rewritten: the old text parses through the bounded AST cache, the
+  AST is shifted with :func:`~repro.formula.rewrite.rewrite_formula`
+  (ranges straddling the edit expand or contract; fully deleted referents
+  collapse to ``#REF!``), serialized back to text, and primed into the
+  cache.  All rewritten texts of one edit land as one bulk write.
+* **Recomputed:** only the formulas the edit *reshaped* — a referent lost
+  to ``#REF!``, a range that grew, shrank or was clamped at the sheet edge
+  (``StructuralRewrite.reshaped``) — and their transitive dependents, in
+  one topological pass.  A formula whose references merely translated
+  reads exactly the cells it read before and keeps its value, so the cost
+  of an edit follows what it crosses, not what lies below it.
+* **One commit group:** writes buffered so far (mid-batch, the edit is a
+  commit point), the structural record and the rewritten texts are logged
+  as one atomic group — one durable commit however many formulas moved.
+  Pre-batch and batch-local formulas are renumbered alike, and the reshaped
+  cells join the batch's recompute at exit.
 """
 
 from __future__ import annotations
@@ -106,7 +115,7 @@ from repro.errors import (
 )
 from repro.formula.aggregates import AggregateStore
 from repro.formula.ast_nodes import FormulaNode
-from repro.formula.dependencies import DependencyGraph
+from repro.formula.dependencies import DependencyGraph, StructuralRewrite
 from repro.formula.evaluator import DEFAULT_PARSE_CACHE_CAPACITY, Evaluator
 from repro.formula.rewrite import StructuralEdit, rewrite_formula
 from repro.formula.serializer import to_formula
@@ -146,9 +155,11 @@ class _UndoFrame:
     * ``provisional`` — pre-frame stale-placeholder entries;
     * ``composites`` — pre-frame spilled table values;
     * ``dirty`` — addresses first dirtied by this frame (insertion order);
-    * ``drained`` — cells the scheduler evaluated inside this frame (their
-      computed values sit in the discardable pending map, so a rollback
-      re-queues them);
+    * ``requeue`` — cells a rollback queues stale again: those the scheduler
+      evaluated inside this frame (their computed values sit in the
+      discardable pending map) and queued formulas the frame replaced (the
+      scheduler drops a queued cell that stops being a formula, so the
+      restored registration must bring its stale mark back with it);
     * ``aggregates`` — a deep copy of the running aggregate states at frame
       creation, restorable only while ``commit_epoch`` still matches the
       engine (no commit landed in between);
@@ -159,7 +170,7 @@ class _UndoFrame:
 
     __slots__ = (
         "registrations", "pending", "provisional", "composites",
-        "dirty", "drained", "aggregates", "commit_epoch", "barriered",
+        "dirty", "requeue", "aggregates", "commit_epoch", "barriered",
     )
 
     def __init__(self, commit_epoch: int, aggregates) -> None:
@@ -170,7 +181,7 @@ class _UndoFrame:
         self.provisional: dict[CellAddress, Cell | None] = {}
         self.composites: dict[tuple[int, int], TableValue | None] = {}
         self.dirty: dict[CellAddress, None] = {}
-        self.drained: dict[CellAddress, None] = {}
+        self.requeue: dict[CellAddress, None] = {}
         self.aggregates = aggregates
         self.commit_epoch = commit_epoch
         self.barriered = False
@@ -182,7 +193,7 @@ class _UndoFrame:
         self.provisional = {}
         self.composites = {}
         self.dirty = {}
-        self.drained = {}
+        self.requeue = {}
 
 
 class Savepoint:
@@ -622,13 +633,14 @@ class DataSpread:
                 self._composite_values.pop(key, None)
             else:
                 self._composite_values[key] = table
-        drained = frame.drained
+        requeue = frame.requeue
         frame.clear_records()
-        if self._async and drained:
+        if self._async and requeue:
             # Values the scheduler computed inside the frame sat in the
-            # pending map the restore just rewound: those cells are stale
-            # again (their placeholders were restored above).
-            self._scheduler.mark_dirty(drained)
+            # pending map the restore just rewound, and queued formulas the
+            # frame replaced left the queue with their registration: those
+            # cells are stale again (their placeholders were restored above).
+            self._scheduler.mark_dirty(requeue)
 
     def _rollback_to_frame(self, frame: _UndoFrame) -> None:
         """Restore the boundary ``frame`` captured; the frame stays open."""
@@ -679,7 +691,7 @@ class DataSpread:
         # Dirty addresses are globally unique across frames (first-touch
         # check at marking time), so appending preserves first-set order.
         parent.dirty.update(frame.dirty)
-        parent.drained.update(frame.drained)
+        parent.requeue.update(frame.requeue)
         # ``parent.aggregates`` keeps the earlier boundary; the released
         # frame's snapshot is simply dropped.
 
@@ -1106,39 +1118,61 @@ class DataSpread:
 
     def _apply_structural_edit(self, edit: StructuralEdit) -> None:
         """One structural edit, end to end: shift storage, re-key the graph,
-        rewrite affected formula text, and recompute.
+        rewrite the formula texts that name a moved cell, and recompute the
+        formulas the edit *reshaped*.
 
-        The sequence is a *commit point* even mid-batch: writes buffered so
-        far are flushed first (they were addressed against the pre-edit
-        coordinate space), the model shifts, the dependency graph re-keys
-        every registration — pre-batch and batch-local formulas alike — and
-        the formulas whose precedents moved get their source text rewritten
-        through the AST rewriter and serializer.  Outside a batch the
-        rewritten formulas and their transitive dependents recompute in one
-        topological pass; inside a batch they join the batch's dirty set and
-        recompute at batch exit.
+        The edit is a *commit point* even mid-batch, and one backend commit
+        group: the writes buffered so far (they were addressed against the
+        pre-edit coordinate space), the structural record and every
+        rewritten text land together or not at all — so a batch that aborts
+        later cannot discard the texts and leave them disagreeing with the
+        re-keyed graph.  Only the formulas that now read a *different set of
+        cells* (``StructuralRewrite.reshaped``: a lost referent, a range
+        that grew or shrank) are re-evaluated, with their transitive
+        dependents; one whose references merely translated keeps its value.
+        Outside a batch that is one topological pass (async: one
+        ``mark_dirty``); inside a batch the reshaped cells join the
+        batch-exit (or abort-path) recompute.
         """
         if self.invalidation_hook is not None:
             # The coordinate space is about to shift: open read snapshots
             # cannot stay coherent and must be invalidated.
             self.invalidation_hook(edit)
-        # The mid-batch flush and the structural record are one atomic
-        # commit point: recovery must see the flushed writes (addressed
-        # against pre-edit coordinates) together with the shift that
-        # re-keys them, or neither.
         with self._backend.atomic():
             self._flush_batch_writes()
             self._backend.log_structural(edit)
-        # The coordinate space is about to shift under every running
-        # aggregate state; splice the states through the same StructuralEdit
-        # arithmetic the graph re-keys its registrations with — untouched,
-        # purely translated, and blank-expanded ranges keep their running
-        # state; only ranges actually losing content are dropped.
-        self._aggregates.apply_structural_edit(edit)
-        # The (un)registrations below replace each formula's registration
-        # with its remapped equivalent: the formulas keep reading the same
-        # (spliced) ranges, so the aggregate refcount hook must stay quiet —
-        # firing it would drop the states the splice just carried over.
+            rewrite = self._shift_coordinates(edit)
+        reshaped = dict.fromkeys(sorted(rewrite.reshaped))
+        if self.in_batch:
+            self._batch_flushed.update(reshaped)
+        elif self._async:
+            self._scheduler.mark_dirty(reshaped)
+        elif reshaped:
+            try:
+                self._recompute_batch(reshaped)
+            except CircularDependencyError:
+                # The structural edit itself succeeded; a pre-existing cycle
+                # among the reshaped formulas cannot be evaluated, so the
+                # cells keep their stored values until the cycle is edited
+                # away (mirrors the abort-path recompute).
+                pass
+
+    def _shift_coordinates(self, edit: StructuralEdit) -> StructuralRewrite:
+        """Move every layer's state into the post-edit coordinate space.
+
+        Runs inside the edit's commit group, after the structural record:
+        the model shifts, the aggregate states splice, the dependency graph
+        re-keys the registrations the edit reaches — pre-batch and
+        batch-local formulas alike — the scheduler, placeholders, batch
+        bookkeeping, composites and views follow through the same mapping,
+        and every formula whose references moved gets its source text
+        rewritten through the AST rewriter and serializer, written back in
+        one bulk write.
+        """
+        # The re-key replaces each formula's registration with its remapped
+        # equivalent: the formulas keep reading the same (spliced) ranges,
+        # so the aggregate refcount hook must stay quiet — firing it would
+        # drop the states the splice carries over.
         unregister_hook = self._dependencies.on_unregister
         self._dependencies.on_unregister = None
         try:
@@ -1146,8 +1180,14 @@ class DataSpread:
             # across the cache clear and re-key them through the edit,
             # exactly like the graph re-keys its registrations.
             provisional = self._cache.provisional_items()
+            # The model goes first: it is the one layer that may refuse the
+            # edit (a linked table's header), before it moves anything.
             self._model.apply_structural_edit(edit)
             self._cache.clear()
+            # Untouched, purely translated, and blank-expanded ranges keep
+            # their running aggregate state; only ranges actually losing
+            # content are dropped.
+            self._aggregates.apply_structural_edit(edit)
             # View anchors sit at sentinel coordinates the edit's mapping
             # would shift or drop; pull them out of the graph first and
             # re-register them below against their *remapped* source regions.
@@ -1155,6 +1195,7 @@ class DataSpread:
                 self._dependencies.unregister(anchor)
             rewrite = self._dependencies.apply_structural_edit(edit)
             self._scheduler.apply_structural_edit(edit)
+            texts: list[tuple[int, int, Cell]] = []
             for (row, column), cell in provisional:
                 moved = edit.map_address(CellAddress(row, column))
                 if moved is not None:
@@ -1162,10 +1203,13 @@ class DataSpread:
                     # A placeholder can shadow an older *committed* formula
                     # (set-formula over a committed cell, not yet evaluated).
                     # The graph tracks only the placeholder's text, so the
-                    # shadowed committed text must be rewritten here or the
+                    # shadowed committed text is rewritten here or the
                     # stored state drifts out of the new coordinate space —
                     # which a checkpoint would then capture durably.
-                    self._rewrite_shadowed_text(moved, edit)
+                    shadowed = self._rewritten_text(
+                        self._model.get_cell(moved.row, moved.column), edit)
+                    if shadowed is not None:
+                        texts.append((moved.row, moved.column, shadowed))
             self._remap_batch_addresses(edit.map_address)
             self._composite_values = {
                 (moved.row, moved.column): table
@@ -1183,83 +1227,47 @@ class DataSpread:
                 # The scheduler's remap dropped the off-sheet anchors;
                 # re-queue them so the drain refreshes every surviving view.
                 self._scheduler.mark_dirty(surviving_anchors)
-            dirty = self._rewrite_formula_texts(edit, rewrite.changed)
+            # ``changed`` holds post-edit addresses; the cells already live
+            # there (the model shifted first) and the cache is cold, so
+            # committed cells are read from, and written back to, storage
+            # directly.
+            for row, column in sorted((a.row, a.column) for a in rewrite.changed):
+                placeholder = self._cache.provisional_at(row, column)
+                if placeholder is None:
+                    rewritten = self._rewritten_text(self._model.get_cell(row, column), edit)
+                    if rewritten is not None:
+                        texts.append((row, column, rewritten))
+                else:
+                    # A stale placeholder stays a placeholder: rewriting its
+                    # text must not commit its stale value to storage.
+                    rewritten = self._rewritten_text(placeholder, edit)
+                    if rewritten is not None:
+                        self._cache.put_provisional(row, column, rewritten)
+            self._write_cells(texts)
         finally:
             self._dependencies.on_unregister = unregister_hook
-        if self.in_batch:
-            # The rewritten texts belong to the commit point: land them now
-            # so an aborted batch cannot discard them and leave cell text
-            # disagreeing with the re-keyed graph.  The cells still get the
-            # batch-exit (or abort-path) recompute via the flushed set.
-            # (Rewritten *provisional* cells persist as placeholders instead
-            # — they are equally commit-point-durable, since the abort path
-            # only rolls back snapshots taken after this edit.)
-            self._flush_batch_writes()
-            self._batch_flushed.update(dirty)
-        elif self._async:
-            self._scheduler.mark_dirty(dirty)
-        elif dirty:
-            try:
-                self._recompute_batch(dirty)
-            except CircularDependencyError:
-                # The structural edit itself succeeded; a pre-existing cycle
-                # among the shifted formulas cannot be evaluated, so the
-                # cells keep their stored values until the cycle is edited
-                # away (mirrors the abort-path recompute).
-                pass
+        return rewrite
 
-    def _rewrite_shadowed_text(self, address: CellAddress, edit: StructuralEdit) -> None:
-        """Shift the committed formula text a provisional placeholder hides.
+    def _rewritten_text(self, cell: Cell, edit: StructuralEdit) -> Cell | None:
+        """``cell`` with its formula text shifted through ``edit``.
 
-        ``address`` is post-edit; the model has already shifted.  The
-        rewritten cell is a committed write (one singleton log record) —
-        redundant with the structural record's replay-side rewrite, but it
-        keeps the live model equal to the log-implied state, which is the
-        invariant checkpoints rely on.
+        ``None`` when there is nothing to rewrite: no formula, text that
+        does not parse (it cannot name a moved cell), or no reference the
+        edit moves.  The old text parses through the bounded AST cache and
+        the new text/AST pair is primed into it, so a recompute does not
+        re-parse.
         """
-        stored = self._model.get_cell(address.row, address.column)
-        if stored.formula is None:
-            return
+        if cell.formula is None:
+            return None
         try:
-            node, changed = rewrite_formula(self._evaluator.parse(stored.formula), edit)
+            node, changed = rewrite_formula(self._evaluator.parse(cell.formula), edit)
         except FormulaSyntaxError:
-            return
-        if changed:
-            self._write_cell(
-                address.row, address.column,
-                Cell(value=stored.value, formula=to_formula(node)),
-            )
-
-    def _rewrite_formula_texts(
-        self, edit: StructuralEdit, changed: Iterable[CellAddress]
-    ) -> dict[CellAddress, None]:
-        """Rewrite the stored source text of formulas whose references moved.
-
-        ``changed`` holds post-edit addresses; the cells already live there
-        (the model shifted first).  Each formula's old text parses through
-        the bounded AST cache, the AST is shifted, serialized, stored back,
-        and the new text/AST pair is primed into the cache so the recompute
-        does not re-parse it.  Returns the rewritten cells as a dirty set.
-        """
-        dirty: dict[CellAddress, None] = {}
-        for address in sorted(changed):
-            cell = self._cache.get(address.row, address.column)
-            if cell.formula is None:
-                continue  # graph and storage disagree; leave the cell alone
-            node, node_changed = rewrite_formula(self._evaluator.parse(cell.formula), edit)
-            if not node_changed:
-                continue
-            text = to_formula(node)
-            self._evaluator.prime(text, node)
-            rewritten = Cell(value=cell.value, formula=text)
-            if self._cache.is_provisional(address.row, address.column):
-                # A stale placeholder stays a placeholder: rewriting its
-                # text must not commit its stale value to storage.
-                self._cache.put_provisional(address.row, address.column, rewritten)
-            else:
-                self._cache.put(address.row, address.column, rewritten)
-            dirty[address] = None
-        return dirty
+            return None
+        if not changed:
+            return None
+        text = to_formula(node)
+        self._evaluator.prime(text, node)
+        return Cell(value=cell.value, formula=text)
 
     # ------------------------------------------------------------------ #
     # storage optimisation
@@ -1746,11 +1754,15 @@ class DataSpread:
 
         Each open frame needs its *own* first-touch preimage: rolling a
         savepoint back restores the registration the address had when that
-        savepoint opened, not the pre-batch one.
+        savepoint opened, not the pre-batch one.  A formula that was queued
+        stale at that point is queued again by the rollback: the scheduler
+        forgets a queued cell once its formula is replaced.
         """
         frame = self._frames[-1]
         if address not in frame.registrations:
             frame.registrations[address] = self._dependencies.snapshot_registration(address)
+            if self._scheduler.pending_count and not self._scheduler.is_fresh(address):
+                frame.requeue[address] = None
 
     def _mark_batch_dirty(self, address: CellAddress) -> None:
         """Record a dirtied address in the top frame (first touch wins).
@@ -1987,7 +1999,7 @@ class DataSpread:
             if self.in_batch:
                 # Recorded like a drained formula: an abort re-marks the
                 # anchor dirty so the view re-runs against rolled-back data.
-                self._frames[-1].drained[address] = None
+                self._frames[-1].requeue[address] = None
             self._refresh_view(view)
             return
         existing = self._cache.get(address.row, address.column)
@@ -1995,7 +2007,7 @@ class DataSpread:
             return
         if self.in_batch:
             self._snapshot_provisional(address)
-            self._frames[-1].drained[address] = None
+            self._frames[-1].requeue[address] = None
         self._commit_computed(
             address, existing, self._safe_evaluate(existing.formula, address),
             commit_placeholder=True)
@@ -2015,7 +2027,7 @@ class DataSpread:
             return
         if self.in_batch:
             self._snapshot_provisional(address)
-            self._frames[-1].drained[address] = None
+            self._frames[-1].requeue[address] = None
         self._commit_computed(address, existing, "#ERROR!", commit_placeholder=True)
 
     def _flush_batch_writes(self) -> None:

@@ -56,7 +56,8 @@ coordinate (row, column)?* — and maintains these invariants:
   O(log n), and the tree answers stabs correctly throughout.  A bucket is
   marked *stale* (rebuilt lazily on the next stab) only when no tree is
   built yet, when churn exceeds the rebuild threshold, or when a
-  structural re-key could not splice the old tree across.  Buckets never
+  structural re-key re-assembled it and could not splice the old tree
+  across.  Buckets never
   share trees.
 * Lookup results are exact, not conservative: ``direct_dependents`` agrees
   with the legacy linear scan (``use_range_index = False``) on every input.
@@ -65,23 +66,27 @@ Structural-edit rewrite hook
 ----------------------------
 :meth:`DependencyGraph.apply_structural_edit` keeps the graph live across
 row/column inserts and deletes.  Given a
-:class:`~repro.formula.rewrite.StructuralEdit` it re-keys every registration
-in place: formula-cell keys are shifted through the edit (registrations on
-deleted lines are dropped), precedent cells and range spans are shifted with
-the same mapping functions the AST rewriter uses (fully deleted precedents
-are removed — mirroring the reference collapsing to ``#REF!``), and the
-column-stripe buckets are rebuilt around the new spans.  Invalidation is
-*incremental*: a stripe whose entries are unchanged by the edit keeps its
-already-built interval tree (counted by ``stats.stripes_reused``), and a
-stripe the edit merely *translated* — a column edit moving whole stripes
-sideways, or a row edit shifting every span in a stripe by one uniform
-delta — gets its built tree spliced across in O(n) with no re-sorting
-(``stats.stripes_shifted``) instead of being rebuilt, so an edit near the
-bottom of the sheet does not discard index work for untouched columns.
-The returned
-:class:`StructuralRewrite` reports which formulas' precedents changed, so
-the engine can rewrite exactly those cells' formula text and seed one
-topological recompute.
+:class:`~repro.formula.rewrite.StructuralEdit` it re-keys *in place* the
+registrations the edit reaches: one whose own cell and every precedent lie
+before the edit line keeps its entry object, its ``_cell_dependents``
+memberships and its stripe entries untouched.  For the rest, formula-cell
+keys are shifted through the edit (registrations on deleted lines are
+dropped) and precedent cells and range spans are shifted with the same
+mapping functions the AST rewriter uses (fully deleted precedents are
+removed — mirroring the reference collapsing to ``#REF!``).  Only the
+column stripes holding a range of a reached registration are re-assembled:
+every other built interval tree is carried across as it is, and so is a
+re-assembled stripe whose entries came out unchanged (both counted by
+``stats.stripes_reused``); a stripe the edit merely *translated* — a
+column edit moving whole stripes sideways, or a row edit shifting every
+span in a stripe by one uniform delta — gets its built tree spliced across
+in O(n) with no re-sorting (``stats.stripes_shifted``) instead of being
+rebuilt, so an edit near the bottom of the sheet does not discard index
+work for untouched columns.
+The returned :class:`StructuralRewrite` reports which formulas' precedents
+changed, so the engine can rewrite exactly those cells' formula text, and
+which of them were *reshaped* — now read a different set of cells — so it
+can seed its topological recompute with those alone.
 """
 
 from __future__ import annotations
@@ -89,6 +94,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from repro.errors import CircularDependencyError
@@ -104,6 +110,15 @@ WIDE_COLUMN_SPAN = 64
 
 #: Bucket key for ranges too wide for per-column stripes.
 _WIDE_BUCKET = None
+
+#: One registration: the (precedent cells, precedent ranges) of a formula cell.
+_Registration = tuple[frozenset[CellAddress], tuple[RangeRef, ...]]
+
+#: Per edited axis: a cell's coordinate and a range's far end along it.
+_AXIS_GETTERS = {
+    "row": (attrgetter("row"), attrgetter("bottom")),
+    "column": (attrgetter("column"), attrgetter("right")),
+}
 
 #: A bucket whose built tree has absorbed more than this many incremental
 #: mutations per current entry falls back to one full rebuild on its next
@@ -299,13 +314,16 @@ class _StripeBucket:
 
     __slots__ = ("entries", "tree", "stale", "size", "churn")
 
-    def __init__(self) -> None:
+    def __init__(
+        self, entries: dict[CellAddress, list[tuple[int, int, int, int]]] | None = None
+    ) -> None:
         # formula cell -> list of (top, bottom, left, right) spans
-        self.entries: dict[CellAddress, list[tuple[int, int, int, int]]] = {}
+        self.entries = entries if entries is not None else {}
         self.tree: _IntervalTree | None = None
-        self.stale = False
+        # Entries without a tree: the first stab builds it.
+        self.stale = bool(self.entries)
         #: Total spans across all entries (the tree's live entry count).
-        self.size = 0
+        self.size = sum(map(len, self.entries.values()))
         #: Incremental mutations absorbed since the tree was last (re)built.
         self.churn = 0
 
@@ -395,13 +413,19 @@ class _StripeBucket:
 class StructuralRewrite:
     """What :meth:`DependencyGraph.apply_structural_edit` did to the graph.
 
-    ``changed`` holds the *post-edit* addresses of formulas whose precedent
-    set shifted, expanded, contracted, or lost a referent — exactly the
-    formulas whose source text needs rewriting and whose values need one
-    topological recompute.
+    Both sets hold *post-edit* addresses.  ``changed`` is every formula
+    whose precedent set shifted, expanded, contracted, or lost a referent —
+    exactly the formulas whose source text needs rewriting.  ``reshaped`` is
+    the part of it that now reads a *different set of cells*: a referent was
+    lost (``#REF!``) or a range changed extent
+    (:meth:`StructuralEdit.reshapes <repro.grid.structural.StructuralEdit.reshapes>`).
+    Only those need re-evaluating (with their transitive dependents); a
+    formula whose references merely translated reads the cells it read
+    before and keeps its value.
     """
 
     changed: set[CellAddress] = field(default_factory=set)
+    reshaped: set[CellAddress] = field(default_factory=set)
 
 
 class DependencyGraph:
@@ -409,7 +433,7 @@ class DependencyGraph:
 
     def __init__(self) -> None:
         # formula cell -> (precedent cells, precedent ranges)
-        self._precedents: dict[CellAddress, tuple[frozenset[CellAddress], tuple[RangeRef, ...]]] = {}
+        self._precedents: dict[CellAddress, _Registration] = {}
         # precedent cell -> set of formula cells reading it directly
         self._cell_dependents: dict[CellAddress, set[CellAddress]] = {}
         # column stripe (or _WIDE_BUCKET) -> ranges whose spans cross it
@@ -519,69 +543,134 @@ class DependencyGraph:
 
     # ------------------------------------------------------------------ #
     def apply_structural_edit(self, edit: StructuralEdit) -> StructuralRewrite:
-        """Re-key every registration across a row/column insert or delete.
+        """Re-key the registrations a row/column insert or delete reaches.
 
-        Formula-cell keys, precedent cells, and precedent range spans are
-        all shifted through ``edit`` with the same mapping the AST rewriter
-        applies to formula text, so the graph stays consistent with the
-        rewritten formulas without re-parsing a single one.  Registrations
-        whose own cell was deleted are dropped; precedents that were fully
-        deleted are removed from their formula's registration (the formula
-        itself survives — its reference now reads ``#REF!``).
+        A registration whose own cell and every precedent lie before the
+        edit line is not looked at further: its entry object, its
+        ``_cell_dependents`` memberships and its stripe entries stay as they
+        are.  Every other registration is mapped through ``edit`` with the
+        same arithmetic the AST rewriter applies to formula text, so the
+        graph stays consistent with the rewritten formulas without
+        re-parsing a single one: registrations whose own cell was deleted
+        are dropped; precedents that were fully deleted are removed from
+        their formula's registration (the formula itself survives — its
+        reference now reads ``#REF!``).
 
-        Stripe invalidation is incremental: buckets whose entries come out
-        of the edit unchanged keep their already-built interval trees
-        (``stats.stripes_reused`` counts them); only genuinely affected
-        stripes are rebuilt on their next stab.
+        Only the stripes holding a range of a reached registration are
+        re-assembled; every other built interval tree is carried across as
+        it is (``stats.stripes_reused`` counts them, together with reached
+        stripes whose entries came out unchanged).  A reached stripe the
+        edit merely translated gets its tree spliced
+        (``stats.stripes_shifted``); the rest rebuild on their next stab.
         """
-        changed: set[CellAddress] = set()
-        new_precedents: dict[
-            CellAddress, tuple[frozenset[CellAddress], tuple[RangeRef, ...]]
-        ] = {}
-        for address, (cells, ranges) in self._precedents.items():
+        line_of, end_of = _AXIS_GETTERS[edit.axis]
+        # Coordinates up to ``fixed`` along the edited axis do not move.
+        fixed = edit.line if edit.kind == "insert" else edit.line - 1
+        rewrite = StructuralRewrite()
+        # The reached registrations as they were, and as they come out
+        # (those whose own cell survives), keyed by old and new address.
+        removed: list[tuple[CellAddress, _Registration]] = []
+        installed: list[tuple[CellAddress, _Registration]] = []
+        for address, entry in self._precedents.items():
+            cells, ranges = entry
+            if (line_of(address) <= fixed
+                    and max(map(line_of, cells), default=0) <= fixed
+                    and max(map(end_of, ranges), default=0) <= fixed):
+                continue
+            removed.append((address, entry))
             new_address = edit.map_address(address)
             if new_address is None:
                 continue  # the formula's own cell was deleted
             new_cells = frozenset(
-                mapped for mapped in (edit.map_address(cell) for cell in cells)
-                if mapped is not None
+                mapped for mapped in map(edit.map_address, cells) if mapped is not None
             )
             new_ranges = tuple(
-                mapped for mapped in (edit.map_range(region) for region in ranges)
-                if mapped is not None
+                mapped for mapped in map(edit.map_range, ranges) if mapped is not None
             )
             if new_cells != cells or new_ranges != ranges:
-                changed.add(new_address)
-            new_precedents[new_address] = (new_cells, new_ranges)
-        self._precedents = new_precedents
+                rewrite.changed.add(new_address)
+                # The mapping is one-to-one on surviving cells, so a smaller
+                # set means a referent was lost.
+                if len(new_cells) != len(cells) or any(map(edit.reshapes, ranges)):
+                    rewrite.reshaped.add(new_address)
+            installed.append((new_address, (new_cells, new_ranges)))
 
-        cell_dependents: dict[CellAddress, set[CellAddress]] = {}
-        for address, (cells, _ranges) in new_precedents.items():
+        # Take every reached registration out before putting any back: a
+        # shifted key may be the old key of a registration further down.
+        for address, (cells, _ranges) in removed:
+            del self._precedents[address]
             for precedent in cells:
-                cell_dependents.setdefault(precedent, set()).add(address)
-        self._cell_dependents = cell_dependents
+                dependents = self._cell_dependents[precedent]
+                dependents.discard(address)
+                if not dependents:
+                    del self._cell_dependents[precedent]
+        for address, entry in installed:
+            self._precedents[address] = entry
+            for precedent in entry[0]:
+                self._cell_dependents.setdefault(precedent, set()).add(address)
+        self._rekey_stripes(
+            edit,
+            {address: ranges for address, (_cells, ranges) in removed if ranges},
+            [(address, ranges) for address, (_cells, ranges) in installed if ranges],
+        )
+        return rewrite
 
-        new_buckets: dict[int | None, _StripeBucket] = {}
-        for address, (_cells, ranges) in new_precedents.items():
+    def _rekey_stripes(
+        self,
+        edit: StructuralEdit,
+        removed: dict[CellAddress, tuple[RangeRef, ...]],
+        installed: list[tuple[CellAddress, tuple[RangeRef, ...]]],
+    ) -> None:
+        """Re-assemble the stripes holding a range of a reached registration.
+
+        ``removed`` maps the old addresses of the reached range readers to
+        their old ranges, ``installed`` pairs the new addresses with the
+        mapped ranges.  The stripes the old ranges sit in are detached from
+        the index and built anew from the entries the edit did not reach
+        plus the mapped ranges; a new stripe then takes over a detached
+        stripe's tree when its entries came out equal (reuse) or uniformly
+        translated (splice).
+        """
+        detached = {
+            key: self._range_buckets.pop(key)
+            for key in {key for ranges in removed.values()
+                        for region in ranges for key in self._bucket_keys(region)}
+        }
+        self.stats.stripes_reused += sum(
+            1 for bucket in self._range_buckets.values()
+            if bucket.tree is not None and not bucket.stale
+        )
+        fresh: dict[int | None, _StripeBucket] = {}
+        for key, old in detached.items():
+            kept = {address: spans for address, spans in old.entries.items()
+                    if address not in removed}
+            if kept:
+                fresh[key] = _StripeBucket(kept)
+        for address, ranges in installed:
             for region in ranges:
                 for key in self._bucket_keys(region):
-                    bucket = new_buckets.get(key)
+                    bucket = fresh.get(key)
                     if bucket is None:
-                        bucket = new_buckets[key] = _StripeBucket()
+                        # A stripe none of the old ranges sat in: a range
+                        # crossing ``WIDE_COLUMN_SPAN`` changes between the
+                        # wide bucket and the column stripes.
+                        bucket = self._range_buckets.get(key)
+                    if bucket is None:
+                        bucket = fresh[key] = _StripeBucket()
                     bucket.add(address, region, self.stats)
-        for key, bucket in new_buckets.items():
-            old = self._range_buckets.get(key)
+        for key, bucket in fresh.items():
+            old = detached.get(key)
             if old is not None and not old.stale and old.tree is not None \
                     and old.entries == bucket.entries:
-                new_buckets[key] = old
+                fresh[key] = old
                 self.stats.stripes_reused += 1
-                continue
-            self._try_splice_reuse(edit, key, bucket)
-        self._range_buckets = new_buckets
-        return StructuralRewrite(changed=changed)
+            else:
+                self._try_splice_reuse(edit, key, bucket, detached)
+        self._range_buckets.update(fresh)
 
     def _try_splice_reuse(self, edit: StructuralEdit, key: int | None,
-                          bucket: _StripeBucket) -> None:
+                          bucket: _StripeBucket,
+                          detached: dict[int | None, _StripeBucket]) -> None:
         """Splice a built interval tree across a structural edit.
 
         Two translations are exact and cost O(n) with no re-sorting:
@@ -620,7 +709,7 @@ class DependencyGraph:
         else:
             # Row edits never move ranges across column stripes.
             old_key = key
-        old = self._range_buckets.get(old_key)
+        old = detached.get(old_key)
         if old is None or old.stale or old.tree is None:
             return
         delta = 0
@@ -736,7 +825,19 @@ class DependencyGraph:
         the subtree-extraction primitive behind
         :class:`~repro.compute.ComputeScheduler.mark_dirty`.
         """
-        affected, _pairs = self._affected_slice(list(seeds), include_seeds)
+        seeds = list(seeds)
+        affected = {seed for seed in seeds if seed in self._precedents} \
+            if include_seeds else set()
+        # Whole-set steps instead of a per-cell loop: set algebra reuses the
+        # hashes the sets already hold, and this runs inside every async
+        # edit acknowledgment.  A cell is expanded once — a seed from the
+        # start, a dependent when it first joins ``affected``.
+        expanded = set(seeds)
+        frontier = list(expanded)
+        while frontier:
+            fresh = self.direct_dependents(frontier.pop()) - affected
+            affected |= fresh
+            frontier.extend(fresh - expanded)
         return affected
 
     def slice_edges(

@@ -176,6 +176,22 @@ class StructuralEdit:
             return None
         return self.with_span(region, span[0], min(span[1], limit))
 
+    def reshapes(self, region: RangeRef) -> bool:
+        """Whether ``region`` covers a different set of cells after the edit.
+
+        False for a range the edit leaves alone or merely translates: it
+        reads exactly the cells it read before, so whatever was computed
+        from it still holds.  True when the range straddles an insert (it
+        gains blank lines), overlaps deleted lines (it shrinks or
+        vanishes), or is pushed past the sheet limit (its tail is clamped
+        off).
+        """
+        start, end = self.span_of(region)
+        if self.kind == "insert":
+            limit = MAX_ROWS if self.axis == "row" else MAX_COLUMNS
+            return end > self.line and (start <= self.line or end + self.count > limit)
+        return start < self.line + self.count and end >= self.line
+
     # ------------------------------------------------------------------ #
     # the edited axis of a rectangle
     # ------------------------------------------------------------------ #

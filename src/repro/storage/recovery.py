@@ -13,8 +13,8 @@ crash (or clean shutdown) left behind:
    flat cell map.  ``structural`` records re-key every cell through the
    same :class:`~repro.formula.rewrite.StructuralEdit` coordinate mapping
    the engine used, rewriting straddling formula references, so the replay
-   is correct even when the crash landed between the structural record and
-   the engine's own logged formula-text rewrites.
+   of a structural record is correct on its own (the engine's logged
+   formula-text rewrites, which share the record's commit group, repeat it).
 3. **Adopt and recompute.**  The cells are installed into a fresh
    :class:`~repro.engine.dataspread.DataSpread` (model write + dependency
    registration, no evaluation), then every formula re-evaluates in one

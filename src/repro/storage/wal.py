@@ -20,8 +20,8 @@ Record taxonomy (the ``"t"`` field of the JSON payload):
     re-keys every logged cell through the same coordinate mapping the
     engine uses (:class:`~repro.formula.rewrite.StructuralEdit`) and
     rewrites straddling formula references, so a structural record is
-    self-sufficient even if the crash lands before the engine's rewritten
-    formula texts were themselves logged.
+    self-sufficient; the engine's own rewritten formula texts follow it in
+    the same commit group and say the same thing.
 ``mark``
     An annotation: free-form metadata (e.g. which session transaction a
     group commit belongs to).  Skipped during replay.

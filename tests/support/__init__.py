@@ -15,6 +15,7 @@ from tests.support.harness import (  # noqa: F401
     apply_op,
     apply_structural,
     assert_engines_agree,
+    assert_matches_replay,
     assert_oracle_agrees,
     random_edit,
     random_formula,

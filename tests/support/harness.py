@@ -527,7 +527,7 @@ def _select_committed(ledger: list, durable: int) -> list[tuple]:
     return committed
 
 
-def _assert_matches_oracle(recovered: DataSpread, committed_ops: list[tuple],
+def assert_matches_replay(recovered: DataSpread, committed_ops: list[tuple],
                            context: tuple) -> None:
     """The recovered grid must equal a sync replay of the committed ops."""
     oracle = DataSpread()
@@ -652,7 +652,7 @@ def run_crash_recovery(seed: int, *, steps: int = 50) -> bool:
         committed = _select_committed(ledger, durable)
         recovered = recover(workdir)
         try:
-            _assert_matches_oracle(recovered, committed, (seed, durable))
+            assert_matches_replay(recovered, committed, (seed, durable))
         finally:
             recovered.close()
         return plan.crashed
@@ -738,7 +738,7 @@ def run_async_crash_recovery(seed: int, *, steps: int = 50) -> bool:
         committed = _select_committed(ledger, durable)
         recovered = recover(workdir)
         try:
-            _assert_matches_oracle(recovered, committed, (seed, durable, "async"))
+            assert_matches_replay(recovered, committed, (seed, durable, "async"))
         finally:
             recovered.close()
         return plan.crashed

@@ -146,6 +146,25 @@ class TestAsyncEngine:
         assert spread.get_value(2, 1) == 4
         assert spread.model.get_cell(2, 1).value == 4
 
+    def test_abort_requeues_a_queued_formula_the_batch_overwrote(self):
+        """A drain inside the batch drops the queued cell once a constant
+        replaced its formula; the abort that brings the formula back must
+        bring its stale mark back too, or it stays fresh at a stale value."""
+        spread = DataSpread(async_recompute=True)
+        spread.set_value(1, 1, 5)
+        spread.set_formula(2, 1, "A1*2")
+        spread.flush_compute()
+        spread.set_value(1, 1, 7)  # A2 is queued stale at value 10
+        with pytest.raises(RuntimeError):
+            with spread.batch():
+                spread.set_value(2, 1, 46)
+                spread.flush_compute()  # the overwritten cell leaves the queue
+                raise RuntimeError("boom")
+        assert spread.get_cell(2, 1).formula == "A1*2"
+        assert not spread.is_fresh(2, 1)
+        spread.flush_compute()
+        assert spread.get_value(2, 1) == 14
+
     def test_mid_batch_drain_commits_on_clean_exit(self):
         spread = DataSpread(async_recompute=True)
         spread.set_value(1, 1, 2)

@@ -35,6 +35,8 @@ from repro.storage.wal import (
 from tests.support import (
     FaultPlan,
     SimulatedCrash,
+    apply_op,
+    assert_matches_replay,
     run_async_crash_recovery,
     run_crash_recovery,
 )
@@ -267,6 +269,67 @@ class TestEngineWAL:
         assert records[-1] == {"t": "structural", "axis": "row",
                                "kind": "insert", "line": 1, "count": 1}
         spread.close()
+
+    @pytest.mark.parametrize("async_recompute", [False, True])
+    def test_structural_edit_is_one_commit_however_many_texts_it_rewrites(
+            self, tmp_path, async_recompute):
+        deltas = []
+        for formulas in (5, 80):
+            spread = self._spread(tmp_path / str(formulas),
+                                  async_recompute=async_recompute)
+            backend = spread.storage_backend
+            with spread.batch():
+                for row in range(10, 10 + formulas):
+                    spread.set_value(row, 1, row)
+                    spread.set_formula(row, 2, f"A{row}*2")
+            spread.flush_compute()
+            commits, frames = backend.durable_commits, backend.frames_appended
+            spread.insert_row_after(3)
+            spread.flush_compute()
+            deltas.append(backend.durable_commits - commits)
+            # begin, the structural record, one rewritten text per formula, commit.
+            assert backend.frames_appended - frames == formulas + 3
+            group = read_records(backend.log_path)[-(formulas + 3):]
+            assert group[0]["t"] == "begin" and group[-1]["t"] == "commit"
+            assert group[1]["t"] == "structural"
+            assert [r["f"] for r in group[2:-1]] == [
+                f"A{row}*2" for row in range(11, 11 + formulas)]
+            spread.close()
+        assert deltas == [1, 1]
+
+    def test_crash_inside_a_structural_edit_recovers_to_before_or_after(self, tmp_path):
+        """Kill the process at every append of one structural edit — the
+        group's begin, the structural record, each rewritten text, the
+        commit: recovery yields exactly the pre-edit grid until the commit
+        marker is down, and exactly the post-edit grid from then on."""
+        setup = [("value", row, 1, row) for row in range(5, 9)]
+        setup += [("formula", row, 2, f"A{row}+SUM(A5:A8)") for row in range(5, 9)]
+        edit = ("delete_row", 6, 1)
+        outcomes = []
+        for crash_at in range(1, 9):
+            directory = str(tmp_path / str(crash_at))
+            plan = FaultPlan(crash_after_appends=10 ** 9, torn_tail=crash_at % 2 == 0)
+            spread = self._spread(directory, wal_options=plan.wal_options())
+            backend = spread.storage_backend
+            for op in setup:
+                apply_op(spread, op)
+            before = backend.durable_commits
+            plan.crash_after_appends = plan.appends_seen + crash_at
+            try:
+                apply_op(spread, edit)
+                spread.close()
+            except SimulatedCrash:
+                pass
+            landed = backend.durable_commits > before
+            outcomes.append(landed)
+            recovered = recover(directory)
+            try:
+                assert_matches_replay(
+                    recovered, setup + [edit] if landed else setup, (crash_at,))
+            finally:
+                recovered.close()
+        # begin + structural + 3 surviving texts + commit = 6 appends.
+        assert outcomes == [False] * 6 + [True] * 2
 
     def test_async_placeholders_not_logged(self, tmp_path):
         spread = self._spread(tmp_path, async_recompute=True)

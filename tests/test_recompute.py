@@ -6,21 +6,34 @@ batch API (equivalence with cell-by-cell edits, single topological pass,
 cycle detection at flush), topological ordering with mixed cell+range
 edges, the bulk range-read path, the bounded evaluator parse cache, and
 structural-edit reference rewriting (shifted references, straddling-range
-expansion/contraction, ``#REF!`` collapse, serializer round-trips, and
-incremental interval-stripe invalidation).
+expansion/contraction, ``#REF!`` collapse, serializer round-trips,
+incremental interval-stripe invalidation, the in-place graph re-key, and
+which formulas a structural edit re-evaluates).
 """
+
+import random
 
 import pytest
 
 from repro.engine.dataspread import DataSpread
 from repro.errors import CircularDependencyError
 from repro.formula.dependencies import DependencyGraph, WIDE_COLUMN_SPAN
-from repro.formula.evaluator import Evaluator
+from repro.formula.evaluator import Evaluator, extract_references
 from repro.formula.parser import parse_formula
 from repro.formula.rewrite import StructuralEdit, rewrite_formula
 from repro.formula.serializer import to_formula
-from repro.grid.address import CellAddress
+from repro.grid.address import MAX_ROWS, CellAddress
+from repro.grid.range import RangeRef
 from repro.grid.sheet import Sheet
+
+from tests.support import (
+    DATA_COLUMNS,
+    DATA_ROWS,
+    FORMULA_COLUMNS,
+    apply_structural,
+    assert_oracle_agrees,
+    random_formula,
+)
 
 
 def addr(reference: str) -> CellAddress:
@@ -665,6 +678,26 @@ class TestStructuralRewrite:
         assert changed
         assert to_formula(node) == f"SUM(A20:A{MAX_ROWS})"
 
+    def test_reshapes_tells_translation_from_a_change_of_extent(self):
+        region = RangeRef(10, 2, 20, 3)
+        insert, delete = StructuralEdit.insert_rows, StructuralEdit.delete_rows
+        assert not insert(20).reshapes(region)          # below: untouched
+        assert not insert(9, 4).reshapes(region)        # above: translated
+        assert insert(10).reshapes(region)              # inside: grows
+        assert insert(19).reshapes(region)
+        assert not delete(21, 5).reshapes(region)
+        assert not delete(1, 9).reshapes(region)        # above: translated
+        assert delete(5, 6).reshapes(region)            # clips the first row
+        assert delete(20).reshapes(region)
+        assert delete(1, 40).reshapes(region)           # swallowed whole
+        assert not StructuralEdit.insert_columns(3).reshapes(region)
+        assert StructuralEdit.insert_columns(2).reshapes(region)
+        assert StructuralEdit.delete_columns(3).reshapes(region)
+        # Pushed against the sheet limit: the tail is clamped off.
+        tail = RangeRef(MAX_ROWS - 5, 1, MAX_ROWS - 1, 1)
+        assert not insert(3).reshapes(tail)
+        assert insert(3, 2).reshapes(tail)
+
     def test_sheet_oracle_rewrites_formula_text(self):
         sheet = Sheet.from_rows([[1], [2], ["=SUM(A1:A2)"], ["=A1+A2"]])
         sheet.insert_row_after(1)
@@ -713,11 +746,39 @@ class TestStructuralRewrite:
         assert graph.stats.index_rebuilds == 1  # only the C stripe rebuilt
         assert rebuilds_before == 2
 
-    def test_graph_rekey_matches_fresh_registration(self):
-        """apply_structural_edit must leave the graph exactly as if every
-        rewritten formula had been freshly re-registered."""
-        import random
-
+    @pytest.mark.parametrize("edit", [
+        # rows: above every reference, inside the referenced block, between
+        # it and the formulas, inside the formulas (deleting some of them,
+        # with a count that also pushes keys onto other formulas' old
+        # keys), and below everything; columns: left of, inside and right
+        # of both the references (A-F) and the formula cells (A-H), and
+        # past the two wide ranges.
+        StructuralEdit.insert_rows(0, 3),
+        StructuralEdit.delete_rows(1, 2),
+        StructuralEdit.insert_rows(20, 2),
+        StructuralEdit.delete_rows(20, 5),
+        StructuralEdit.insert_rows(150),
+        StructuralEdit.delete_rows(150, 7),
+        StructuralEdit.insert_rows(250, 4),
+        StructuralEdit.delete_rows(240, 30),
+        StructuralEdit.insert_rows(400),
+        StructuralEdit.delete_rows(400, 5),
+        StructuralEdit.insert_columns(0),
+        StructuralEdit.delete_columns(1),
+        StructuralEdit.insert_columns(3, 2),
+        StructuralEdit.delete_columns(3, 2),
+        StructuralEdit.insert_columns(7),
+        StructuralEdit.delete_columns(7, 2),
+        StructuralEdit.insert_columns(10),
+        StructuralEdit.delete_columns(10),
+        StructuralEdit.insert_columns(80),
+        StructuralEdit.delete_columns(80, 3),
+    ], ids=lambda edit: f"{edit.kind}-{edit.axis}-{edit.line}x{edit.count}")
+    def test_graph_rekey_matches_fresh_registration(self, edit):
+        """The in-place re-key must leave the graph exactly as if every
+        rewritten formula had been freshly registered in an empty graph:
+        same registrations, same cell-dependents map, same stripe entries,
+        same answers."""
         rng = random.Random(11)
         formulas = {}
         graph = DependencyGraph()
@@ -729,20 +790,78 @@ class TestStructuralRewrite:
             text = f"SUM({column}{top}:{column}{bottom})+{column}{rng.randint(1, 80)}"
             formulas[address] = text
             graph.register(address, text)
-        edit = StructuralEdit.delete_rows(20, count=5)
-        graph.apply_structural_edit(edit)
+        # 64 and 65 columns wide: a column edit inside them moves them
+        # between the column stripes and the shared wide bucket.
+        formulas[addr("A190")] = "COUNT(C1:BN5)"
+        formulas[addr("A191")] = "COUNT(C70:BO72)"
+        for reference in ("A190", "A191"):
+            graph.register(addr(reference), formulas[addr(reference)])
+        for column in range(1, 7):
+            graph.direct_dependents(CellAddress(30, column))  # build the trees
+        graph.stats.reset()
+        report = graph.apply_structural_edit(edit)
+
+        def resized(region):
+            mapped = edit.map_range(region)
+            if mapped is None:
+                return True
+            (start, end), (new_start, new_end) = edit.span_of(region), edit.span_of(mapped)
+            return new_end - new_start != end - start
 
         expected = DependencyGraph()
+        changed, reshaped = set(), set()
         for address, text in formulas.items():
             new_address = edit.map_address(address)
             if new_address is None:
                 continue
-            node, _changed = rewrite_formula(parse_formula(text), edit)
+            node, text_changed = rewrite_formula(parse_formula(text), edit)
             expected.register(new_address, node)
+            if text_changed:
+                changed.add(new_address)
+                old_cells, old_ranges = extract_references(parse_formula(text))
+                if (any(edit.map_address(cell) is None for cell in old_cells)
+                        or any(resized(region) for region in old_ranges)):
+                    reshaped.add(new_address)
+        assert report.changed == changed
+        assert report.reshaped == reshaped
+        assert graph._precedents == expected._precedents
+        assert graph._cell_dependents == expected._cell_dependents
+        assert set(graph._range_buckets) == set(expected._range_buckets)
+        for key, bucket in graph._range_buckets.items():
+            fresh = expected._range_buckets[key]
+            assert {a: sorted(spans) for a, spans in bucket.entries.items()} \
+                == {a: sorted(spans) for a, spans in fresh.entries.items()}, key
+            assert bucket.size == fresh.size
+        if not changed and all(edit.map_address(a) == a for a in formulas):
+            # The edit lies past every formula and reference: nothing is
+            # reached and every built tree is carried across as it is.
+            assert graph.stats.stripes_reused == 7  # A-F and the wide bucket
         for probe_row in range(1, 90):
             for probe_column in range(1, 9):
                 probe = CellAddress(probe_row, probe_column)
                 assert graph.direct_dependents(probe) == expected.direct_dependents(probe), probe
+
+    def test_untouched_registrations_keep_their_entry_objects(self):
+        """Registrations wholly before the edit line are not re-created, and
+        the stripes only they read keep their trees."""
+        graph = DependencyGraph()
+        graph.register(addr("Z1"), "SUM(A1:A10)+B3")
+        graph.register(addr("Z2"), "SUM(A5:A300)")      # straddles row 150
+        graph.register(addr("Z400"), "SUM(C1:C10)+B3")  # only its own cell moves
+        for probe in ("A5", "B3", "C5"):
+            graph.direct_dependents(addr(probe))
+        above = graph._precedents[addr("Z1")]
+        graph.stats.reset()
+        report = graph.apply_structural_edit(StructuralEdit.insert_rows(150))
+        assert graph._precedents[addr("Z1")] is above
+        assert report.changed == report.reshaped == {addr("Z2")}
+        assert graph._cell_dependents[addr("B3")] == {addr("Z1"), addr("Z401")}
+        # A was re-assembled (Z2 grew); C's only reader moved (spliced).
+        assert graph.stats.stripes_reused == 0
+        assert graph.stats.stripes_shifted == 1
+        assert graph.direct_dependents(addr("C5")) == {addr("Z401")}
+        assert graph.direct_dependents(addr("A200")) == {addr("Z2")}
+        assert graph.direct_dependents(addr("A7")) == {addr("Z1"), addr("Z2")}
 
 
 class TestSerializerRoundTrip:
@@ -942,3 +1061,144 @@ class TestIncrementalIndexMaintenance:
         graph.use_range_index = False
         assert graph.direct_dependents(addr("A3000")) == {addr("C1500")}
         graph.use_range_index = True
+
+
+# ---------------------------------------------------------------------- #
+# structural edits recompute what they reshape, not what lies below them
+# ---------------------------------------------------------------------- #
+def _record_evaluations(spread: DataSpread) -> list[CellAddress]:
+    """Record the formula cell of every ``Evaluator.evaluate_node`` call."""
+    evaluator = spread.evaluator
+    evaluate_node = evaluator.evaluate_node
+    evaluated: list[CellAddress] = []
+
+    def counting(node):
+        evaluated.append(evaluator.aggregate_cell)
+        return evaluate_node(node)
+
+    evaluator.evaluate_node = counting
+    return evaluated
+
+
+class TestStructuralRecomputeScope:
+    """A formula whose references only *translate* keeps its value; one the
+    edit *reshapes* (lost referent, range that grew or shrank) recomputes,
+    and so does everything downstream of it."""
+
+    ROWS = 1000
+    WINDOW = RangeRef(1, 1, ROWS + 2, 3)
+
+    def _row_formula_sheet(self) -> Sheet:
+        return Sheet.from_rows(
+            [[row, 3 * row, f"=A{row}+B{row}*2"] for row in range(1, self.ROWS + 1)]
+        )
+
+    def test_sync_mid_sheet_edits_evaluate_no_row_formula(self):
+        sheet = self._row_formula_sheet()
+        spread = DataSpread.from_sheet(sheet.copy())
+        evaluated = _record_evaluations(spread)
+        passes = spread.recompute_passes
+        for target in (spread, sheet):
+            target.insert_row_after(500)
+            target.delete_row(250)
+        assert evaluated == []
+        assert spread.recompute_passes == passes
+        assert spread.get_cell(1000, 3).formula == "A1000+B1000*2"
+        assert spread.get_value(1000, 3) == 1000 + 3000 * 2
+        assert_oracle_agrees(spread, sheet, window=self.WINDOW)
+
+    def test_async_mid_sheet_edits_evaluate_no_row_formula(self):
+        sheet = self._row_formula_sheet()
+        spread = DataSpread.from_sheet(sheet.copy(), async_recompute=True)
+        spread.flush_compute()
+        stats = spread.compute_scheduler.stats
+        before = stats.evaluated
+        for target in (spread, sheet):
+            target.insert_row_after(500)
+            target.delete_row(250)
+        assert spread.compute_pending == 0
+        spread.flush_compute()
+        assert stats.evaluated == before
+        assert_oracle_agrees(spread, sheet, window=self.WINDOW)
+
+    def test_reshaped_formulas_and_their_dependents_do_recompute(self):
+        rows = [[10 * row] for row in range(1, 13)]
+        sheet = Sheet.from_rows(rows)
+        formulas = {
+            "C1": "SUM(A2:A6)",          # straddles the insert: grows
+            "C20": "INDEX(A2:A8,5)",     # straddled too: a different 5th cell
+            "D30": "C20*2",              # translated, but reads a reshaped cell
+            "C2": "SUM(A1:A3)",          # wholly above: untouched
+            "E40": "A7+A8",              # wholly below: translated only
+        }
+        for reference, text in formulas.items():
+            address = addr(reference)
+            sheet.set_formula(address.row, address.column, text)
+        spread = DataSpread.from_sheet(sheet.copy())
+        evaluated = _record_evaluations(spread)
+        for target in (spread, sheet):
+            target.insert_row_after(4)
+        assert set(evaluated) == {addr("C1"), addr("C21"), addr("D31")}
+        assert spread.get_cell(21, 3).formula == "INDEX(A2:A9,5)"
+        assert spread.get_value(21, 3) == 50      # was A6 (60): row 5 moved into place
+        assert spread.get_value(31, 4) == 100
+        assert spread.get_cell(41, 5).formula == "A8+A9"
+        assert_oracle_agrees(spread, sheet, window=RangeRef(1, 1, 45, 6))
+
+        del evaluated[:]
+        for target in (spread, sheet):
+            target.set_formula(50, 3, "SUM(A11:A13)")   # clipped by the delete
+            target.set_formula(51, 3, "A12*2")          # loses its referent
+            target.set_formula(52, 3, "C51+1")          # downstream of the #REF!
+        del evaluated[:]
+        for target in (spread, sheet):
+            target.delete_row(12)
+        assert set(evaluated) == {addr("C49"), addr("C50"), addr("C51")}
+        assert spread.get_cell(49, 3).formula == "SUM(A11:A12)"
+        assert spread.get_cell(50, 3).formula == "#REF!*2"
+        assert spread.get_value(50, 3) == "#REF!"
+        assert_oracle_agrees(spread, sheet, window=RangeRef(1, 1, 55, 6))
+
+    @pytest.mark.parametrize("mode", ["sync", "async", "mid-batch"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_evaluated_set_is_the_closure_of_the_reshaped(self, seed, mode):
+        """Every edit kind, every engine mode: the grid equals the oracle
+        and exactly the reshaped formulas' dependents were evaluated."""
+        rng = random.Random(1500 + seed)
+        sheet = Sheet()
+        for row in range(1, DATA_ROWS + 1):
+            for column in range(1, DATA_COLUMNS + 1):
+                sheet.set_value(row, column, rng.randint(0, 99))
+        for _ in range(40):
+            column = rng.choice(FORMULA_COLUMNS)
+            row = rng.randint(1, DATA_ROWS + 10)
+            if rng.random() < 0.2:
+                top = rng.randint(1, DATA_ROWS - 6)
+                text = f"INDEX(A{top}:A{top + 5},{rng.randint(1, 5)})"
+            else:
+                text = random_formula(rng, column)
+            sheet.set_formula(row, column, text)
+        spread = DataSpread.from_sheet(sheet.copy(), async_recompute=mode == "async")
+        spread.flush_compute()
+        graph = spread.dependency_graph
+        rekey = graph.apply_structural_edit
+        reports = []
+        graph.apply_structural_edit = lambda edit: reports.append(rekey(edit)) or reports[-1]
+        evaluated = _record_evaluations(spread)
+        for kind in ("insert_row_after", "delete_row", "insert_column_after",
+                     "delete_column"):
+            line = rng.randint(1, DATA_ROWS) if "row" in kind else rng.randint(1, 5)
+            op = (kind, line, rng.randint(1, 2))
+            del evaluated[:]
+            apply_structural(sheet, op)
+            if mode == "mid-batch":
+                with spread.batch():
+                    apply_structural(spread, op)
+                    assert evaluated == []
+            else:
+                apply_structural(spread, op)
+            spread.flush_compute()
+            expected = set(graph.recompute_order(reports[-1].reshaped))
+            assert set(evaluated) == expected, (seed, mode, op)
+            assert len(evaluated) == len(expected), (seed, mode, op)
+            assert_oracle_agrees(spread, sheet, (seed, mode, op))

@@ -28,7 +28,9 @@ from tests.support.seeds import seed_set
 
 #: Fast deterministic session-fuzz seeds for tier-1; ``make fuzz-sessions``
 #: widens via REPRO_SESSION_SEEDS (disjoint from the other harness slices).
-_FAST_SESSION_SEEDS = range(41, 47)
+#: Seed 239 is pinned: it aborts a transaction that overwrote a queued
+#: formula and drained, which used to restore the formula fresh and stale.
+_FAST_SESSION_SEEDS = (*range(41, 47), 239)
 
 
 def _session_seed_set() -> list[int]:
