@@ -14,7 +14,7 @@ REPRO_CHAOS_SEEDS ?= 60
 
 .PHONY: test fuzz fuzz-sessions crash-fuzz chaos-fuzz bench bench-async \
 	bench-columnar bench-incremental bench-query bench-recovery \
-	bench-sessions bench-overload docs-check examples all
+	bench-sessions bench-overload docs-check examples loc all
 
 ## Tier-1 test suite (what CI gates on): everything pytest collects from
 ## the root — tests/, the paper-figure benchmarks/ at smoke size, and the
@@ -125,6 +125,11 @@ bench-overload:
 ## Execute every Python snippet embedded in the docs; fails if any raises.
 docs-check:
 	$(PYTHON) scripts/check_docs.py README.md docs/architecture.md
+
+## Size of the library (ROADMAP aim 2: net src/ lines go down): total
+## src/ lines, then the engine facade's lines and `def` count.
+loc:
+	@find src -name '*.py' | xargs cat | wc -l; wc -l < src/repro/engine/dataspread.py; grep -c 'def ' src/repro/engine/dataspread.py
 
 ## Run the example walkthroughs end to end.
 examples:

@@ -52,8 +52,6 @@ class _Absent:
 #: key to ``ABSENT`` removes its buffered write instead of replacing it.
 ABSENT = _Absent()
 
-PreimageRecorder = Callable[[tuple[int, int], "Cell | _Absent"], None]
-
 
 class LRUCellCache:
     """A bounded read-through / write-through cache of cells keyed by (row, column)."""
@@ -77,11 +75,6 @@ class LRUCellCache:
         self._pending_owner: object | None = None
         self._active_reader: object | None = None
         self._provisional: dict[tuple[int, int], Cell] = {}
-        #: When set, called with ``(key, prior)`` before a deferred-mode put
-        #: overwrites (or first creates) a buffered write; ``prior`` is the
-        #: previous buffered cell or :data:`ABSENT`.  The engine uses this to
-        #: collect savepoint preimages without instrumenting every put site.
-        self.record_preimage: PreimageRecorder | None = None
         self.hits = 0
         self.misses = 0
 
@@ -202,8 +195,6 @@ class LRUCellCache:
         """
         key = (row, column)
         if self._pending is not None:
-            if self.record_preimage is not None:
-                self.record_preimage(key, self._pending.get(key, ABSENT))
             self._pending[key] = cell
             self._provisional.pop(key, None)
             if self._pending_owner is not None:
@@ -294,13 +285,19 @@ class LRUCellCache:
             self._pending = {}
             self._pending_owner = owner
 
+    def pending_at(self, row: int, column: int) -> "Cell | _Absent":
+        """The buffered write for a cell, or :data:`ABSENT` — the preimage
+        :meth:`restore_pending` takes back."""
+        if self._pending is None:
+            return ABSENT
+        return self._pending.get((row, column), ABSENT)
+
     def restore_pending(self, key: tuple[int, int], preimage: Cell | _Absent) -> None:
         """Reset one buffered write to a captured preimage (savepoint rollback).
 
         ``ABSENT`` removes the buffered write (and any cached mirror, so the
         next read reloads the committed state); a cell reinstates the prior
-        buffered content.  Bypasses :attr:`record_preimage` — a rollback must
-        not record new undo state.
+        buffered content.
         """
         if self._pending is None:
             return

@@ -8,24 +8,39 @@ graph, the hybrid optimizer, and the spreadsheet-level relational operators.
 
 Recompute architecture
 ----------------------
-Every edit funnels into one reactive recompute path:
+Every write runs one fixed sequence in one body, ``_edit_cell``, that
+``set_value``/``set_formula``/``clear_cell`` — and through them
+``set_input``, ``set_values``, ``import_rows``/``import_csv``/
+``from_sheet``, ``place_table`` and live-view spills — are thin wrappers
+over:
 
-* Single edits (``set_value``/``set_formula``/``clear_cell``) ask the
-  dependency graph for the transitive dependents of the edited cell — an
-  interval-indexed lookup, not a scan of every formula — and re-evaluate
-  them in topological order.
-* Batched edits (``with spread.batch(): ...``, ``set_values``, and the bulk
-  entry points ``import_rows``/``import_csv``/``place_table``/
-  ``from_sheet``) collect a *dirty set* instead of recomputing per cell.
-  When the outermost batch exits cleanly, the engine flushes the LRU
-  cache's buffered writes to the storage layer in bulk, then runs **one**
-  topological recompute over the union of dirty seeds; if the batch body
-  raises, the buffered writes are discarded and storage keeps its
-  pre-batch state.  ``recompute_passes`` counts topological passes so
-  tests can observe the batching.
-* Formulas are parsed exactly once: the parsed AST is shared between
-  dependency registration and evaluation, and recomputes reuse the
-  evaluator's bounded AST cache.
+1. **admit** — on the async engine, outside a batch, admission control may
+   refuse the edit before anything is touched;
+2. **first-touch preimage** — inside a transaction the top undo frame
+   captures the cell's registration, buffered write, placeholder and
+   composite (``TransactionStack.touch``; the transaction stack, savepoints
+   and the ``autonomous()`` park/resume state live in
+   :mod:`repro.engine.transactions`);
+3. **mutate** — the dependency graph and the cell cache take the new
+   content (a formula is parsed exactly once: the AST is shared between
+   registration and evaluation through the evaluator's bounded cache);
+4. **aggregate delta** — running aggregate states over the cell fold the
+   old→new value in O(1);
+5. **route** — ``_route_dirty``, the only code that chooses where dirty
+   cells go: *deferred* into the open batch, *queued* on the compute
+   scheduler (async), or *recomputed inline* in one topological pass over
+   the interval-indexed dependency graph.  The outermost batch exit, the
+   abort path and structural edits hand it their dirty sets too.
+
+* A batch therefore only collects a *dirty set*.  When the outermost batch
+  exits cleanly the buffered writes land as one commit group and the set is
+  routed once (``recompute_passes`` counts topological passes, so tests can
+  observe the batching); if the body raises, the stack restores every
+  preimage, the buffered writes are discarded and storage keeps its
+  pre-batch state.
+* A computed value lands through one body too, ``_reevaluate``: the
+  synchronous pass, the scheduler's evaluation callback and the quarantine
+  of a poisoned formula store it and feed the running aggregates alike.
 * Range references (``SUM(A1:A10000)``) materialise through the model-level
   ``get_values`` bulk read — one call per range, no per-cell cache probes —
   overlaid with any writes still buffered in the current batch.
@@ -60,7 +75,11 @@ can see (deletes clip to the stored portion, inserts extend lazily) — and
 keep formulas live instead of letting them silently read shifted cells:
 
 * One :class:`~repro.grid.structural.StructuralEdit` describes the edit
-  to every layer.  The storage model absorbs it first
+  to every layer.  It is *validated before it becomes a commit point*: the
+  storage model is asked whether it can absorb the edit
+  (``HybridDataModel.check_structural_edit`` — a linked table may refuse)
+  before anything is flushed, barriered or logged, so a refused edit
+  leaves an open batch exactly as it was.  The storage model absorbs it first
   (``HybridDataModel.apply_structural_edit`` — no cascading renumbering of
   stored tuples), then ``DependencyGraph.apply_structural_edit`` re-keys
   the dependency registrations the edit *reaches* — formula-cell keys,
@@ -101,16 +120,16 @@ from repro.decomposition import (
     decompose_dp,
     decompose_greedy,
 )
-from repro.engine.cache import ABSENT, LRUCellCache
+from repro.engine.cache import LRUCellCache
 from repro.engine.relational import TableValue
 from repro.engine.sql import parse_sql
+from repro.engine.transactions import Savepoint, TransactionStack
 from repro.errors import (
     CircularDependencyError,
     FormulaEvaluationError,
     FormulaSyntaxError,
     LinkTableError,
     QueryError,
-    SavepointError,
     WALError,
 )
 from repro.formula.aggregates import AggregateStore
@@ -139,117 +158,6 @@ _OPTIMIZERS = {
     "greedy": decompose_greedy,
     "aggressive": decompose_aggressive,
 }
-
-
-class _UndoFrame:
-    """One savepoint boundary on the engine's transaction stack.
-
-    Every open batch/savepoint level owns one frame recording *first-touch
-    preimages* of everything the level changed, so rolling the frame back
-    restores exactly its boundary without disturbing outer levels:
-
-    * ``registrations`` — pre-frame dependency-graph registrations;
-    * ``pending`` — pre-frame buffered-write cells (or :data:`ABSENT`),
-      collected via the cache's preimage-recorder hook so every put site
-      (edits, mid-batch scheduler commits, extent growth) is covered;
-    * ``provisional`` — pre-frame stale-placeholder entries;
-    * ``composites`` — pre-frame spilled table values;
-    * ``dirty`` — addresses first dirtied by this frame (insertion order);
-    * ``requeue`` — cells a rollback queues stale again: those the scheduler
-      evaluated inside this frame (their computed values sit in the
-      discardable pending map) and queued formulas the frame replaced (the
-      scheduler drops a queued cell that stops being a formula, so the
-      restored registration must bring its stale mark back with it);
-    * ``aggregates`` — a deep copy of the running aggregate states at frame
-      creation, restorable only while ``commit_epoch`` still matches the
-      engine (no commit landed in between);
-    * ``barriered`` — a mid-frame commit point (structural edit, explicit
-      flush) wiped the records above; a user rollback across it raises
-      :class:`~repro.errors.SavepointError` instead of desyncing.
-    """
-
-    __slots__ = (
-        "registrations", "pending", "provisional", "composites",
-        "dirty", "requeue", "aggregates", "commit_epoch", "barriered",
-    )
-
-    def __init__(self, commit_epoch: int, aggregates) -> None:
-        self.registrations: dict[
-            CellAddress, tuple[frozenset[CellAddress], tuple[RangeRef, ...]] | None
-        ] = {}
-        self.pending: dict[tuple[int, int], object] = {}
-        self.provisional: dict[CellAddress, Cell | None] = {}
-        self.composites: dict[tuple[int, int], TableValue | None] = {}
-        self.dirty: dict[CellAddress, None] = {}
-        self.requeue: dict[CellAddress, None] = {}
-        self.aggregates = aggregates
-        self.commit_epoch = commit_epoch
-        self.barriered = False
-
-    def clear_records(self) -> None:
-        """Forget everything recorded (after a flush made it durable)."""
-        self.registrations = {}
-        self.pending = {}
-        self.provisional = {}
-        self.composites = {}
-        self.dirty = {}
-        self.requeue = {}
-
-
-class Savepoint:
-    """A handle on one :class:`_UndoFrame` (returned by ``savepoint()``).
-
-    SQLAlchemy-style semantics: :meth:`rollback` restores the boundary and
-    *keeps the savepoint live* (it can roll back again); :meth:`release`
-    merges its work into the enclosing level (or commits, when it is the
-    outermost transaction level).  As a context manager, a clean exit
-    releases and an exception rolls back, discards the savepoint, and
-    re-raises.  Operating on a non-innermost savepoint first collapses the
-    savepoints nested inside it.
-    """
-
-    __slots__ = ("_spread", "_frame", "_released")
-
-    def __init__(self, spread: "DataSpread", frame: _UndoFrame) -> None:
-        self._spread = spread
-        self._frame = frame
-        self._released = False
-
-    @property
-    def active(self) -> bool:
-        """Whether the savepoint can still be rolled back or released."""
-        return not self._released and self._frame in self._spread._frames
-
-    def rollback(self) -> None:
-        """Restore the boundary captured at creation; stays re-rollbackable.
-
-        Raises :class:`~repro.errors.SavepointError` if the savepoint was
-        already released, or if a mid-batch commit point (structural edit,
-        explicit flush) has made part of its work durable.
-        """
-        self._spread._rollback_to_frame(self._require_frame())
-
-    def release(self) -> None:
-        """Merge this level's work into the enclosing one (or commit)."""
-        self._spread._release_through_frame(self._require_frame())
-        self._released = True
-
-    def _require_frame(self) -> _UndoFrame:
-        if not self.active:
-            raise SavepointError("savepoint is no longer active")
-        return self._frame
-
-    def __enter__(self) -> "Savepoint":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if not self.active:
-            return
-        if exc_type is None:
-            self.release()
-        else:
-            self._spread._unwind_frame(self._frame)
-            self._released = True
 
 
 class DataSpread:
@@ -338,7 +246,7 @@ class DataSpread:
         )
         self._evaluator = Evaluator(
             self._provide_value,
-            range_provider=self._provide_range,
+            range_provider=self.grid_values,
             parse_cache_capacity=parse_cache_capacity,
             aggregate_store=self._aggregates,
             slab_provider=self._provide_range_slab,
@@ -349,21 +257,6 @@ class DataSpread:
         # represents each view in the dependency graph / scheduler.
         self._views: dict[CellAddress, LiveView] = {}
         self._view_anchor_seq = 0
-        # The transaction stack: one _UndoFrame per open batch/savepoint
-        # level.  The outermost frame is the batch; nested frames are real
-        # savepoints (rolling one back preserves outer work).
-        self._frames: list[_UndoFrame] = []
-        # Dirty cells whose writes a mid-batch flush already committed to
-        # storage: their registrations survive a failed batch and they still
-        # get recomputed, so flushed formulas never linger at value None.
-        self._batch_flushed: dict[CellAddress, None] = {}
-        #: Monotonic count of commit points (write-throughs, flushes,
-        #: structural edits).  Savepoint frames capture it so an aggregate
-        #: snapshot is only restored when nothing committed in between.
-        self.commit_epoch = 0
-        #: Savepoints created inside the current outermost transaction
-        #: (annotated into the WAL commit group when a scope label is set).
-        self._txn_savepoints = 0
         #: Session token owning the next transaction's buffered writes
         #: (``None`` = legacy shared visibility); set by the service layer.
         self._session_scope: object | None = None
@@ -379,11 +272,16 @@ class DataSpread:
         #: Number of topological recompute passes run so far (a batched edit
         #: of any size contributes exactly one; exposed for tests/benchmarks).
         self.recompute_passes = 0
-        self._cache.record_preimage = self._record_pending_preimage
-        self._scheduler = ComputeScheduler(self._dependencies, self._scheduler_evaluate)
+        self._scheduler = ComputeScheduler(self._dependencies, self._reevaluate)
         self._scheduler.on_quarantine = self._quarantine_cell
         self._scheduler.max_pending = max_pending_compute
         self._scheduler.max_pending_per_owner = max_pending_per_owner
+        # The transaction stack: one undo frame per open batch/savepoint
+        # level (see repro.engine.transactions).
+        self._txn = TransactionStack(
+            self._cache, self._dependencies, self._aggregates, self._scheduler,
+            self._composite_values, commit=self._commit, rolled_back=self._rolled_back,
+        )
         #: Injectable monotonic clock (seconds) for deadline paths.
         self.clock = clock
         #: Reads served degraded (stale value at a missed deadline); bumped
@@ -410,15 +308,20 @@ class DataSpread:
         if durability == "wal":
             if storage_dir is None:
                 raise ValueError('durability="wal" requires storage_dir')
-            return WALBackend(
-                storage_dir,
-                self._apply_cell_to_model,
-                self._apply_cells_to_model,
-                self._committed_cells,
-                config={"mapping_scheme": self.mapping_scheme},
-                wal_options=wal_options,
-            )
+            return self._wal_backend(storage_dir, wal_options, expect_fresh=True)
         raise ValueError(f'unknown durability {durability!r} (use "none" or "wal")')
+
+    def _wal_backend(self, directory: str, wal_options: dict | None, *,
+                     expect_fresh: bool) -> WALBackend:
+        return WALBackend(
+            directory,
+            self._apply_cell_to_model,
+            self._apply_cells_to_model,
+            self._committed_cells,
+            config={"mapping_scheme": self.mapping_scheme},
+            wal_options=wal_options,
+            expect_fresh=expect_fresh,
+        )
 
     @property
     def durability(self) -> str:
@@ -454,15 +357,7 @@ class DataSpread:
         so the replayed log is folded away and never replayed twice.
         """
         self._backend.close()
-        self._backend = WALBackend(
-            directory,
-            self._apply_cell_to_model,
-            self._apply_cells_to_model,
-            self._committed_cells,
-            config={"mapping_scheme": self.mapping_scheme},
-            wal_options=wal_options,
-            expect_fresh=False,
-        )
+        self._backend = self._wal_backend(directory, wal_options, expect_fresh=False)
         self._backend.checkpoint()
 
     def _committed_cells(self) -> list[tuple[int, int, CellValue, str | None]]:
@@ -490,10 +385,7 @@ class DataSpread:
         spread = cls(**kwargs)
         with spread.batch():
             for address, cell in sheet.items():
-                if cell.has_formula:
-                    spread.set_formula(address.row, address.column, cell.formula or "")
-                else:
-                    spread.set_value(address.row, address.column, cell.value)
+                spread._set_cell(address.row, address.column, cell)
         return spread
 
     def import_rows(
@@ -530,17 +422,13 @@ class DataSpread:
                 for column_offset, text in enumerate(row):
                     if text == "":
                         continue
-                    cell = Cell.from_input(text)
-                    if cell.has_formula:
-                        try:
-                            self.set_formula(top + row_offset, left + column_offset,
-                                             cell.formula or "")
-                        except FormulaSyntaxError:
-                            # A field that merely looks like a formula must
-                            # not abort the import; keep it as raw text.
-                            self.set_value(top + row_offset, left + column_offset, text)
-                    else:
-                        self.set_value(top + row_offset, left + column_offset, cell.value)
+                    row, column = top + row_offset, left + column_offset
+                    try:
+                        self._set_cell(row, column, Cell.from_input(text))
+                    except FormulaSyntaxError:
+                        # A field that merely looks like a formula must
+                        # not abort the import; keep it as raw text.
+                        self.set_value(row, column, text)
                 imported += 1
         return imported
 
@@ -576,13 +464,13 @@ class DataSpread:
         (:class:`~repro.errors.SavepointError`).  Bulk reads overlay the
         buffered writes without flushing, so reading never commits anything.
         """
-        frame = self._push_frame()
+        frame = self._txn.push(self._session_scope)
         try:
             yield self
         except BaseException:
-            self._unwind_frame(frame)
+            self._txn.rollback(frame)
             raise
-        self._release_through_frame(frame)
+        self._txn.release(frame)
 
     def savepoint(self) -> Savepoint:
         """Open a savepoint: an undo boundary nested in the current batch.
@@ -592,148 +480,41 @@ class DataSpread:
         handle rolls back to — or releases — exactly this boundary; see
         :class:`Savepoint`.
         """
-        return Savepoint(self, self._push_frame())
+        return Savepoint(self._txn, self._txn.push(self._session_scope))
 
     # ------------------------------------------------------------------ #
-    # transaction-stack internals
+    # transaction exits (callbacks of the stack in repro.engine.transactions)
     # ------------------------------------------------------------------ #
-    def _push_frame(self) -> _UndoFrame:
-        if not self._frames:
-            self._cache.begin_deferred(owner=self._session_scope)
-            self._txn_savepoints = 0
-        else:
-            self._txn_savepoints += 1
-        frame = _UndoFrame(self.commit_epoch, self._aggregates.snapshot_states())
-        self._frames.append(frame)
-        return frame
+    def _commit(self, dirty: dict[CellAddress, None]) -> None:
+        """Outermost transaction exit: one commit group, then one routing.
 
-    def _frame_index(self, frame: _UndoFrame) -> int:
-        for index in range(len(self._frames) - 1, -1, -1):
-            if self._frames[index] is frame:
-                return index
-        raise SavepointError("savepoint does not belong to the open transaction")
-
-    def _record_pending_preimage(self, key: tuple[int, int], prior) -> None:
-        # Cache hook: called before every deferred-mode put overwrite.
-        if self._frames:
-            frame = self._frames[-1]
-            if key not in frame.pending:
-                frame.pending[key] = prior
-
-    def _restore_frame_records(self, frame: _UndoFrame) -> None:
-        """Undo everything a frame recorded (records are consumed)."""
-        for address, snapshot in frame.registrations.items():
-            self._dependencies.restore_registration(address, snapshot)
-        for key, preimage in frame.pending.items():
-            self._cache.restore_pending(key, preimage)
-        for address, cell in frame.provisional.items():
-            self._cache.restore_provisional(address.row, address.column, cell)
-        for key, table in frame.composites.items():
-            if table is None:
-                self._composite_values.pop(key, None)
-            else:
-                self._composite_values[key] = table
-        requeue = frame.requeue
-        frame.clear_records()
-        if self._async and requeue:
-            # Values the scheduler computed inside the frame sat in the
-            # pending map the restore just rewound, and queued formulas the
-            # frame replaced left the queue with their registration: those
-            # cells are stale again (their placeholders were restored above).
-            self._scheduler.mark_dirty(requeue)
-
-    def _rollback_to_frame(self, frame: _UndoFrame) -> None:
-        """Restore the boundary ``frame`` captured; the frame stays open."""
-        index = self._frame_index(frame)
-        if frame.barriered:
-            raise SavepointError(
-                "cannot roll back across a mid-batch commit point "
-                "(a structural edit or flush made this work durable)"
-            )
-        for inner in reversed(self._frames[index:]):
-            self._restore_frame_records(inner)
-        del self._frames[index + 1:]
-        if frame.commit_epoch == self.commit_epoch:
-            self._aggregates.restore_states(frame.aggregates)
-        else:
-            # Something committed since the boundary was captured; the
-            # snapshot no longer matches reality.  States rebuild lazily.
-            self._aggregates.invalidate_all()
-        # Pinned view results may reflect the rolled-back writes.
-        self._mark_views_stale()
-
-    def _release_through_frame(self, frame: _UndoFrame) -> None:
-        """Clean exit of a frame: merge into the parent, or commit."""
-        index = self._frame_index(frame)
-        # Collapse any savepoints left open inside this level first: their
-        # work is kept (first-touch-wins merge), exactly as if released.
-        while len(self._frames) - 1 > index:
-            self._merge_top_frame()
-        if index > 0:
-            self._merge_top_frame()
-            return
-        self._commit_outermost()
-
-    def _merge_top_frame(self) -> None:
-        """Fold the top frame's records into its parent (savepoint release)."""
-        frame = self._frames.pop()
-        parent = self._frames[-1]
-        for address, snapshot in frame.registrations.items():
-            parent.registrations.setdefault(address, snapshot)
-        for key, preimage in frame.pending.items():
-            if key not in parent.pending:
-                parent.pending[key] = preimage
-        for address, cell in frame.provisional.items():
-            parent.provisional.setdefault(address, cell)
-        for key, table in frame.composites.items():
-            if key not in parent.composites:
-                parent.composites[key] = table
-        # Dirty addresses are globally unique across frames (first-touch
-        # check at marking time), so appending preserves first-set order.
-        parent.dirty.update(frame.dirty)
-        parent.requeue.update(frame.requeue)
-        # ``parent.aggregates`` keeps the earlier boundary; the released
-        # frame's snapshot is simply dropped.
-
-    def _commit_outermost(self) -> None:
-        """Outermost transaction exit: flush, recompute, leave deferred mode."""
-        frame = self._frames.pop()
-        try:
-            dirty = self._batch_flushed
-            dirty.update(frame.dirty)
-            self._batch_flushed = {}
-            if dirty:
-                # Land the batch's raw writes before recomputing so range
-                # reads during the recompute go straight to the bulk model
-                # path instead of overlaying (and linearly scanning) a
-                # pending map holding every batched cell.  (Provisional
-                # placeholders are not raw writes and stay uncommitted.)
-                self._flush_commit_group()
-                if self._async:
-                    # Committed work is never refused: the batch's writes
-                    # are durable, so its recompute must queue regardless
-                    # of quota (admission only gates *new* async edits).
-                    self._scheduler.mark_dirty(dirty, owner=self._session_scope)
-                else:
-                    self._recompute_batch(dirty)
-        finally:
-            self._cache.end_deferred()
-
-    def _flush_commit_group(self) -> None:
-        """Flush buffered writes as one commit group, annotated when a
-        session scope label is registered (so recovery tooling can see
-        which session's transaction — and how many savepoints — a WAL
-        group carries)."""
+        The batch's raw writes land before the recompute so range reads
+        during it go straight to the bulk model path instead of overlaying
+        (and linearly scanning) a pending map holding every batched cell.
+        (Provisional placeholders are not raw writes and stay uncommitted.)
+        The group is annotated when a session scope label is registered, so
+        recovery tooling can see which session's transaction — and how many
+        savepoints — a WAL group carries.
+        """
         if self._scope_label is not None and self._cache.pending_count:
             with self._backend.atomic():
                 self._backend.annotate({
                     "kind": "txn-commit",
                     "scope": self._scope_label,
-                    "savepoints": self._txn_savepoints,
+                    "savepoints": self._txn.savepoints,
                 })
                 self._cache.flush_pending()
         else:
             self._cache.flush_pending()
+        self._route_dirty(dirty)
+
+    def _rolled_back(self, flushed: dict[CellAddress, None]) -> None:
+        """After any rollback: pinned view results may reflect the retracted
+        writes, and the cells a mid-batch commit point had already flushed
+        (handed over once the outermost level is gone) are committed work
+        that still needs its recompute."""
+        self._mark_views_stale()
+        self._route_dirty(flushed, committed=True)
 
     def abort_transaction(self) -> None:
         """Roll back the entire open transaction from the outside.
@@ -750,122 +531,56 @@ class DataSpread:
         :class:`~repro.errors.SavepointError`, which the service layer
         translates to ``SessionExpiredError``).
         """
-        if not self._frames:
-            return
-        self._unwind_frame(self._frames[0])
-
-    def _unwind_frame(self, frame: _UndoFrame) -> None:
-        """Exception path: roll the frame (and everything inside it) back.
-
-        Unlike a user-driven :meth:`Savepoint.rollback`, barriered frames do
-        not raise: whatever was recorded *after* the barrier is restored
-        (the pre-barrier work is durably flushed and stays, exactly like
-        the historical abort-after-structural behaviour).  The frame is
-        popped; when it was the outermost one, flushed cells are recomputed
-        so no committed formula lingers at value ``None``.
-
-        A frame no longer on the stack — the reaper's
-        :meth:`abort_transaction` already unwound it — is a no-op, so a
-        reaped transaction's abandoned ``with`` blocks unwind cleanly
-        without masking the exception in flight.
-        """
-        try:
-            index = self._frame_index(frame)
-        except SavepointError:
-            return  # already unwound externally (transaction reaped)
-        barriered = any(inner.barriered for inner in self._frames[index:])
-        for inner in reversed(self._frames[index:]):
-            self._restore_frame_records(inner)
-        del self._frames[index:]
-        # Pinned view results may reflect the rolled-back writes.
-        self._mark_views_stale()
-        if index > 0:
-            # A nested savepoint failed: outer levels keep their work.
-            if not barriered and frame.commit_epoch == self.commit_epoch:
-                self._aggregates.restore_states(frame.aggregates)
-            else:
-                self._aggregates.invalidate_all()
-            return
-        # Outermost abort.
-        if not barriered and frame.commit_epoch == self.commit_epoch:
-            self._aggregates.restore_states(frame.aggregates)
-        else:
-            # The rollback rewound cell values the delta path already folded
-            # in (or a flush committed some); the store cannot replay them
-            # backwards, so it starts over.
-            self._aggregates.invalidate_all()
-        flushed = self._batch_flushed
-        self._batch_flushed = {}
-        self._cache.discard_deferred()
-        if flushed:
-            if self._async:
-                # The flushed cells re-enter the compute queue; anything the
-                # abort rolled back simply cancels out at the next rebuild.
-                self._scheduler.mark_dirty(flushed)
-                return
-            try:
-                self._recompute_batch(flushed)
-            except CircularDependencyError:
-                # A flushed cycle cannot be evaluated mid-unwind; the cells
-                # keep their stored values until the cycle is edited away.
-                pass
+        if self.in_batch:
+            self._txn.rollback(self._txn.frames[0])
 
     @contextmanager
     def autonomous(self) -> Iterator["DataSpread"]:
         """Run cell edits *outside* the open transaction (autocommit).
 
-        The transaction's buffered writes and undo stack are parked, the
-        enclosed edits write through (and log) immediately, then the
-        transaction resumes untouched.  Used by the service layer when a
-        session issues a single edit while another session's transaction is
-        open.  Cell edits only — structural edits and checkpoints must not
-        run here (the parked writes are addressed against the current
-        coordinate space).
+        The whole transaction — buffered writes, undo stack, flushed set,
+        savepoint count — is parked, the enclosed edits (single or batched)
+        write through and log immediately, then the transaction resumes
+        untouched.  Used by the service layer when a session issues a
+        single edit while another session's transaction is open.  Cell
+        edits only — structural edits and checkpoints must not run here
+        (the parked writes are addressed against the current coordinate
+        space).
         """
-        if not self._frames:
+        with self._txn.parked():
             yield self
-            return
-        frames, flushed = self._frames, self._batch_flushed
-        self._frames, self._batch_flushed = [], {}
-        state = self._cache.suspend_deferred()
-        try:
-            yield self
-        finally:
-            self._cache.resume_deferred(state)
-            self._frames, self._batch_flushed = frames, flushed
 
     @property
     def in_batch(self) -> bool:
         """Whether a batch (or standalone savepoint) is currently open."""
-        return bool(self._frames)
+        return bool(self._txn.frames)
 
     @property
     def savepoint_depth(self) -> int:
         """Number of open transaction levels (batches and savepoints)."""
-        return len(self._frames)
+        return len(self._txn.frames)
+
+    @property
+    def commit_epoch(self) -> int:
+        """Monotonic count of commit points (write-throughs, flushes,
+        structural edits); savepoints use it to tell whether their
+        aggregate snapshot is still restorable."""
+        return self._txn.commit_epoch
 
     def transaction_touches(self, row: int, column: int) -> bool:
         """Whether the open transaction holds uncommitted work on a cell.
 
-        True when any open undo frame records the cell — a buffered write,
-        a provisional placeholder, or a dirtied address.  These are the
-        cells an :meth:`autonomous` edit must not overwrite: the buffered
-        version would silently clobber it at the commit flush (or, for a
+        True when any open undo frame recorded the cell's preimage — it
+        was edited, given a provisional placeholder, or had a computed
+        value land inside the transaction.  These are the cells an
+        :meth:`autonomous` edit must not overwrite: the buffered version
+        would silently clobber it at the commit flush (or, for a
         placeholder, be clobbered *by* it), so the service layer refuses
         the conflicting edit instead.  Cells whose in-transaction work was
         already flushed by a mid-batch commit point are committed state
         and report False.
         """
-        if not self._frames:
-            return False
-        address = CellAddress(row, column)
-        key = (row, column)
-        return any(
-            address in frame.dirty
-            or key in frame.pending
-            or address in frame.provisional
-            for frame in self._frames
-        )
+        return self._txn.touches(CellAddress(row, column))
 
     def activate_scope(self, token: object | None,
                        label: str | None = None) -> tuple[object | None, str | None]:
@@ -984,10 +699,13 @@ class DataSpread:
     def set_input(self, reference: str, text: CellValue) -> CellValue:
         """Set a cell by A1 reference from raw user input (``=`` starts a formula)."""
         address = CellAddress.from_a1(reference)
-        cell = Cell.from_input(text)
+        return self._set_cell(address.row, address.column, Cell.from_input(text))
+
+    def _set_cell(self, row: int, column: int, cell: Cell) -> CellValue:
+        """Store parsed input: a formula through ``set_formula``, else a constant."""
         if cell.has_formula:
-            return self.set_formula(address.row, address.column, cell.formula or "")
-        self.set_value(address.row, address.column, cell.value)
+            return self.set_formula(row, column, cell.formula or "")
+        self.set_value(row, column, cell.value)
         return cell.value
 
     def set_value(self, row: int, column: int, value: CellValue) -> None:
@@ -996,23 +714,7 @@ class DataSpread:
         In async mode the write is acknowledged immediately and the
         dependents are queued stale instead of recomputed inline.
         """
-        address = CellAddress(row, column)
-        if self._async and not self.in_batch:
-            # Admission control runs before any mutation: a refused edit
-            # leaves the engine exactly as it was.
-            self._scheduler.admit((address,), owner=self._session_scope)
-        capture = self._aggregates_capture(address)
-        if self.in_batch:
-            self._snapshot_registration(address)
-            self._snapshot_provisional(address)
-        self._set_constant(row, column, value)
-        self._aggregates_commit(capture, value)
-        if self.in_batch:
-            self._mark_batch_dirty(address)
-        elif self._async:
-            self._scheduler.mark_dirty((address,), owner=self._session_scope)
-        else:
-            self._recompute_dependents(address)
+        self._edit_cell(CellAddress(row, column), Cell(value=value))
 
     def set_formula(self, row: int, column: int, formula: str) -> CellValue:
         """Store a formula, register its dependencies and evaluate it.
@@ -1025,67 +727,98 @@ class DataSpread:
         with ``get_fresh_value``.
         """
         text = formula[1:] if formula.startswith("=") else formula
-        address = CellAddress(row, column)
         node = self._evaluator.parse(text)
-        if self._async and not self.in_batch:
-            self._scheduler.admit((address,), owner=self._session_scope)
-        # In async mode the cell's visible value stays the placeholder, so
-        # there is no delta to capture — and the capture's old-value read
-        # must not tax the edit-acknowledgment path.
-        capture = None if self._async else self._aggregates_capture(address)
-        if self.in_batch:
-            self._snapshot_registration(address)
-            self._snapshot_provisional(address)
-        if self._async:
-            # The placeholder must be captured before the registration
-            # replaces the cell's content, so stale reads keep serving the
-            # previous committed (or overlaid) value.
-            placeholder = self._cache.get(row, column).value
-        # Registration drives the aggregate refcounts: ``register`` first
-        # unregisters the previous formula, firing the graph's
-        # ``on_unregister`` hook, which releases the old subscriptions.
-        self._dependencies.register(address, node)
-        if self.in_batch:
-            if self._async:
-                # The visible value stays the placeholder — no delta.
-                self._ensure_stored_extent(row, column)
-                self._cache.put_provisional(row, column, Cell(value=placeholder, formula=text))
-            else:
-                self._cache.put(row, column, Cell(value=None, formula=text))
-                self._aggregates_commit(capture, None)
-            self._mark_batch_dirty(address)
-            return None
-        if self._async:
-            self._ensure_stored_extent(row, column)
-            self._cache.put_provisional(row, column, Cell(value=placeholder, formula=text))
-            self._scheduler.mark_dirty((address,), owner=self._session_scope)
-            return None
-        value = self._safe_evaluate(node, address)
-        self._cache.put(row, column, Cell(value=value, formula=text))
-        self._aggregates_commit(capture, value)
-        self._recompute_dependents(address)
-        return value
+        return self._edit_cell(CellAddress(row, column), Cell(formula=text), node)
 
     def clear_cell(self, row: int, column: int) -> None:
         """Empty a cell and re-evaluate its dependents."""
-        address = CellAddress(row, column)
-        if self._async and not self.in_batch:
+        self._edit_cell(CellAddress(row, column), Cell(), clear=True)
+
+    def _edit_cell(self, address: CellAddress, cell: Cell,
+                   node: FormulaNode | None = None, *, clear: bool = False) -> CellValue:
+        """The one write path: admit → preimage → mutate → delta → route.
+
+        ``cell`` is the content to store; ``node`` its parsed formula, if it
+        has one; ``clear`` also drops a composite value spilled at the cell.
+        Returns the value the cell now shows when it is already known: a
+        formula outside a batch on the synchronous engine is evaluated as
+        it is stored, otherwise its value materialises when the routed
+        recompute reaches it.
+        """
+        row, column = address.row, address.column
+        deferred = self.in_batch
+        if self._async and not deferred:
+            # Admission control runs before any mutation: a refused edit
+            # leaves the engine exactly as it was.
             self._scheduler.admit((address,), owner=self._session_scope)
-        capture = self._aggregates_capture(address)
-        if self.in_batch:
-            self._snapshot_registration(address)
-            self._snapshot_composite((row, column))
-            self._snapshot_provisional(address)
-        self._dependencies.unregister(address)  # on_unregister drops its states
-        self._cache.put(row, column, Cell())
-        self._aggregates_commit(capture, None)
-        self._composite_values.pop((row, column), None)
-        if self.in_batch:
-            self._mark_batch_dirty(address)
-        elif self._async:
-            self._scheduler.mark_dirty((address,), owner=self._session_scope)
+        # An async formula is stored as a stale placeholder: the cell's
+        # visible value stays what it was, so there is no delta to capture —
+        # and the capture's old-value read must not tax the acknowledgment.
+        placeholder = node is not None and self._async
+        capture = None if placeholder else self._aggregates_capture(address)
+        self._txn.touch(address)
+        if placeholder:
+            # Captured before the registration replaces the cell's content,
+            # so stale reads keep serving the previous committed (or
+            # overlaid) value.
+            previous = self._cache.get(row, column).value
+        # The graph drives the aggregate refcounts: leaving it (``register``
+        # first unregisters the previous formula) fires ``on_unregister``,
+        # which releases the old formula's subscriptions.
+        if node is None:
+            self._dependencies.unregister(address)
+            if clear:
+                self._composite_values.pop((row, column), None)
         else:
-            self._recompute_dependents(address)
+            self._dependencies.register(address, node)
+        if placeholder:
+            self._ensure_stored_extent(row, column)
+            self._cache.put_provisional(row, column, cell.with_value(previous))
+        else:
+            if node is not None and not deferred:
+                cell = cell.with_value(self._safe_evaluate(node, address))
+            self._cache.put(row, column, cell)
+            self._aggregates_commit(capture, cell.value)
+        self._route_dirty((address,), landed=True)
+        return cell.value
+
+    def _route_dirty(self, dirty: Iterable[CellAddress], *, landed: bool = False,
+                     committed: bool = False) -> None:
+        """The one routing decision: where a dirty set goes.
+
+        Inside an open batch it is *deferred* to the transaction's closing
+        recompute; on the async engine it is *queued* on the compute
+        scheduler; otherwise it is *recomputed inline*, seeds and transitive
+        dependents in one topological pass.  Every producer of dirty cells —
+        a cell edit, the outermost batch exit, the abort path, a structural
+        edit — calls this and nothing else branches on the mode.
+
+        ``landed``: the seeds already show their new value (a cell edit
+        evaluates a formula as it stores it), so an inline pass starts at
+        their dependents.  ``committed``: the seeds are durable state to
+        repair (formulas a structural edit reshaped, cells a mid-batch
+        commit point flushed before the batch failed) rather than the
+        caller's own new work: they survive an abort of the open batch,
+        are not charged to a session's admission quota, and a cycle among
+        them is left in place — the cells keep their stored values until
+        the cycle is edited away — instead of failing an edit that already
+        happened.
+        """
+        if not dirty:
+            return
+        if self.in_batch:
+            self._txn.defer(dirty, committed=committed)
+        elif self._async:
+            # Committed work is never refused: admission only gates *new*
+            # async edits, before they mutate anything.
+            self._scheduler.mark_dirty(
+                dirty, owner=None if committed else self._session_scope)
+        else:
+            try:
+                self._recompute_batch(dirty, include_seeds=not landed)
+            except CircularDependencyError:
+                if not committed:
+                    raise
 
     # ------------------------------------------------------------------ #
     # structural operations
@@ -1130,32 +863,24 @@ class DataSpread:
         cells* (``StructuralRewrite.reshaped``: a lost referent, a range
         that grew or shrank) are re-evaluated, with their transitive
         dependents; one whose references merely translated keeps its value.
-        Outside a batch that is one topological pass (async: one
-        ``mark_dirty``); inside a batch the reshaped cells join the
-        batch-exit (or abort-path) recompute.
+        The reshaped cells are routed as committed work: one topological
+        pass outside a batch (async: one enqueue), the batch-exit (or
+        abort-path) recompute inside one.
         """
+        # Validate before apply: the model is the one layer that can refuse
+        # an edit (a linked table's header or schema).  Asked first, a
+        # refusal leaves pending writes buffered, frames un-barriered and
+        # nothing logged.
+        self._model.check_structural_edit(edit)
         if self.invalidation_hook is not None:
             # The coordinate space is about to shift: open read snapshots
             # cannot stay coherent and must be invalidated.
             self.invalidation_hook(edit)
         with self._backend.atomic():
-            self._flush_batch_writes()
+            self._txn.barrier()
             self._backend.log_structural(edit)
             rewrite = self._shift_coordinates(edit)
-        reshaped = dict.fromkeys(sorted(rewrite.reshaped))
-        if self.in_batch:
-            self._batch_flushed.update(reshaped)
-        elif self._async:
-            self._scheduler.mark_dirty(reshaped)
-        elif reshaped:
-            try:
-                self._recompute_batch(reshaped)
-            except CircularDependencyError:
-                # The structural edit itself succeeded; a pre-existing cycle
-                # among the reshaped formulas cannot be evaluated, so the
-                # cells keep their stored values until the cycle is edited
-                # away (mirrors the abort-path recompute).
-                pass
+        self._route_dirty(dict.fromkeys(sorted(rewrite.reshaped)), committed=True)
 
     def _shift_coordinates(self, edit: StructuralEdit) -> StructuralRewrite:
         """Move every layer's state into the post-edit coordinate space.
@@ -1180,8 +905,6 @@ class DataSpread:
             # across the cache clear and re-key them through the edit,
             # exactly like the graph re-keys its registrations.
             provisional = self._cache.provisional_items()
-            # The model goes first: it is the one layer that may refuse the
-            # edit (a linked table's header), before it moves anything.
             self._model.apply_structural_edit(edit)
             self._cache.clear()
             # Untouched, purely translated, and blank-expanded ranges keep
@@ -1210,12 +933,15 @@ class DataSpread:
                         self._model.get_cell(moved.row, moved.column), edit)
                     if shadowed is not None:
                         texts.append((moved.row, moved.column, shadowed))
-            self._remap_batch_addresses(edit.map_address)
-            self._composite_values = {
+            self._txn.remap(edit.map_address)
+            composites = {
                 (moved.row, moved.column): table
                 for (row, column), table in self._composite_values.items()
                 if (moved := edit.map_address(CellAddress(row, column))) is not None
             }
+            # In place: the transaction stack shares this map.
+            self._composite_values.clear()
+            self._composite_values.update(composites)
             surviving_anchors: list[CellAddress] = []
             for anchor, view in list(self._views.items()):
                 if view.remap(edit):
@@ -1288,7 +1014,7 @@ class DataSpread:
             # provisional placeholders (whose formula text exists nowhere
             # else) are committed before the snapshot.
             self.flush_compute()
-        self._flush_batch_writes()
+        self._txn.barrier()  # the cache clear below would drop buffered writes
         snapshot = self._snapshot_native_cells()
         coordinates = snapshot.coordinates()
         plan = optimizer(coordinates, self.costs, **options)
@@ -1504,7 +1230,7 @@ class DataSpread:
         if self._async:
             # add_region clears the cache; commit placeholders first.
             self.flush_compute()
-        self._flush_batch_writes()
+        self._txn.barrier()  # likewise the batch's buffered writes
         tom = TableOrientedModel(table, top=anchor.row, left=anchor.column, header=header)
         self._model.add_region(HybridRegion(range=tom.region(), model=tom), allow_overlap=True)
         self._linked_tables[table_name] = tom
@@ -1544,8 +1270,7 @@ class DataSpread:
                     if value is not None:
                         self.set_value(row, anchor.column + offset, value)
                 row += 1
-        if self.in_batch:
-            self._snapshot_composite((anchor.row, anchor.column))
+        self._txn.touch(anchor)  # the displaced composite is part of its preimage
         self._composite_values[(anchor.row, anchor.column)] = table
         bottom = max(row - 1, anchor.row)
         right = anchor.column + max(table.column_count - 1, 0)
@@ -1567,15 +1292,16 @@ class DataSpread:
         (a ``limit(n)`` query over a huge region reads only the chunks it
         needs) or drain it with ``to_table()``.
         """
-        if not isinstance(query, Select):
-            query = build_select(query)
-        return run_plan(compile_select(query, self), self)
+        return run_plan(compile_select(self._as_select(query), self), self)
+
+    @staticmethod
+    def _as_select(query: Select | RangeRef | str) -> Select:
+        """A bare region/table source runs as ``select(source)``."""
+        return query if isinstance(query, Select) else build_select(query)
 
     def explain(self, query: Select | RangeRef | str) -> str:
         """The compiled plan of a query, one human-readable line per stage."""
-        if not isinstance(query, Select):
-            query = build_select(query)
-        return compile_select(query, self).explain()
+        return compile_select(self._as_select(query), self).explain()
 
     def create_live_view(
         self,
@@ -1594,8 +1320,7 @@ class DataSpread:
         ``at=`` the result also spills onto the sheet, rewriting exactly
         the cells that change on each refresh.
         """
-        if not isinstance(query, Select):
-            query = build_select(query)
+        query = self._as_select(query)
         self._view_anchor_seq += 1
         anchor = CellAddress(MAX_ROWS - self._view_anchor_seq, MAX_COLUMNS)
         spill = CellAddress.from_a1(at) if isinstance(at, str) else at
@@ -1633,12 +1358,25 @@ class DataSpread:
 
     # -- catalog protocol (the planner/executor read through these) ----- #
     def grid_values(self, region: RangeRef) -> dict[tuple[int, int], CellValue]:
-        """Bulk region read for query scans (batch overlays included)."""
-        return self._provide_range(region)
+        """Materialise a range with one bulk model read (query scans and
+        formula range references alike).
+
+        Writes still buffered in an open batch — and provisional stale
+        placeholders in async mode — are overlaid so readers see the
+        batch's own edits and stale cells' last known values.
+        """
+        values = self._model.get_values(region)
+        pending = self._cache.overlay_values(region)
+        if pending:
+            for key, cell in pending.items():
+                values[key] = cell.value
+        return values
 
     def resolve_table(self, name: str) -> TableValue:
         """Resolve a linked or database table by name."""
-        return self._resolve_table(name)
+        if self.database.has_table(name):
+            return TableValue.from_table(self.database.table(name))
+        raise LinkTableError(f"unknown table {name!r}")
 
     def table_region(self, name: str) -> RangeRef | None:
         """The sheet footprint of a linked table (``None`` if not linked)."""
@@ -1713,11 +1451,6 @@ class DataSpread:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _set_constant(self, row: int, column: int, value: CellValue) -> None:
-        address = CellAddress(row, column)
-        self._dependencies.unregister(address)  # on_unregister drops its states
-        self._cache.put(row, column, Cell(value=value))
-
     def _aggregates_capture(self, address: CellAddress):
         """Pre-edit half of the aggregate delta: targets plus the old value.
 
@@ -1749,64 +1482,6 @@ class DataSpread:
         else:
             self._aggregates.invalidate_targets(targets)
 
-    def _snapshot_registration(self, address: CellAddress) -> None:
-        """Capture a cell's pre-frame dependency registration (first touch).
-
-        Each open frame needs its *own* first-touch preimage: rolling a
-        savepoint back restores the registration the address had when that
-        savepoint opened, not the pre-batch one.  A formula that was queued
-        stale at that point is queued again by the rollback: the scheduler
-        forgets a queued cell once its formula is replaced.
-        """
-        frame = self._frames[-1]
-        if address not in frame.registrations:
-            frame.registrations[address] = self._dependencies.snapshot_registration(address)
-            if self._scheduler.pending_count and not self._scheduler.is_fresh(address):
-                frame.requeue[address] = None
-
-    def _mark_batch_dirty(self, address: CellAddress) -> None:
-        """Record a dirtied address in the top frame (first touch wins).
-
-        The global first-touch check keeps addresses unique across frames,
-        so the bottom-up union of frame dirt preserves first-set order.
-        """
-        for frame in self._frames:
-            if address in frame.dirty:
-                return
-        self._frames[-1].dirty[address] = None
-
-    def _remap_batch_addresses(self, mapper) -> None:
-        """Renumber batch bookkeeping after a mid-batch structural edit.
-
-        Dirty/flushed addresses are remapped so the batch-exit recompute
-        finds the moved cells at their new coordinates.  ``mapper`` returns
-        the new address, or ``None`` for a deleted cell.  Dependency
-        registrations are *not* touched here — the graph re-keys every
-        registration itself in ``DependencyGraph.apply_structural_edit``.
-        (The frames' undo records need no remapping: the flush preceding
-        every structural edit wiped them.)
-        """
-        if not self.in_batch:
-            return
-        collections = [self._batch_flushed] + [frame.dirty for frame in self._frames]
-        remapped_all = []
-        for collection in collections:
-            remapped: dict[CellAddress, None] = {}
-            for address in collection:
-                moved = mapper(address)
-                if moved is not None:
-                    remapped[moved] = None
-            remapped_all.append(remapped)
-        self._batch_flushed = remapped_all[0]
-        for frame, remapped in zip(self._frames, remapped_all[1:]):
-            frame.dirty = remapped
-
-    def _snapshot_composite(self, key: tuple[int, int]) -> None:
-        """Capture a composite value about to be displaced (first touch)."""
-        frame = self._frames[-1]
-        if key not in frame.composites:
-            frame.composites[key] = self._composite_values.get(key)
-
     def _ensure_stored_extent(self, row: int, column: int) -> None:
         """Grow the storage extent to cover a provisional-only cell.
 
@@ -1815,28 +1490,13 @@ class DataSpread:
         placeholder must grow it on the same schedule or structural edits
         near the sheet's edge would behave differently between the two
         modes.  Only the coordinate space is touched: the write is an empty
-        cell, and only when storage holds nothing there.  Inside a batch
-        the empty write is *buffered* like any other batch write — it grows
-        the extent at the flush and is discarded with an aborted batch.
+        cell, and only when storage holds nothing there.  It goes through
+        the cache like any other write: written through outside a batch,
+        *buffered* inside one — it grows the extent at the flush and is
+        discarded with an aborted batch.
         """
-        if not self._model.get_cell(row, column).is_empty:
-            return
-        if self.in_batch:
+        if self._model.get_cell(row, column).is_empty:
             self._cache.put(row, column, Cell())
-        else:
-            self._write_cell(row, column, Cell())
-
-    def _snapshot_provisional(self, address: CellAddress) -> None:
-        """Capture a cell's provisional placeholder (first touch).
-
-        A no-op snapshot (``None``) when the cell holds no placeholder, so
-        the rollback path can tell "remove the placeholder the frame
-        created" from "reinstate the one it displaced"."""
-        frame = self._frames[-1]
-        if address not in frame.provisional:
-            frame.provisional[address] = self._cache.provisional_at(
-                address.row, address.column
-            )
 
     def _maybe_idle_drain(self) -> None:
         """Opportunistically retire queued compute work on a read.
@@ -1872,7 +1532,7 @@ class DataSpread:
         if self.before_commit_hook is not None:
             self.before_commit_hook([(row, column)])
         self._backend.write_cell(row, column, cell)
-        self.commit_epoch += 1
+        self._txn.commit_epoch += 1
 
     def _write_cells(self, items: Iterable[tuple[int, int, Cell]]) -> None:
         # The cache's bulk (batch-flush) path: the backend groups the flush
@@ -1883,7 +1543,7 @@ class DataSpread:
         if self.before_commit_hook is not None:
             self.before_commit_hook([(row, column) for row, column, _cell in items])
         self._backend.write_cells(items)
-        self.commit_epoch += 1
+        self._txn.commit_epoch += 1
 
     def _apply_cell_to_model(self, row: int, column: int, cell: Cell) -> None:
         self._model.update_cell(row, column, cell)
@@ -1894,25 +1554,11 @@ class DataSpread:
     def _provide_value(self, row: int, column: int) -> CellValue:
         return self._cache.get(row, column).value
 
-    def _provide_range(self, region: RangeRef) -> dict[tuple[int, int], CellValue]:
-        """Materialise a range with one bulk model read.
-
-        Writes still buffered in an open batch — and provisional stale
-        placeholders in async mode — are overlaid so formulas see the
-        batch's own edits and stale cells' last known values.
-        """
-        values = self._model.get_values(region)
-        pending = self._cache.overlay_values(region)
-        if pending:
-            for key, cell in pending.items():
-                values[key] = cell.value
-        return values
-
     def _provide_range_slab(self, region: RangeRef) -> list[CellValue]:
         """Dense row-major slab of a range (the columnar build's read path).
 
         One ``get_values_dense`` bulk read against the model, with the same
-        batch/async overlay semantics as :meth:`_provide_range` scattered on
+        batch/async overlay semantics as :meth:`grid_values` scattered on
         top — the columnar and scalar paths must see identical values.
         """
         values = self._model.get_values_dense(region)
@@ -1941,76 +1587,59 @@ class DataSpread:
         finally:
             self._evaluator.aggregate_cell = None
 
-    def _recompute_dependents(self, changed: CellAddress) -> None:
+    def _recompute_batch(self, dirty: Iterable[CellAddress], *,
+                         include_seeds: bool = True) -> None:
+        """One topological recompute over a dirty set's transitive
+        dependents (and, with ``include_seeds``, the dirty formulas
+        themselves)."""
         self.recompute_passes += 1
-        for dependent in self._dependencies.dependents_of(changed):
-            self._reevaluate(dependent)
-
-    def _recompute_batch(self, dirty: dict[CellAddress, None]) -> None:
-        """One topological recompute over the union of a batch's dirty seeds."""
-        self.recompute_passes += 1
-        for address in self._dependencies.recompute_order(dirty):
+        order = (self._dependencies.recompute_order(dirty) if include_seeds
+                 else self._dependencies.dependents_of(dirty))
+        for address in order:
             self._reevaluate(address)
 
-    def _reevaluate(self, address: CellAddress) -> None:
-        view = self._views.get(address)
-        if view is not None:
-            # A live view's sentinel anchor landed in the recompute order:
-            # one of its source cells changed.  Re-run the query now so the
-            # view (and its spill) stays reactive like any formula.
-            self._refresh_view(view)
-            return
-        existing = self._cache.get(address.row, address.column)
-        if existing.formula is None:
-            return
-        self._commit_computed(
-            address, existing, self._safe_evaluate(existing.formula, address))
-
-    def _commit_computed(self, address: CellAddress, existing: Cell, value: CellValue,
-                         *, commit_placeholder: bool = False) -> None:
-        """Land a formula cell's freshly computed ``value``.
+    def _reevaluate(self, address: CellAddress, *, poisoned: bool = False) -> None:
+        """Land one formula cell's freshly computed value — the one body
+        behind the synchronous pass, the scheduler's evaluation callback
+        and (``poisoned``) the quarantine of a formula that keeps raising.
 
         A changed value is stored and then routed to the running aggregates
         as a delta (topological order guarantees downstream aggregates read
         this cell only after the delta lands; storing first means a failed
-        write leaves the aggregates untouched).  With ``commit_placeholder``
-        a provisional placeholder is written back through the real put even
-        when the value happens to equal the placeholder's — commitment
-        (formula text landing in storage) is the point, not just the value.
+        write leaves the aggregates untouched).  A provisional placeholder
+        is written back through the real put even when the value happens to
+        equal the placeholder's — commitment (formula text landing in
+        storage) is the point, not just the value.
         """
-        changed = value != existing.value
-        if changed or (commit_placeholder
-                       and self._cache.is_provisional(address.row, address.column)):
-            self._cache.put(address.row, address.column, existing.with_value(value))
-        if changed:
-            self._aggregates.apply_edit(address, existing.value, value)
-
-    def _scheduler_evaluate(self, address: CellAddress) -> None:
-        """Evaluate one queued cell and *commit* it.
-
-        Unlike :meth:`_reevaluate`, a provisional placeholder is always
-        written back (see :meth:`_commit_computed`).
-
-        Inside an open batch the committing put lands in the discardable
-        pending map, so the evaluation is recorded (and the displaced
-        placeholder snapshotted) for the abort path to re-queue."""
+        mid_batch = bool(self._txn.frames)
         view = self._views.get(address)
         if view is not None:
-            if self.in_batch:
-                # Recorded like a drained formula: an abort re-marks the
-                # anchor dirty so the view re-runs against rolled-back data.
-                self._frames[-1].requeue[address] = None
-            self._refresh_view(view)
+            # A live view's sentinel anchor landed in the recompute order:
+            # one of its source cells changed.  Re-run the query now so the
+            # view (and its spill) stays reactive like any formula.  (A
+            # poisoned anchor has no cell to hold an error value.)
+            if not poisoned:
+                if mid_batch:
+                    # An abort re-marks the anchor dirty, so the view
+                    # re-runs against the rolled-back data.
+                    self._txn.requeue_on_rollback(address)
+                self._refresh_view(view)
             return
         existing = self._cache.get(address.row, address.column)
         if existing.formula is None:
             return
-        if self.in_batch:
-            self._snapshot_provisional(address)
-            self._frames[-1].requeue[address] = None
-        self._commit_computed(
-            address, existing, self._safe_evaluate(existing.formula, address),
-            commit_placeholder=True)
+        if mid_batch:
+            # A mid-batch drain: the committing put lands in the discardable
+            # pending map, so the displaced state is captured and the cell
+            # recorded for a rollback to queue stale again.
+            self._txn.touch(address)
+            self._txn.requeue_on_rollback(address)
+        value = "#ERROR!" if poisoned else self._safe_evaluate(existing.formula, address)
+        changed = value != existing.value
+        if changed or self._cache.is_provisional(address.row, address.column):
+            self._cache.put(address.row, address.column, existing.with_value(value))
+        if changed:
+            self._aggregates.apply_edit(address, existing.value, value)
 
     def _quarantine_cell(self, address: CellAddress, error: BaseException) -> None:
         """Commit a poisoned formula's cell as ``#ERROR!``.
@@ -2022,39 +1651,7 @@ class DataSpread:
         the queue draining; re-editing the cell or any precedent clears
         the quarantine and re-schedules it.
         """
-        existing = self._cache.get(address.row, address.column)
-        if existing.formula is None:
-            return
-        if self.in_batch:
-            self._snapshot_provisional(address)
-            self._frames[-1].requeue[address] = None
-        self._commit_computed(address, existing, "#ERROR!", commit_placeholder=True)
-
-    def _flush_batch_writes(self) -> None:
-        """Push buffered batch writes to storage mid-batch.
-
-        Used before structural rebuilds (which mutate the model's coordinate
-        space directly, so writes buffered against the old coordinates must
-        land first — the subsequent ``cache.clear()`` would discard them).
-
-        The flush is a *commit point*: the landed writes, their dependency
-        registrations, and any composite-value changes are no longer rolled
-        back if the batch body later raises, but the flushed cells still
-        get the batch-exit recompute (or the abort-path recompute).  Every
-        open frame is *barriered*: its undo records are wiped (mid-batch
-        drained values just landed in storage and need no re-queue either)
-        and a user rollback across the barrier raises
-        :class:`~repro.errors.SavepointError`.
-        """
-        if self.in_batch:
-            self._cache.flush_pending()
-            for frame in self._frames:
-                self._batch_flushed.update(frame.dirty)
-                frame.clear_records()
-                frame.barriered = True
-            # A flush is a commit: savepoint aggregate snapshots captured
-            # before it can no longer be restored truthfully.
-            self.commit_epoch += 1
+        self._reevaluate(address, poisoned=True)
 
     def _snapshot_native_cells(self) -> Sheet:
         """Copy all cells except those owned by linked tables into a Sheet."""
@@ -2065,8 +1662,3 @@ class DataSpread:
                 continue
             sheet.set_cell(address.row, address.column, cell)
         return sheet
-
-    def _resolve_table(self, name: str) -> TableValue:
-        if self.database.has_table(name):
-            return TableValue.from_table(self.database.table(name))
-        raise LinkTableError(f"unknown table {name!r}")

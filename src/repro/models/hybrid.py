@@ -302,6 +302,31 @@ class HybridDataModel(DataModel):
             )
         self._catch_all.update_cell(row, column, cell)
 
+    def check_structural_edit(self, edit: StructuralEdit) -> None:
+        """Raise if any region's model must refuse ``edit``; mutates nothing.
+
+        The engine asks before the edit becomes a commit point (buffered
+        writes flushed, structural record logged), so a refusal leaves an
+        open batch exactly as it was.
+        """
+        self._plan_structural_edit(edit)
+
+    def _plan_structural_edit(self, edit: StructuralEdit) -> list[tuple]:
+        """Per region: ``(entry, part of the edit inside it, start, end)``.
+
+        Validates against every model the edit will be delegated to before
+        any region shifts, so a model that must refuse (a linked table)
+        fails the whole edit atomically, never mid-loop.
+        """
+        plan = []
+        for entry in self._regions:
+            start, end = edit.span_of(entry.range)
+            inside = edit.clip_to(start, end)
+            if inside is not None:
+                entry.model.check_structural_edit(inside)
+            plan.append((entry, inside, start, end))
+        return plan
+
     def apply_structural_edit(self, edit: StructuralEdit) -> None:
         """Shift every region through ``edit`` and delegate what lands inside.
 
@@ -313,18 +338,8 @@ class HybridDataModel(DataModel):
         table drops its records) and the region is forgotten — kept as an
         empty line it would shadow whichever region shifts into its place.
         """
-        # Validate against every model the edit will be delegated to before
-        # any region shifts, so a model that must refuse (a linked table)
-        # fails the whole edit atomically, never mid-loop.
-        plan = []
-        for entry in self._regions:
-            start, end = edit.span_of(entry.range)
-            inside = edit.clip_to(start, end)
-            if inside is not None:
-                entry.model.check_structural_edit(inside)
-            plan.append((entry, inside, start, end))
         survivors = []
-        for entry, inside, start, end in plan:
+        for entry, inside, start, end in self._plan_structural_edit(edit):
             if inside is not None:
                 entry.model.apply_structural_edit(inside)
             span = edit.map_span(start, end)

@@ -762,7 +762,8 @@ def run_session_interleaving(seed: int, *, writers: int = 3, readers: int = 2,
     transactions with nested savepoints (pushed, rolled back — possibly
     repeatedly — and released), mid-transaction structural edits (commit
     points that barrier earlier savepoints), aborts, and autonomous edits
-    while another session's transaction is open; foreign transactions and
+    (single and batched) while another session's transaction is open;
+    foreign transactions and
     structural edits must refuse with
     :class:`~repro.errors.TransactionBusyError`.  Readers move their
     viewports (exercising the scheduler's round-robin priority), read
@@ -773,7 +774,9 @@ def run_session_interleaving(seed: int, *, writers: int = 3, readers: int = 2,
     in commit order — rollbacks truncate a transaction's survivors, aborts
     drop them, mid-batch structural edits flush them early — and after a
     full drain the shared grid must equal a synchronous ``Sheet`` replay
-    of exactly that ledger.
+    of exactly that ledger.  Every commit group's ``txn-commit`` annotation
+    is compared too: it must carry its owner's savepoint count, whatever
+    ran autonomously in between.
     """
     from repro.errors import (
         SavepointError,
@@ -785,6 +788,10 @@ def run_session_interleaving(seed: int, *, writers: int = 3, readers: int = 2,
     rng = random.Random(seed)
     ws = Workspace()
     ws.engine.aggregate_store.min_state_area = 1
+    # The in-memory backend drops commit-group annotations; keep what a WAL
+    # would have been handed.
+    marks: list[dict] = []
+    ws.engine.storage_backend.annotate = marks.append
     writer_sessions = [ws.open_session(f"writer-{n}") for n in range(writers)]
     reader_sessions = [ws.open_session(f"reader-{n}") for n in range(readers)]
     committed: list[tuple] = []
@@ -806,8 +813,17 @@ def run_session_interleaving(seed: int, *, writers: int = 3, readers: int = 2,
         survivors: list[tuple] = []
         # Stack of (handle, survivor-watermark, barriered) for open savepoints.
         stack: list[list] = []
+        pushes = 0
+        first_mark = len(marks)
+
+        def own_marks() -> list[dict]:
+            new = marks[first_mark:]
+            assert all(mark["savepoints"] == 0 for mark in new
+                       if mark["scope"] != owner.name), (seed, new)
+            return [mark for mark in new if mark["scope"] == owner.name]
 
         def script() -> None:
+            nonlocal pushes
             for _op in range(rng.randint(2, 8)):
                 pick = rng.randrange(12)
                 if pick < 5:  # owner edit, buffered in the transaction
@@ -816,6 +832,7 @@ def run_session_interleaving(seed: int, *, writers: int = 3, readers: int = 2,
                     survivors.append(op)
                 elif pick < 7:  # push a savepoint
                     stack.append([owner.savepoint(), len(survivors), False])
+                    pushes += 1
                 elif pick < 9 and stack:  # roll back to a random savepoint
                     index = rng.randrange(len(stack))
                     handle, watermark, barriered = stack[index]
@@ -853,7 +870,7 @@ def run_session_interleaving(seed: int, *, writers: int = 3, readers: int = 2,
                     if foreign is None:
                         continue
                     roll = rng.random()
-                    if roll < 0.5:  # single edit commits autonomously —
+                    if roll < 0.4:  # single edit commits autonomously —
                         # unless it lands on a cell the open transaction
                         # write-locked (uncommitted owner work on it).
                         op = random_edit(rng)
@@ -864,7 +881,21 @@ def run_session_interleaving(seed: int, *, writers: int = 3, readers: int = 2,
                                 seed, op, "spurious write-lock refusal")
                         else:
                             commit_op(op)
-                    elif roll < 0.75:  # foreign transaction: busy
+                    elif roll < 0.6:  # so does a batch of them: the whole
+                        # transaction parks, its savepoint count included
+                        ops = [random_edit(rng) for _ in range(rng.randint(2, 3))]
+                        if any(ws.engine.transaction_touches(op[1], op[2])
+                               for op in ops):
+                            continue  # write-locked by the owner's work
+                        scope = ws.engine.activate_scope(foreign, foreign.name)
+                        try:
+                            with ws.engine.autonomous(), ws.engine.batch():
+                                for op in ops:
+                                    apply_edit(ws.engine, op)
+                        finally:
+                            ws.engine.activate_scope(*scope)
+                        committed.extend(ops)
+                    elif roll < 0.8:  # foreign transaction: busy
                         try:
                             with foreign.batch():
                                 raise AssertionError(
@@ -888,8 +919,13 @@ def run_session_interleaving(seed: int, *, writers: int = 3, readers: int = 2,
             with owner.batch():
                 script()
         except Boom:
+            assert not own_marks(), (seed, "aborted transaction annotated")
             return  # aborted: survivors (and open savepoints) are gone
         committed.extend(survivors)
+        # At most the closing group is annotated (a mid-transaction commit
+        # point flushes inside the structural edit's own group).
+        assert [mark["savepoints"] for mark in own_marks()] in ([], [pushes]), (
+            seed, own_marks(), pushes)
 
     def snapshot_probe(reader) -> None:
         sample = [(rng.randint(1, DATA_ROWS), rng.randint(1, 5))

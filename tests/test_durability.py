@@ -14,7 +14,7 @@ import os
 import pytest
 
 from repro.engine.dataspread import DataSpread
-from repro.errors import RecoveryError, StorageError, WALError
+from repro.errors import LinkTableError, RecoveryError, StorageError, WALError
 from repro.storage.recovery import recover, recovered_cells, replay_records
 from repro.storage.snapshot import (
     list_wal_generations,
@@ -33,6 +33,7 @@ from repro.storage.wal import (
 )
 
 from tests.support import (
+    Boom,
     FaultPlan,
     SimulatedCrash,
     apply_op,
@@ -330,6 +331,39 @@ class TestEngineWAL:
                 recovered.close()
         # begin + structural + 3 surviving texts + commit = 6 appends.
         assert outcomes == [False] * 6 + [True] * 2
+
+    def test_refused_structural_edit_is_not_a_commit_point(self, tmp_path):
+        # Validate precedes apply: a linked table refusing the edit must
+        # leave the batch's writes buffered, its savepoints un-barriered and
+        # the log untouched — so the live grid and a recovery still agree
+        # once the batch aborts.
+        spread = self._spread(tmp_path)
+        backend = spread.storage_backend
+        spread.link_table("t", at="A1", columns=["a", "b"], rows=[(1, 2), (3, 4)])
+        spread.set_value(20, 20, "committed")
+        frames_before = backend.frames_appended
+        with pytest.raises(Boom):
+            with spread.batch():
+                spread.set_value(10, 10, "buffered")
+                savepoint = spread.savepoint()
+                spread.set_value(11, 11, "inner")
+                with pytest.raises(LinkTableError):
+                    spread.delete_column(1)
+                assert backend.frames_appended == frames_before  # nothing logged
+                assert spread.cache.pending_count == 2           # still buffered
+                savepoint.rollback()                             # not barriered
+                assert spread.get_value(11, 11) is None
+                assert spread.get_value(10, 10) == "buffered"
+                raise Boom()
+        assert spread.get_value(10, 10) is None
+        linked = spread.table_region("t")  # database rows, never logged
+        live = {
+            (address.row, address.column): (cell.value, cell.formula)
+            for address, cell in spread.get_cells(spread.used_range()).items()
+            if not linked.contains(address)
+        }
+        assert live == recovered_cells(str(tmp_path)) == {(20, 20): ("committed", None)}
+        spread.close()
 
     def test_async_placeholders_not_logged(self, tmp_path):
         spread = self._spread(tmp_path, async_recompute=True)

@@ -432,6 +432,28 @@ class TestDurableSessions:
         assert marks[0]["savepoints"] == 1
         ws.close()
 
+    def test_autonomous_batch_parks_the_savepoint_count(self, tmp_path):
+        # autonomous() parks the whole transaction, its savepoint counter
+        # included: a foreign *batched* edit opening its own outermost
+        # level must not zero the count the owner's commit mark carries.
+        workdir = str(tmp_path / "ws")
+        ws = Workspace(durability="wal", storage_dir=workdir)
+        a = ws.open_session("alice")
+        with a.batch():
+            a.set_value(1, 1, 1)
+            sp = a.savepoint()
+            with ws.engine.autonomous():
+                ws.engine.set_values([(5, 5, 1), (6, 6, 2)])
+            sp.release()
+        ws.flush()
+        generation = ws.engine.storage_backend.generation
+        records = read_records(wal_path(workdir, generation))
+        marks = [r for r in records if r.get("t") == "mark"]
+        # The autonomous batch's own group (no savepoints), then alice's.
+        assert [m["savepoints"] for m in marks] == [0, 1]
+        assert ws.engine.get_value(5, 5) == 1 and ws.engine.get_value(1, 1) == 1
+        ws.close()
+
     def test_recovery_replays_past_mark_records(self, tmp_path):
         workdir = str(tmp_path / "ws")
         ws = Workspace(durability="wal", storage_dir=workdir)
