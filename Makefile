@@ -87,10 +87,12 @@ bench-columnar:
 
 ## Query subsystem benchmark: planner pushdown + streaming LIMIT vs naive
 ## full-region materialisation (10k/100k/1M-row ladder, scaled to 0.1
-## here; full scale via `python -m repro.experiments query`), plus
-## live-view recompute latency after point edits.  Emits BENCH_query.json
-## and fails if the pushdown speedup floor is blown, either path
-## diverges, or the live view stops refreshing reactively
+## here; full scale via `python -m repro.experiments query`), plus the
+## cells a live view reads per point edit (a count; what an edit costs on
+## the clock is bench/'s edit_p50_ms on query_analytics).  Emits
+## BENCH_query.json and fails if the pushdown speedup floor is blown,
+## either path diverges, or the live view stops refreshing reactively or
+## reads more than one row of its read columns per edit
 ## (scripts/check_bench.py guard).
 bench-query:
 	$(PYTHON) -m repro.experiments query --scale 0.1 --json BENCH_query.json

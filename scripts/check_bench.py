@@ -232,6 +232,12 @@ def check_query(result: dict, *, min_speedup: float) -> list[str]:
                 f"live view refreshed {view.get('refreshes')} times for "
                 f"{view.get('edits')} source edits — reactivity regressed"
             )
+        if view.get("cells_read_per_edit", float("inf")) > view.get("read_columns", 0):
+            failures.append(
+                f"live view read {view.get('cells_read_per_edit')} cells per "
+                f"edit, more than one row of its {view.get('read_columns')} "
+                f"read columns — the refresh is rescanning"
+            )
     return failures
 
 

@@ -25,7 +25,7 @@ over:
    content (a formula is parsed exactly once: the AST is shared between
    registration and evaluation through the evaluator's bounded cache);
 4. **aggregate delta** — running aggregate states over the cell fold the
-   old→new value in O(1);
+   old→new value in O(1), and pinned live views note the row that changed;
 5. **route** — ``_route_dirty``, the only code that chooses where dirty
    cells go: *deferred* into the open batch, *queued* on the compute
    scheduler (async), or *recomputed inline* in one topological pass over
@@ -145,7 +145,6 @@ from repro.grid.sheet import Sheet
 from repro.models.base import ModelKind
 from repro.models.hybrid import HybridDataModel, HybridRegion
 from repro.models.tom import TableOrientedModel
-from repro.query.ast import GridRelation
 from repro.query.builder import Select, select as build_select
 from repro.query.executor import QueryResult, run_plan
 from repro.query.planner import compile_select
@@ -494,8 +493,12 @@ class DataSpread:
         (Provisional placeholders are not raw writes and stay uncommitted.)
         The group is annotated when a session scope label is registered, so
         recovery tooling can see which session's transaction — and how many
-        savepoints — a WAL group carries.
+        savepoints — a WAL group carries.  The live views hear of every
+        buffered write again: only now is it every reader's state.
         """
+        if self._views:
+            for (row, column), _cell in self._cache.overlay_items():
+                self._report_delta(row, column)
         if self._scope_label is not None and self._cache.pending_count:
             with self._backend.atomic():
                 self._backend.annotate({
@@ -779,6 +782,8 @@ class DataSpread:
                 cell = cell.with_value(self._safe_evaluate(node, address))
             self._cache.put(row, column, cell)
             self._aggregates_commit(capture, cell.value)
+        if self._views:
+            self._report_delta(row, column)
         self._route_dirty((address,), landed=True)
         return cell.value
 
@@ -1333,7 +1338,7 @@ class DataSpread:
         try:
             # Initial materialisation (and spill).  Unlike a reactive
             # refresh, a bad query here propagates to the caller.
-            view.refresh(self._compile_and_run_view, self._write_view_spill)
+            view.refresh(self._write_view_spill)
         except QueryError:
             self._dependencies.unregister(anchor)
             del self._views[anchor]
@@ -1384,31 +1389,17 @@ class DataSpread:
         return tom.region() if tom is not None else None
 
     # -- view internals -------------------------------------------------- #
-    def _view_source_regions(self, view: LiveView) -> list[RangeRef]:
-        """The sheet regions whose edits must wake ``view``: its grid
-        relations plus the grid footprints of its linked tables."""
-        regions: list[RangeRef] = []
-        for relation in view.query.relations():
-            if isinstance(relation, GridRelation):
-                regions.append(relation.region)
-            else:
-                footprint = self.table_region(relation.table)
-                if footprint is not None:
-                    regions.append(footprint)
-        return regions
-
     def _register_view_ranges(self, view: LiveView) -> None:
-        self._dependencies.register_ranges(
-            view.anchor, self._view_source_regions(view)
-        )
+        self._dependencies.register_ranges(view.anchor, view.watched_regions())
 
-    def _compile_and_run_view(self, query: Select):
-        plan = compile_select(query, self)
-        return plan, run_plan(plan, self).to_table()
+    def _report_delta(self, row: int, column: int) -> None:
+        """A value landed at a cell: the live views patch just that row."""
+        for view in self._views.values():
+            view.note_delta(row, column)
 
     def _refresh_view(self, view: LiveView) -> None:
         try:
-            view.refresh(self._compile_and_run_view, self._write_view_spill)
+            view.refresh(self._write_view_spill)
         except QueryError as exc:
             # A reactive refresh runs inside the edit that triggered it; a
             # query invalidated by a schema change (say, its header column
@@ -1429,24 +1420,23 @@ class DataSpread:
         for view in self._views.values():
             view.mark_stale()
 
-    def _write_view_spill(self, changes: dict[tuple[int, int], CellValue]) -> set[CellAddress]:
-        """Land a view's spill diff through the ordinary edit path, so
-        formulas reading the spilled region recompute (or queue) as usual.
+    def _write_view_spill(self, changes: dict[tuple[int, int], CellValue]) -> None:
+        """Land a view's spill diff through the ordinary edit path, as one
+        batch: formulas and views reading the spilled region recompute (or
+        queue) once per spill, and a durable spill is one commit group.
         Unchanged cells are skipped — a point edit rewrites only the rows
         it actually moved."""
-        written: set[CellAddress] = set()
-        for (row, column), value in sorted(changes.items()):
-            existing = self._cache.get(row, column)
-            if value is None:
-                if existing.is_empty:
-                    continue
-                self.clear_cell(row, column)
-            else:
-                if existing.formula is None and existing.value == value:
-                    continue
-                self.set_value(row, column, value)
-            written.add(CellAddress(row, column))
-        return written
+        with self.batch():
+            for (row, column), value in sorted(changes.items()):
+                existing = self._cache.get(row, column)
+                if value is None:
+                    if existing.is_empty:
+                        continue
+                    self.clear_cell(row, column)
+                else:
+                    if existing.formula is None and existing.value == value:
+                        continue
+                    self.set_value(row, column, value)
 
     # ------------------------------------------------------------------ #
     # internals
@@ -1640,6 +1630,8 @@ class DataSpread:
             self._cache.put(address.row, address.column, existing.with_value(value))
         if changed:
             self._aggregates.apply_edit(address, existing.value, value)
+            if self._views:
+                self._report_delta(address.row, address.column)
 
     def _quarantine_cell(self, address: CellAddress, error: BaseException) -> None:
         """Commit a poisoned formula's cell as ``#ERROR!``.

@@ -17,8 +17,9 @@ a catalog with no grid) raise
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import islice
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.errors import QueryExecutionError
 from repro.grid.range import RangeRef
@@ -36,32 +37,32 @@ from repro.query.planner import (
     TableScanOp,
 )
 
+#: Where a scan's rows come from (its local tuples, in relation order).
+RowSource = Callable[[ScanOp], Iterable[tuple]]
+
 
 # ---------------------------------------------------------------------- #
 # scans
 # ---------------------------------------------------------------------- #
-def _grid_rows(scan: GridScanOp, catalog: Catalog) -> Iterator[tuple]:
-    """Chunked streaming read of a grid region.
+def grid_rows(scan: GridScanOp, catalog: Catalog, top: int | None = None,
+              bottom: int | None = None) -> Iterator[tuple[int, tuple]]:
+    """Chunked streaming read of a grid region's data rows ``top..bottom``
+    (by default all of them).
 
-    Yields one tuple per region row (empty cells read as ``None``), in
-    row order, filtered by the pushed predicate.  Reads happen one
-    row-chunk at a time, one bulk ``get_values`` per contiguous column
-    run, so a downstream ``LIMIT`` stops the reads early.
+    Yields ``(sheet row, local tuple)`` for every row that passes the
+    pushed predicate (empty cells read as ``None``), in row order.  Reads
+    happen one row-chunk at a time, one bulk ``grid_values`` per contiguous
+    column run — none at all for a scan that projects no column (a bare
+    ``COUNT(*)``) — so a downstream ``LIMIT`` stops the reads early.  This
+    is the one body that turns cells into rows: a query's scan, a live
+    view's first fill and its dirty-row patch all read through it, so a
+    patched row and a scanned row cannot differ.
     """
-    bottom = scan.region.bottom
-    if scan.data_top > bottom:
-        return
+    top = scan.data_top if top is None else top
+    bottom = scan.region.bottom if bottom is None else bottom
     columns = scan.columns
     predicate = scan.predicate
-    if not columns:
-        # Zero projected columns (e.g. a bare COUNT(*)): the relation
-        # still has one row per region row, but nothing needs reading.
-        empty = ()
-        for _ in range(scan.data_top, bottom + 1):
-            if predicate is None or predicate(empty):
-                yield empty
-        return
-    for chunk_top in range(scan.data_top, bottom + 1, scan.chunk_rows):
+    for chunk_top in range(top, bottom + 1, scan.chunk_rows):
         chunk_bottom = min(chunk_top + scan.chunk_rows - 1, bottom)
         values: dict[tuple[int, int], Any] = {}
         for left, right in scan.runs:
@@ -70,9 +71,10 @@ def _grid_rows(scan: GridScanOp, catalog: Catalog) -> Iterator[tuple]:
             )
         get = values.get
         for row_index in range(chunk_top, chunk_bottom + 1):
-            row = tuple(get((row_index, column)) for column in columns)
+            # (a list comprehension fills the tuple faster than a generator)
+            row = tuple([get((row_index, column)) for column in columns])
             if predicate is None or predicate(row):
-                yield row
+                yield row_index, row
 
 
 def _table_rows(scan: TableScanOp, catalog: Catalog) -> Iterator[tuple]:
@@ -87,16 +89,17 @@ def _table_rows(scan: TableScanOp, catalog: Catalog) -> Iterator[tuple]:
 
 def _scan_rows(scan: ScanOp, catalog: Catalog) -> Iterator[tuple]:
     if isinstance(scan, GridScanOp):
-        return _grid_rows(scan, catalog)
+        return (row for _, row in grid_rows(scan, catalog))
     return _table_rows(scan, catalog)
 
 
 # ---------------------------------------------------------------------- #
 # joins / grouping / ordering
 # ---------------------------------------------------------------------- #
-def _join(rows: Iterator[tuple], join: JoinOp, catalog: Catalog) -> Iterator[tuple]:
+def _join(rows: Iterator[tuple], join: JoinOp,
+          right_rows: Iterable[tuple]) -> Iterator[tuple]:
     by_key: dict[Any, list[tuple]] = {}
-    for right_row in _scan_rows(join.scan, catalog):
+    for right_row in right_rows:
         by_key.setdefault(right_row[join.right_position], []).append(right_row)
     left_slot = join.left_slot
     for left_row in rows:
@@ -166,10 +169,10 @@ def _sorted_rows(rows: Iterator[tuple],
 # ---------------------------------------------------------------------- #
 # the pipeline
 # ---------------------------------------------------------------------- #
-def _pipeline(plan: Plan, catalog: Catalog) -> Iterator[tuple]:
-    rows = _scan_rows(plan.base, catalog)
+def _pipeline(plan: Plan, rows_of: RowSource) -> Iterator[tuple]:
+    rows = iter(rows_of(plan.base))
     for join in plan.joins:
-        rows = _join(rows, join, catalog)
+        rows = _join(rows, join, rows_of(join.scan))
     if plan.residual is not None:
         residual = plan.residual
         rows = (row for row in rows if residual(row))
@@ -221,6 +224,14 @@ class QueryResult:
         return TableValue(columns=self.columns, rows=tuple(self._rows))
 
 
-def run_plan(plan: Plan, catalog: Catalog) -> QueryResult:
-    """Execute a compiled plan as a streamed result."""
-    return QueryResult(plan.output_columns, _pipeline(plan, catalog))
+def run_plan(plan: Plan, catalog: Catalog,
+             rows_of: RowSource | None = None) -> QueryResult:
+    """Execute a compiled plan as a streamed result.
+
+    ``rows_of`` answers "where do a scan's rows come from": by default a
+    read through ``catalog``; a live view passes the rows it kept from its
+    last scan, and everything after the scans runs unchanged over them.
+    """
+    if rows_of is None:
+        rows_of = partial(_scan_rows, catalog=catalog)
+    return QueryResult(plan.output_columns, _pipeline(plan, rows_of))

@@ -245,7 +245,6 @@ class Plan:
     offset: int
     limit: int | None
     output_columns: tuple[str, ...]
-    source_regions: tuple[RangeRef, ...]
     explain_lines: tuple[str, ...] = field(default=())
 
     @property
@@ -319,13 +318,15 @@ def _conjoin(parts: list[RowPredicate]) -> RowPredicate | None:
 # ---------------------------------------------------------------------- #
 # the planner
 # ---------------------------------------------------------------------- #
-def _contiguous_runs(columns: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+def contiguous_runs(lines: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    """The maximal ``(first, last)`` runs of consecutive integers in an
+    ascending sequence (sheet columns of a scan, dirty rows of a patch)."""
     runs: list[tuple[int, int]] = []
-    for column in columns:
-        if runs and column == runs[-1][1] + 1:
-            runs[-1] = (runs[-1][0], column)
+    for line in lines:
+        if runs and line == runs[-1][1] + 1:
+            runs[-1] = (runs[-1][0], line)
         else:
-            runs.append((column, column))
+            runs.append((line, line))
     return tuple(runs)
 
 
@@ -441,7 +442,7 @@ def compile_select(query: Select, catalog: Catalog) -> Plan:
                 region=region,
                 data_top=region.top + (1 if schema.header else 0),
                 columns=columns,
-                runs=_contiguous_runs(columns),
+                runs=contiguous_runs(columns),
                 predicate=predicate,
             )
             explain.append(
@@ -545,9 +546,6 @@ def compile_select(query: Select, catalog: Catalog) -> Plan:
             + (f" offset {query.offset_count}" if query.offset_count else "")
         )
 
-    source_regions = tuple(
-        schema.region for schema in schemas if schema.region is not None
-    )
     return Plan(
         base=base,
         joins=tuple(joins),
@@ -558,7 +556,6 @@ def compile_select(query: Select, catalog: Catalog) -> Plan:
         offset=query.offset_count,
         limit=query.limit_count,
         output_columns=output_columns,
-        source_regions=source_regions,
         explain_lines=tuple(explain),
     )
 

@@ -16,10 +16,12 @@ One shared implementation of the machinery the equivalence suites need:
   text — as the synchronous engine and as a ``DataSpread`` rebuilt from the
   naively-maintained ``Sheet``.
 * query equivalence: the runs issue generative queries mid-edit-stream
-  (plus one live view pinned per engine at the start) and compare the
-  planned/streamed results against a naive full-materialise oracle over
-  the ``Sheet`` baseline — including across structural remaps of the
-  view's source region.
+  and compare the planned/streamed results against a naive
+  full-materialise oracle over the ``Sheet`` baseline.  Three live views
+  are pinned per engine at the start (a filter, a ``GROUP BY``, an
+  ``ORDER BY ... LIMIT``); each must equal its own query run from scratch
+  on its own engine — mid-stream and at the end, across structural remaps
+  of its source region — and the filter views the naive oracle too.
 
 ``run_equivalence`` / ``run_mid_batch_equivalence`` are the entry points;
 ``tests/test_async_compute.py`` runs a fast seed set in tier-1 and
@@ -38,7 +40,7 @@ from repro.errors import SavepointError
 from repro.grid.address import MAX_COLUMNS, MAX_ROWS, column_index_to_letter
 from repro.grid.range import RangeRef
 from repro.grid.sheet import Sheet
-from repro.query import col, select
+from repro.query import col, count, select, sum_
 from repro.query.builder import region as query_region
 from repro.query.planner import compare_values
 from repro.storage.recovery import recover
@@ -241,6 +243,35 @@ def fuzz_query(target_region: RangeRef = QUERY_REGION, limit: int | None = None)
     return query if limit is None else query.limit(limit)
 
 
+def pin_fuzz_views(spread: DataSpread) -> list:
+    """Pin the harness's three view shapes on one engine (no spill region,
+    so they cannot collide with the compared window).  The first is
+    :func:`fuzz_query`; the other two put a grouping and a sort barrier
+    between the scan and the result.  Columns A and B only ever hold
+    integers or nothing while a header-less view stays attached, so the
+    sort never meets mixed types."""
+    source = select(query_region(QUERY_REGION, header=False))
+    queries = {
+        "fuzz-view": fuzz_query(),
+        "fuzz-group": (source.project(col("B"), count(alias="n"), sum_("A", alias="total"))
+                       .group_by(col("B"))),
+        "fuzz-top": (source.project(col("A"), col("B"))
+                     .order_by(col("A").desc()).limit(3)),
+    }
+    return [spread.create_live_view(query, name=name) for name, query in queries.items()]
+
+
+def assert_views_match_rescan(spread: DataSpread, views, context=()) -> None:
+    """Every pinned view must equal its own query executed from scratch on
+    its own engine (reading a view drains what it needs first)."""
+    for view in views:
+        if view.detached:
+            continue
+        actual = view.value()
+        assert actual == spread.execute(view.query).to_table(), (
+            *context, "view-vs-rescan", view.name)
+
+
 def naive_query_rows(spread: DataSpread, target_region: RangeRef,
                      limit: int | None = None) -> list[tuple]:
     """Full-materialise oracle for :func:`fuzz_query`: read every cell of
@@ -305,19 +336,20 @@ def run_equivalence(seed: int, *, steps: int = 70) -> None:
     for target in (*spreads, sheet):
         target.set_value(anchor_row, anchor_column, seed)
 
-    # One pinned live view per engine (no spill region, so it cannot
-    # collide with the compared window); both must track the edit stream
-    # through remaps and stay equal to the naive oracle.
-    views = [spread.create_live_view(fuzz_query(), name="fuzz-view")
-             for spread in spreads]
+    # Three pinned live views per engine; all must track the edit stream
+    # through remaps, and the filter views stay equal to the naive oracle.
+    async_views, sync_views = (pin_fuzz_views(spread) for spread in spreads)
 
     for _step in range(steps):
-        # Every few steps, issue ad-hoc queries mid-stream.  Only the sync
-        # engine is compared here: the async engine may legitimately serve
-        # stale values until the drain.  Checked outside the rng stream so
-        # seeded interleavings are unchanged by the query probes.
+        # Every few steps, issue ad-hoc queries mid-stream and hold the
+        # pinned views against a rescan.  Only the sync engine is probed
+        # here: the async engine may legitimately serve stale values until
+        # the drain (and reading its views would drain it).  Checked
+        # outside the rng stream so seeded interleavings are unchanged by
+        # the probes.
         if _step % 10 == 9:
             assert_query_agrees(sync_spread, sheet, context=(seed, _step))
+            assert_views_match_rescan(sync_spread, sync_views, context=(seed, _step))
 
         action = rng.randrange(12)
         if action < 6:  # single edit
@@ -352,7 +384,9 @@ def run_equivalence(seed: int, *, steps: int = 70) -> None:
     assert_engines_agree(async_spread, sync_spread, context=(seed,))
     assert_oracle_agrees(async_spread, sheet, context=(seed,))
     assert_query_agrees(async_spread, sheet, context=(seed, "final"))
-    assert_live_views_agree(views, sheet, context=(seed,))
+    assert_live_views_agree((async_views[0], sync_views[0]), sheet, context=(seed,))
+    assert_views_match_rescan(async_spread, async_views, context=(seed, "final"))
+    assert_views_match_rescan(sync_spread, sync_views, context=(seed, "final"))
 
 
 def run_mid_batch_equivalence(seed: int, *, steps: int = 40) -> None:
@@ -371,8 +405,11 @@ def run_mid_batch_equivalence(seed: int, *, steps: int = 40) -> None:
     anchor_row, anchor_column = SEED_ANCHOR
     for spread in spreads:
         spread.set_value(anchor_row, anchor_column, seed)
+    async_views, sync_views = (pin_fuzz_views(spread) for spread in spreads)
 
     for _step in range(steps):
+        if _step % 10 == 9:  # outside the rng stream, sync engine only
+            assert_views_match_rescan(sync_spread, sync_views, context=(seed, _step))
         action = rng.randrange(8)
         if action < 4:
             edit = random_edit(rng)
@@ -398,6 +435,8 @@ def run_mid_batch_equivalence(seed: int, *, steps: int = 40) -> None:
             async_spread.flush_compute(limit=rng.randint(1, 3))
 
     assert_engines_agree(async_spread, sync_spread, context=(seed,))
+    assert_views_match_rescan(async_spread, async_views, context=(seed, "final"))
+    assert_views_match_rescan(sync_spread, sync_views, context=(seed, "final"))
 
 
 def _assert_store_consistent(store, context=()) -> None:

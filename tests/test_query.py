@@ -13,6 +13,7 @@ from repro.errors import (
 )
 from repro.grid.range import RangeRef
 from repro.query import avg, col, count, max_, min_, select, sum_
+from repro.query import views as views_module
 from repro.query.builder import region
 from repro.query.planner import CHUNK_ROWS
 from repro.service.workspace import Workspace
@@ -34,6 +35,59 @@ def _sales_spread():
 
 
 SALES = "A1:C7"
+
+ORDER_ROWS = 2_000
+ORDERS = RangeRef(1, 1, ORDER_ROWS + 1, 4)
+_STATUSES = ("open", "overdue", "closed", "draft")
+
+
+def _orders_spread(**options):
+    """Header + 2 000 rows of (id, amount, status, qty): the benchmark's
+    ``query_analytics`` sheet."""
+    spread = DataSpread(**options)
+    spread.import_rows([["id", "amount", "status", "qty"]] + [
+        [row, (row * 7919) % 10_000, _STATUSES[row % 4], 1 + row % 97]
+        for row in range(1, ORDER_ROWS + 1)
+    ])
+    return spread
+
+
+def _top_orders():
+    """The benchmark's pinned view: reads ``id`` and ``amount`` only."""
+    return (select(region(ORDERS)).where(col("amount") > 9_900)
+            .project(col("id"), col("amount")))
+
+
+def _from_scratch(spread, view):
+    return spread.execute(view.query).to_table()
+
+
+class _Reads:
+    """What one step cost: the hybrid model's bulk-read counters and the
+    number of plans a live view compiled."""
+
+    def __init__(self, spread, monkeypatch):
+        self.spread = spread
+        self.compiles = 0
+
+        def counting(query, catalog, _compile=views_module.compile_select):
+            self.compiles += 1
+            return _compile(query, catalog)
+
+        monkeypatch.setattr(views_module, "compile_select", counting)
+        self.reset()
+
+    def reset(self):
+        self.compiles = 0
+        self.spread.model.reset_read_counters()
+
+    @property
+    def cells(self):
+        return self.spread.model.cells_read
+
+    @property
+    def bulk(self):
+        return self.spread.model.bulk_reads
 
 
 class TestBuilder:
@@ -455,6 +509,203 @@ class TestLiveViews:
         assert [tuple(r) for r in view.value().rows] == [
             ("delta", 200), ("alpha", 120)]
 
+    # -- incremental refresh: counts, not clocks ------------------------- #
+    def test_point_edit_rereads_one_row(self, monkeypatch):
+        spread = _orders_spread()
+        view = spread.create_live_view(_top_orders(), name="top")
+        reads = _Reads(spread, monkeypatch)
+        before = view.refresh_count
+        spread.set_value(778, 2, 9_950)  # amount: the row joins the result
+        # One row x the two read columns, in one bulk read; no recompile.
+        assert (reads.cells, reads.bulk, reads.compiles) == (2, 1, 0)
+        assert view.refresh_count == before + 1
+        assert (777, 9_950) in view.value().rows
+        assert view.value() == _from_scratch(spread, view)
+
+    def test_edits_the_query_does_not_read_cost_nothing(self, monkeypatch):
+        spread = _orders_spread()
+        view = spread.create_live_view(_top_orders(), name="top")
+        reads = _Reads(spread, monkeypatch)
+        before = view.refresh_count
+        spread.set_value(778, 4, 5)             # qty: not a read column
+        spread.set_value(778, 3, "closed")      # status: neither
+        spread.set_value(ORDER_ROWS + 50, 2, 9_999)  # below the region
+        spread.set_value(778, 9, 9_999)         # right of it
+        assert (reads.cells, reads.bulk, reads.compiles) == (0, 0, 0)
+        assert view.refresh_count == before
+        assert view.value() == _from_scratch(spread, view)
+
+    @pytest.mark.parametrize("invalidate", [
+        "header", "insert_row", "delete_row", "aborted_batch",
+        "savepoint_rollback", "optimize_storage", "link_table",
+    ])
+    def test_invalidation_rescans_then_patches_again(self, monkeypatch, invalidate):
+        spread = _orders_spread()
+        view = spread.create_live_view(_top_orders(), name="top")
+        reads = _Reads(spread, monkeypatch)
+        if invalidate == "header":
+            spread.set_value(1, 4, "quantity")
+        elif invalidate == "insert_row":
+            spread.insert_row_after(500)
+            spread.set_value(501, 2, 9_990)
+        elif invalidate == "delete_row":
+            spread.delete_row(500)
+        elif invalidate == "aborted_batch":
+            with pytest.raises(ZeroDivisionError), spread.batch():
+                spread.set_value(778, 2, 9_950)
+                1 / 0
+        elif invalidate == "savepoint_rollback":
+            with spread.batch():
+                savepoint = spread.savepoint()
+                spread.set_value(778, 2, 9_950)
+                savepoint.rollback()
+        elif invalidate == "optimize_storage":
+            spread.optimize_storage("aggressive")
+        else:
+            spread.link_table("rates", at="H1", columns=["code", "rate"],
+                              rows=[("eur", 1.1)])
+        # The cache is gone: the next read compiles and rescans ...
+        assert view.value() == _from_scratch(spread, view)
+        assert reads.compiles == 1
+        # ... and the edit after it patches one row again.
+        reads.reset()
+        spread.set_value(900, 2, 9_960)
+        assert (reads.cells, reads.bulk, reads.compiles) == (2, 1, 0)
+        assert view.value() == _from_scratch(spread, view)
+
+    def test_header_rename_that_breaks_the_query_detaches(self):
+        spread = _orders_spread()
+        view = spread.create_live_view(_top_orders(), name="top")
+        spread.set_value(1, 2, "total")  # the query filters on "amount"
+        assert view.detached
+
+    def test_many_dirty_rows_rescan_once_adjacent_rows_share_a_read(self, monkeypatch):
+        spread = _orders_spread()
+        view = spread.create_live_view(_top_orders(), name="top")
+        reads = _Reads(spread, monkeypatch)
+        before = view.refresh_count
+        crowd = ORDER_ROWS // views_module.RESCAN_DIVISOR + 1
+        spread.set_values((2 * index, 2, 9_901) for index in range(1, crowd + 1))
+        # Past the cutoff: one chunked read of the two read columns, not
+        # `crowd` single-row reads (and still no recompile).
+        assert (reads.cells, reads.bulk, reads.compiles) == (2 * ORDER_ROWS, 2, 0)
+        assert view.refresh_count == before + 1
+        assert view.value() == _from_scratch(spread, view)
+
+        reads.reset()
+        spread.set_values((row, 2, 9_902) for row in (1201, 1202, 1203))
+        assert (reads.cells, reads.bulk, reads.compiles) == (6, 1, 0)
+        assert view.refresh_count == before + 2
+        assert view.value() == _from_scratch(spread, view)
+
+    @pytest.mark.parametrize("shape", ["group", "top3"])
+    def test_group_and_sort_views_patch_too(self, monkeypatch, shape):
+        spread = _orders_spread()
+        source = select(region(ORDERS))
+        if shape == "group":
+            query = (source.project(col("status"), count(alias="n"),
+                                    sum_("amount", alias="total"))
+                     .group_by(col("status")))
+        else:
+            query = (source.project(col("id"), col("amount"))
+                     .order_by(col("amount").desc()).limit(3))
+        view = spread.create_live_view(query, name=shape)
+        reads = _Reads(spread, monkeypatch)
+        spread.set_value(778, 2, 123_456.5)   # a float into the sums / the top
+        assert (reads.cells, reads.bulk, reads.compiles) == (2, 1, 0)
+        assert view.value() == _from_scratch(spread, view)
+        spread.set_value(3, 2, 123_456.5)     # a tie, earlier on the sheet
+        spread.clear_cell(778, 2)
+        spread.set_value(2, 3, "parked")      # a new group, first on the sheet
+        assert reads.compiles == 0
+        assert view.value() == _from_scratch(spread, view)
+
+    def test_join_view_patches_either_side(self, monkeypatch):
+        spread = _orders_spread()
+        spread.import_rows([["code", "weight"], ["open", 1], ["overdue", 3],
+                            ["closed", 0]], top=1, left=7)
+        query = (select(region(ORDERS, name="o"))
+                 .join(region("G1:H4", name="s"), on=("status", "code"))
+                 .where(col("amount") > 9_900)
+                 .project(col("id"), col("amount"), col("weight")))
+        view = spread.create_live_view(query, name="weighted")
+        reads = _Reads(spread, monkeypatch)
+        spread.set_value(778, 2, 9_950)       # probe side reads id..status
+        assert (reads.cells, reads.bulk, reads.compiles) == (3, 1, 0)
+        assert view.value() == _from_scratch(spread, view)
+        reads.reset()
+        spread.set_value(3, 8, 7)             # build side: overdue's weight
+        # (one of three rows is past the cutoff: that scan is read whole)
+        assert (reads.cells, reads.bulk, reads.compiles) == (6, 1, 0)
+        assert view.value() == _from_scratch(spread, view)
+        spread.set_value(4, 7, "draft")       # a join key changes
+        assert reads.compiles == 0
+        assert view.value() == _from_scratch(spread, view)
+
+    def test_formula_valued_source_cell_patches_through_its_precedent(self, monkeypatch):
+        spread = _orders_spread()
+        spread.set_value(1, 9, 10)
+        spread.set_formula(778, 2, "=I1*999")
+        view = spread.create_live_view(_top_orders(), name="top")
+        assert (777, 9_990) in view.value().rows
+        reads = _Reads(spread, monkeypatch)
+        before = view.refresh_count
+        spread.set_value(1, 9, 5)  # outside the region; B778 recomputes
+        assert reads.compiles == 0 and view.refresh_count == before + 1
+        assert (777, 9_990) not in view.value().rows
+        assert view.value() == _from_scratch(spread, view)
+
+    def test_async_view_patches_on_drain(self, monkeypatch):
+        spread = _orders_spread(async_recompute=True)
+        spread.flush_compute()
+        view = spread.create_live_view(_top_orders(), name="top")
+        reads = _Reads(spread, monkeypatch)
+        before = view.refresh_count
+        spread.set_value(778, 2, 9_950)   # acknowledged, not yet refreshed
+        spread.set_value(900, 4, 1)       # qty: wakes the view for nothing
+        assert view.refresh_count == before
+        spread.flush_compute()
+        assert (reads.cells, reads.bulk, reads.compiles) == (2, 1, 0)
+        assert view.refresh_count == before + 1
+        spread.clear_cell(778, 2)
+        assert view.value() == _from_scratch(spread, view)
+        assert (reads.compiles, view.refresh_count) == (0, before + 2)
+
+    def test_refresh_inside_a_transaction_keeps_no_cache(self, monkeypatch):
+        spread = _orders_spread()
+        view = spread.create_live_view(_top_orders(), name="top")
+        reads = _Reads(spread, monkeypatch)
+        with spread.batch():
+            spread.insert_row_after(ORDER_ROWS + 10)  # marks the view stale
+            spread.set_value(778, 2, 9_950)
+            assert (777, 9_950) in view.value().rows   # sees the buffered write
+            spread.set_value(900, 2, 9_960)
+        # The commit's refresh must not trust rows read inside the batch.
+        assert reads.compiles == 2
+        assert view.value() == _from_scratch(spread, view)
+
+    def test_spill_lands_as_one_batch(self, monkeypatch):
+        spread = _sales_spread()
+        spread.create_live_view(
+            select(SALES).where(col("amount") > 100)
+            .project(col("name"), col("amount")), name="big", at="E1")
+        downstream = spread.create_live_view(
+            select(region("E1:F7")).where(col("amount") > 150), name="bigger")
+        spread.set_formula(1, 8, "=SUM(F1:F10)")
+        assert spread.get_value(1, 8) == 320
+        evaluations = []
+        evaluate_node = spread.evaluator.evaluate_node
+        monkeypatch.setattr(
+            spread.evaluator, "evaluate_node",
+            lambda node: evaluations.append(node) or evaluate_node(node))
+        before = downstream.refresh_count
+        spread.set_value(3, 2, 500)  # bravo joins: the spill changes 4 cells
+        assert downstream.refresh_count == before + 1
+        assert len(evaluations) == 1
+        assert spread.get_value(1, 8) == 820
+        assert [tuple(r) for r in downstream.value().rows] == [
+            ("bravo", 500), ("delta", 200)]
+
 
 class TestServiceSessions:
     def test_session_query_and_live_view(self):
@@ -472,6 +723,27 @@ class TestServiceSessions:
         writer.set_value(2, 1, 400)
         ws.flush()
         assert [r[0] for r in reader.live_view_value("big").rows] == [400, 150, 250]
+        ws.close()
+
+    def test_view_patched_by_another_session_still_sees_the_commit(self):
+        """A transaction's buffered rows are invisible to the refresh another
+        session's autonomous edit triggers; the commit must report them
+        again or the patched view never learns their committed values."""
+        ws = Workspace(async_recompute=False)  # the refresh runs in the edit
+        owner = ws.open_session("owner")
+        other = ws.open_session("other")
+        owner.set_value(1, 1, "amount")
+        for row, amount in enumerate([50, 150, 250], start=2):
+            owner.set_value(row, 1, amount)
+        view = other.create_live_view(
+            select("A1:A5").where(col("amount") > 100), name="big")
+        with owner.batch():
+            owner.set_value(2, 1, 400)       # buffered, owner-scoped
+            other.set_value(5, 1, 300)       # autonomous: refreshes the view
+            assert [r[0] for r in other.live_view_value("big").rows] == [150, 250, 300]
+        ws.flush()
+        assert [r[0] for r in other.live_view_value("big").rows] == [400, 150, 250, 300]
+        assert view.value() == ws._spread.execute(view.query).to_table()
         ws.close()
 
 
