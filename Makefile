@@ -12,9 +12,8 @@ REPRO_CRASH_SEEDS ?= 60
 REPRO_SESSION_SEEDS ?= 100
 REPRO_CHAOS_SEEDS ?= 60
 
-.PHONY: test fuzz fuzz-sessions crash-fuzz chaos-fuzz bench bench-async \
-	bench-columnar bench-incremental bench-query bench-recovery \
-	bench-sessions bench-overload docs-check examples loc all
+.PHONY: test fuzz fuzz-sessions crash-fuzz chaos-fuzz figures docs-check \
+	examples loc all
 
 ## Tier-1 test suite (what CI gates on): everything pytest collects from
 ## the root — tests/, the paper-figure benchmarks/ at smoke size, and the
@@ -55,74 +54,12 @@ crash-fuzz:
 chaos-fuzz:
 	REPRO_CHAOS_SEEDS=$(REPRO_CHAOS_SEEDS) $(PYTHON) -m pytest -q tests/test_overload.py
 
-## Paper-figure benchmarks (slow; pytest-benchmark).
-bench:
+## Paper-figure reproductions on their own (pytest-benchmark prints each
+## table; tier-1 already collects them).  Reproduction artefacts, not the
+## benchmark: speed is measured by `python bench/run.py` (BENCHMARK.json,
+## bench/README.md).
+figures:
 	$(PYTHON) -m pytest -q benchmarks
-
-## Async compute scheduler benchmark on a small budget (edit-ack latency
-## vs the synchronous engine; full scale runs via `make bench`).
-bench-async:
-	$(PYTHON) -m repro.experiments recompute-async --scale 0.2
-
-## Incremental hot-path benchmark (PR 5): zero-rebuild interval-index
-## maintenance + O(Δ) aggregate deltas vs the full-range-read baseline.
-## Emits BENCH_recompute_incremental.json and fails if the steady-state
-## scenario performs any index rebuild (scripts/check_bench.py guard).
-bench-incremental:
-	$(PYTHON) -m repro.experiments recompute-incremental --scale 0.5 \
-		--json BENCH_recompute_incremental.json
-	$(PYTHON) scripts/check_bench.py BENCH_recompute_incremental.json
-
-## Columnar aggregate benchmark (PR 9): cold 1M-row SUM through the
-## vectorized slab reduction vs the scalar per-cell fold (bit-identical by
-## construction), plus the 10k-subscriber shared-state edit ladder with a
-## mid-run storage relayout and an off-range link_table.  Runs at full
-## scale — the 10x cold-build floor is only meaningful on the 1M-row
-## column.  Emits BENCH_columnar.json and fails if the floor is blown,
-## the builds disagree, sharing regresses, or either fallback invalidates
-## a running state (scripts/check_bench.py guard).
-bench-columnar:
-	$(PYTHON) -m repro.experiments columnar --json BENCH_columnar.json
-	$(PYTHON) scripts/check_bench.py BENCH_columnar.json
-
-## Query subsystem benchmark: planner pushdown + streaming LIMIT vs naive
-## full-region materialisation (10k/100k/1M-row ladder, scaled to 0.1
-## here; full scale via `python -m repro.experiments query`), plus the
-## cells a live view reads per point edit (a count; what an edit costs on
-## the clock is bench/'s edit_p50_ms on query_analytics).  Emits
-## BENCH_query.json and fails if the pushdown speedup floor is blown,
-## either path diverges, or the live view stops refreshing reactively or
-## reads more than one row of its read columns per edit
-## (scripts/check_bench.py guard).
-bench-query:
-	$(PYTHON) -m repro.experiments query --scale 0.1 --json BENCH_query.json
-	$(PYTHON) scripts/check_bench.py BENCH_query.json
-
-## Durability benchmark: redo-replay recovery time vs log length, plus the
-## checkpointed alternative.  Emits BENCH_recovery.json and fails if any
-## recovered grid diverges or the checkpoint stops truncating the log.
-bench-recovery:
-	$(PYTHON) -m repro.experiments recovery --json BENCH_recovery.json
-	$(PYTHON) scripts/check_bench.py BENCH_recovery.json
-
-## Multi-client service benchmark: edit-ack latency and post-drain
-## convergence for concurrent writer/reader sessions over one shared async
-## engine, vs the synchronous single-client baseline.  Emits
-## BENCH_service.json and fails if any configuration diverged from the
-## committed-op replay or the ack latency ceiling is blown
-## (scripts/check_bench.py guard).
-bench-sessions:
-	$(PYTHON) -m repro.experiments service --json BENCH_service.json
-	$(PYTHON) scripts/check_bench.py BENCH_service.json
-
-## Overload benchmark: edit-ack latency ladder under injected slow
-## evaluations, with admission control on vs off.  Emits
-## BENCH_overload.json and fails if the admission-on p99 ack or queue
-## depth is unbounded relative to the quota, any committed edit is lost,
-## or any configuration fails to converge (scripts/check_bench.py guard).
-bench-overload:
-	$(PYTHON) -m repro.experiments overload --json BENCH_overload.json
-	$(PYTHON) scripts/check_bench.py BENCH_overload.json
 
 ## Execute every Python snippet embedded in the docs; fails if any raises.
 docs-check:

@@ -1,10 +1,10 @@
-"""Shared helpers for the benchmark suite.
+"""Shared helpers for the paper-figure suite (``make figures``).
 
 Each ``benchmarks/test_bench_*.py`` regenerates one paper table or figure by
 wrapping the corresponding experiment runner (``repro.experiments``) in
-pytest-benchmark.  The resulting rows are printed so a benchmark run doubles
-as a reproduction report; the README's "Tracked hot-path benchmarks" table and
-docs/architecture.md ("Experiments and benchmarks") say what each tracks.
+pytest-benchmark.  The resulting rows are printed so a run doubles as a
+reproduction report.  These are reproduction artefacts: how fast the engine
+runs is measured by ``bench/`` (``BENCHMARK.json``, ``bench/README.md``).
 """
 
 import sys

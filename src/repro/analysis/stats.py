@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.errors import FormulaError
-from repro.formula.evaluator import extract_references, referenced_coordinates
+from repro.formula.evaluator import referenced_coordinates
 from repro.grid.components import connected_components, tabular_regions
 from repro.grid.sheet import Sheet
 
@@ -149,15 +149,6 @@ def analyze_corpus(name: str, sheets: Iterable[Sheet]) -> CorpusStatistics:
         cells_per_formula=_mean(all_cells_per_formula),
         regions_per_formula=_mean(all_regions_per_formula),
     )
-
-
-def formula_access_footprints(sheet: Sheet) -> list[int]:
-    """Number of cells each formula of ``sheet`` accesses (Table I col. 10)."""
-    footprints = []
-    for _address, formula in sheet.formulas():
-        cells, ranges = extract_references(formula)
-        footprints.append(len(cells) + sum(region.area for region in ranges))
-    return footprints
 
 
 # ---------------------------------------------------------------------- #

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Collection
 
-from repro.grid.bounding import bounding_box
 from repro.grid.components import connected_components
 from repro.storage.costs import CostParameters
 
@@ -66,9 +65,3 @@ def recursive_decomposition_gap(
     """Theorem-3 additive bound: ``s1 * k(k-1)/2`` with k from Theorem 4."""
     k = table_count_upper_bound(coordinates, costs)
     return costs.table_cost * k * (k - 1) / 2
-
-
-def bounding_rectangle_area(coordinates: Collection[tuple[int, int]]) -> int:
-    """Area of the sheet's minimum bounding rectangle (0 when empty)."""
-    box = bounding_box(coordinates)
-    return 0 if box is None else box.area

@@ -97,11 +97,6 @@ class LRUCellCache:
         """Number of buffered writes awaiting a flush."""
         return len(self._pending) if self._pending is not None else 0
 
-    @property
-    def pending_owner(self) -> object | None:
-        """The session token owning the buffered writes (``None`` = shared)."""
-        return self._pending_owner
-
     def set_active_reader(self, token: object | None) -> object | None:
         """Set the reader whose session-scoped writes are visible.
 

@@ -559,11 +559,6 @@ class DataSpread:
         return bool(self._txn.frames)
 
     @property
-    def savepoint_depth(self) -> int:
-        """Number of open transaction levels (batches and savepoints)."""
-        return len(self._txn.frames)
-
-    @property
     def commit_epoch(self) -> int:
         """Monotonic count of commit points (write-throughs, flushes,
         structural edits); savepoints use it to tell whether their
@@ -1032,8 +1027,7 @@ class DataSpread:
         self._cache.clear()
         # A relayout moves cells between physical models without changing a
         # single coordinate→value binding, so every running aggregate state
-        # stays valid as-is — the incremental experiment asserts zero
-        # invalidations across this call.
+        # stays valid as-is.
         self._mark_views_stale()
         return plan
 
@@ -1065,20 +1059,6 @@ class DataSpread:
     def aggregate_store(self) -> AggregateStore:
         """The running aggregate-state store (exposed for tests/benchmarks)."""
         return self._aggregates
-
-    @property
-    def use_aggregate_deltas(self) -> bool:
-        """Whether decomposable aggregates recompute from O(Δ) deltas.
-
-        Flip to ``False`` to restore the full-range-read baseline (kept for
-        benchmarking the delta win); disabling clears the running states so
-        re-enabling cannot serve stale ones.
-        """
-        return self._aggregates.enabled
-
-    @use_aggregate_deltas.setter
-    def use_aggregate_deltas(self, enabled: bool) -> None:
-        self._aggregates.enabled = enabled
 
     # ------------------------------------------------------------------ #
     # asynchronous recompute

@@ -63,10 +63,6 @@ class TableValue:
             )
         return self.rows[row - 1][column_position - 1]
 
-    def as_dicts(self) -> list[dict[str, CellValue]]:
-        """Rows as dictionaries keyed by column name."""
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
     # ------------------------------------------------------------------ #
     @classmethod
     def from_table(cls, table: Table) -> "TableValue":

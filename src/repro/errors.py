@@ -72,10 +72,6 @@ class RegionOverlapError(DataModelError, ValueError):
     """Raised when hybrid regions overlap but overlap is not permitted."""
 
 
-class RecoverabilityError(DataModelError):
-    """Raised when a physical data model does not cover the conceptual cells."""
-
-
 class PositionError(ReproError, IndexError):
     """Raised for invalid positions in a positional mapping."""
 

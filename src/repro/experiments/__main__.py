@@ -3,12 +3,9 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import sys
-from pathlib import Path
 
-from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro.experiments.registry import EXPERIMENTS, get_experiment
 from repro.experiments.reporting import format_result
 
 
@@ -26,9 +23,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scale", type=float, default=None,
                         help="workload scale factor in (0, 1]; smaller is faster")
     parser.add_argument("--all", action="store_true", help="run every registered experiment")
-    parser.add_argument("--json", type=Path, default=None, metavar="PATH",
-                        help="also write the result rows/notes as JSON to PATH "
-                             "(machine-readable, consumed by scripts/check_bench.py)")
     arguments = parser.parse_args(argv)
 
     requested = list(EXPERIMENTS) if arguments.all else arguments.experiments
@@ -38,24 +32,15 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {experiment_id}")
         return 0
 
-    results = []
+    options = {} if arguments.scale is None else {"scale": arguments.scale}
     for experiment_id in requested:
-        options = {} if arguments.scale is None else {"scale": arguments.scale}
         try:
-            result = run_experiment(experiment_id, **options)
+            runner = get_experiment(experiment_id)
         except KeyError as error:
             print(error, file=sys.stderr)
             return 2
-        results.append(result)
-        print(format_result(result))
+        print(format_result(runner(**options)))
         print()
-    if arguments.json is not None:
-        arguments.json.write_text(
-            json.dumps({"results": [dataclasses.asdict(result) for result in results]},
-                       indent=2, default=str),
-            encoding="utf-8",
-        )
-        print(f"wrote {arguments.json}")
     return 0
 
 

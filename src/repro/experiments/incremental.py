@@ -1,10 +1,14 @@
-"""Appendix C-A2 experiments: incremental hybrid maintenance (Figure 26)."""
+"""Appendix C-A2 experiments: incremental hybrid maintenance (Figure 26).
+
+A reproduction artefact, not a benchmark: the rows regenerate Figure 26(a)
+and 26(b) at laptop scale; engine speed is measured by ``bench/``.
+"""
 
 from __future__ import annotations
 
 import time
 
-from repro.decomposition import decompose_aggressive, incremental_decompose, migration_cost
+from repro.decomposition import decompose_aggressive, incremental_decompose
 from repro.experiments.reporting import ExperimentResult
 from repro.storage.costs import POSTGRES_COSTS
 from repro.workloads.operations import apply_trace, generate_update_trace
@@ -96,23 +100,3 @@ def run_fig26b(*, scale: float = 1.0, seed: int = 19, batches: int = 8,
         ],
     )
 
-
-def run_migration_cost_probe(*, scale: float = 0.5, seed: int = 23) -> ExperimentResult:
-    """Auxiliary: migration cost of adopting a fresh plan after a drift."""
-    sheet = _initial_sheet(scale, seed)
-    old_plan = decompose_aggressive(sheet.coordinates(), POSTGRES_COSTS)
-    trace = generate_update_trace(sheet, count=int(800 * scale), seed=seed + 1)
-    apply_trace(sheet, trace)
-    new_plan = decompose_aggressive(sheet.coordinates(), POSTGRES_COSTS)
-    moved = migration_cost(sheet.coordinates(), old_plan.regions, new_plan.regions)
-    return ExperimentResult(
-        experiment_id="migration-probe",
-        title="Migration cost of adopting a re-optimised plan",
-        rows=[{
-            "old_tables": old_plan.table_count,
-            "new_tables": new_plan.table_count,
-            "filled_cells": len(sheet.coordinates()),
-            "cells_to_migrate": moved,
-        }],
-        paper_reference="Appendix C-A2",
-    )

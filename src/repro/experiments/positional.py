@@ -8,6 +8,10 @@ row inserts as density, column count and row count vary.
 Sizes are scaled down relative to the paper (10^7-row sheets do not fit a
 pure-Python test run) but span enough orders of magnitude to show the same
 complexity trends.
+
+A reproduction artefact, not a benchmark: the timings exist to show the
+shapes of Table II and Figures 18 and 22-24; engine speed is measured by
+``bench/``.
 """
 
 from __future__ import annotations

@@ -1,23 +1,12 @@
-"""Registry mapping experiment ids (table/figure numbers) to runners."""
+"""Registry mapping experiment ids (paper table/figure numbers) to runners."""
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.experiments.columnar import run_columnar
-from repro.experiments.incremental import run_fig26a, run_fig26b, run_migration_cost_probe
-from repro.experiments.overload import run_overload
+from repro.experiments.incremental import run_fig26a, run_fig26b
 from repro.experiments.positional import run_fig18, run_fig22, run_fig23, run_fig24, run_table2
-from repro.experiments.query import run_query
-from repro.experiments.recompute import (
-    run_recompute_async,
-    run_recompute_bulk,
-    run_recompute_edit,
-    run_recompute_incremental,
-)
-from repro.experiments.recovery import run_recovery
 from repro.experiments.reporting import ExperimentResult
-from repro.experiments.service import run_service
 from repro.experiments.storage import (
     run_fig13a,
     run_fig13b,
@@ -54,16 +43,6 @@ EXPERIMENTS: dict[str, ExperimentRunner] = {
     "fig25": run_fig25,
     "fig26a": run_fig26a,
     "fig26b": run_fig26b,
-    "columnar": run_columnar,
-    "migration-probe": run_migration_cost_probe,
-    "overload": run_overload,
-    "query": run_query,
-    "recompute-edit": run_recompute_edit,
-    "recompute-bulk": run_recompute_bulk,
-    "recompute-async": run_recompute_async,
-    "recompute-incremental": run_recompute_incremental,
-    "recovery": run_recovery,
-    "service": run_service,
     "usecase-genomics": run_usecase_genomics,
     "usecase-retail": run_usecase_retail,
 }

@@ -4,6 +4,9 @@ These experiments compare the primitive data models (ROM, COM, RCV) against
 the hybrid plans produced by DP, Greedy and Aggressive-Greedy, on storage and
 on formula access time, under both the PostgreSQL and the "ideal database"
 cost models.
+
+A reproduction artefact, not a benchmark: the rows regenerate Figures 13-15,
+17 and 25 at laptop scale; engine speed is measured by ``bench/``.
 """
 
 from __future__ import annotations

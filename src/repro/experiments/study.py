@@ -1,4 +1,8 @@
-"""Section II experiments: Table I and Figures 2-6."""
+"""Section II experiments: Table I and Figures 2-6.
+
+A reproduction artefact, not a benchmark: the rows regenerate the corpus
+study over synthetic corpora; engine speed is measured by ``bench/``.
+"""
 
 from __future__ import annotations
 

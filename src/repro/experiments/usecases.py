@@ -1,4 +1,8 @@
-"""Section VII-D qualitative use cases: genomics scale and retail functionality."""
+"""Section VII-D qualitative use cases: genomics scale and retail functionality.
+
+A reproduction artefact, not a benchmark: the rows replay the paper's two
+walkthroughs; engine speed is measured by ``bench/``.
+"""
 
 from __future__ import annotations
 

@@ -375,16 +375,11 @@ class AggregateStore:
         #: Small ranges (below the area floor) and the distinct formulas
         #: that evaluated an aggregate over them — the promotion ledger.
         self._interest: dict[RangeRef, set[CellAddress]] = {}
-        self._enabled = True
         #: Smallest range area the evaluator keeps running state for
         #: (waived per-range once ``min_state_subscribers`` distinct
         #: formulas share it — see :meth:`tracks`).
         self.min_state_area = DEFAULT_MIN_STATE_AREA
         self.min_state_subscribers = DEFAULT_MIN_STATE_SUBSCRIBERS
-        #: Whether cold builds may use the vectorized columnar path (the
-        #: evaluator also needs a slab provider; flip off to benchmark the
-        #: scalar build loop).
-        self.use_columnar = True
         self.stats = AggregateStats()
         if graph is not None and hasattr(graph, "on_unregister"):
             # Formula (un)registration drives the refcount lifecycle: the
@@ -394,22 +389,6 @@ class AggregateStore:
 
     # ------------------------------------------------------------------ #
     @property
-    def enabled(self) -> bool:
-        """Whether the delta path is active (disable for benchmarking)."""
-        return self._enabled
-
-    @enabled.setter
-    def enabled(self, value: bool) -> None:
-        value = bool(value)
-        if not value:
-            # States stop receiving deltas while disabled; they would be
-            # stale (and wrong) if served after re-enabling.
-            self._states.clear()
-            self._subscriptions.clear()
-            self._interest.clear()
-        self._enabled = value
-
-    @property
     def state_count(self) -> int:
         """Number of running states currently held (== distinct ranges)."""
         return len(self._states)
@@ -418,11 +397,6 @@ class AggregateStore:
         """The formulas currently sharing ``region``'s state (for tests)."""
         entry = self._states.get(region)
         return frozenset(entry.subscribers) if entry is not None else frozenset()
-
-    def subscription_count(self, address: CellAddress) -> int:
-        """How many range states ``address`` currently subscribes to."""
-        regions = self._subscriptions.get(address)
-        return len(regions) if regions else 0
 
     # ------------------------------------------------------------------ #
     # evaluator-side API
@@ -439,8 +413,6 @@ class AggregateStore:
         tiny materialisations.  Calls below the floor record interest, so
         the promotion needs no separate registration step.
         """
-        if not self._enabled:
-            return False
         if region.contains_coordinates(address.row, address.column):
             return False
         if region.area >= self.min_state_area or region in self._states:
@@ -461,8 +433,6 @@ class AggregateStore:
         Never serves a range containing the asking formula's own cell —
         the formula's own commit could not be folded back coherently.
         """
-        if not self._enabled:
-            return None
         entry = self._states.get(region)
         if entry is None or region.contains_coordinates(address.row, address.column):
             return None
@@ -490,7 +460,7 @@ class AggregateStore:
         components in place and keeps the subscriber set: the other
         formulas reading the range see the repaired state immediately.
         """
-        if not self._enabled or region.contains_coordinates(address.row, address.column):
+        if region.contains_coordinates(address.row, address.column):
             return state
         entry = self._states.get(region)
         if entry is None:
@@ -521,7 +491,7 @@ class AggregateStore:
         is never cached (see :meth:`install`), so no self-exclusion filter
         is needed here.
         """
-        if not self._enabled or not self._states:
+        if not self._states:
             return []
         row, column = address.row, address.column
         return [

@@ -32,9 +32,7 @@ spine), re-marks it stale so the next stab rebuilds a balanced tree,
 bounding the degradation incremental insertion can cause.  ``direct_dependents`` costs O(log n + matches)
 rather than a scan of every registered formula.
 :attr:`DependencyGraph.stats` counts interval entries probed, which tests
-use to assert sub-linear behaviour; setting
-:attr:`DependencyGraph.use_range_index` to ``False`` restores the legacy
-full-scan lookup for benchmarking.
+use to assert sub-linear behaviour.
 
 ``register`` accepts either formula source text or an already-parsed
 :class:`~repro.formula.ast_nodes.FormulaNode`, so the engine can parse each
@@ -60,7 +58,8 @@ coordinate (row, column)?* — and maintains these invariants:
   across.  Buckets never
   share trees.
 * Lookup results are exact, not conservative: ``direct_dependents`` agrees
-  with the legacy linear scan (``use_range_index = False``) on every input.
+  with a brute-force scan of every registration's precedents on every input
+  (``tests/support``'s ``scan_dependents``).
 
 Structural-edit rewrite hook
 ----------------------------
@@ -438,9 +437,6 @@ class DependencyGraph:
         self._cell_dependents: dict[CellAddress, set[CellAddress]] = {}
         # column stripe (or _WIDE_BUCKET) -> ranges whose spans cross it
         self._range_buckets: dict[int | None, _StripeBucket] = {}
-        #: Flip to ``False`` to fall back to the legacy linear scan of every
-        #: registered formula (kept for benchmarking the index speedup).
-        self.use_range_index = True
         #: Fired with the address whenever a *registered* formula leaves the
         #: graph (re-registration, clearing, overwriting).  The aggregate
         #: store hangs its refcount lifecycle here: the graph is the single
@@ -773,23 +769,12 @@ class DependencyGraph:
         """Formula cells that directly read ``changed`` (via a cell or range ref)."""
         self.stats.lookups += 1
         dependents = set(self._cell_dependents.get(changed, ()))
-        if self.use_range_index:
-            bucket = self._range_buckets.get(changed.column)
-            if bucket is not None:
-                bucket.stab(changed.row, changed.column, dependents, self.stats)
-            wide = self._range_buckets.get(_WIDE_BUCKET)
-            if wide is not None:
-                wide.stab(changed.row, changed.column, dependents, self.stats)
-            return dependents
-        # Legacy path: scan every registered formula (benchmark baseline).
-        for formula_cell, (_cells, ranges) in self._precedents.items():
-            if formula_cell in dependents:
-                continue
-            for region in ranges:
-                self.stats.range_probes += 1
-                if region.contains(changed):
-                    dependents.add(formula_cell)
-                    break
+        bucket = self._range_buckets.get(changed.column)
+        if bucket is not None:
+            bucket.stab(changed.row, changed.column, dependents, self.stats)
+        wide = self._range_buckets.get(_WIDE_BUCKET)
+        if wide is not None:
+            wide.stab(changed.row, changed.column, dependents, self.stats)
         return dependents
 
     def dependents_of(self, changed: CellAddress | Iterable[CellAddress]) -> list[CellAddress]:

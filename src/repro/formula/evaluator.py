@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.errors import FormulaEvaluationError, FormulaSyntaxError
 from repro.formula import columnar
@@ -309,7 +309,6 @@ class Evaluator:
             self._aggregate_store is not None
             and self.aggregate_cell is not None
             and node.name in DECOMPOSABLE_AGGREGATES
-            and self._aggregate_store.enabled
             and node.arguments
             and all(
                 isinstance(argument, RangeRefNode)
@@ -358,11 +357,7 @@ class Evaluator:
                 # those cases skip the rebuild and fall straight through
                 # to the classic evaluation below.
                 state = None
-                if (
-                    self._slab_provider is not None
-                    and store.use_columnar
-                    and region.area <= MAX_RANGE_CELLS
-                ):
+                if self._slab_provider is not None and region.area <= MAX_RANGE_CELLS:
                     built, vectorized = columnar.build_state(
                         self._slab_provider(region))
                     state = store.install(address, region, built,
@@ -432,17 +427,3 @@ def access_footprint(formula: str | FormulaNode) -> int:
     return len({(address.row, address.column) for address in cells}) + sum(
         region.area for region in ranges
     )
-
-
-def evaluate_formulas(
-    formulas: Iterable[tuple[CellAddress, str]], provider: CellProvider
-) -> dict[CellAddress, CellValue]:
-    """Evaluate a batch of formulas against a provider; errors become codes."""
-    evaluator = Evaluator(provider)
-    results: dict[CellAddress, CellValue] = {}
-    for address, formula in formulas:
-        try:
-            results[address] = evaluator.evaluate(formula)
-        except FormulaEvaluationError as error:
-            results[address] = error.code
-    return results

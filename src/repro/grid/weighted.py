@@ -46,10 +46,6 @@ class WeightedGrid:
         """Total number of filled cells in the original grid."""
         return int(self.occupancy.sum())
 
-    def is_filled(self, row: int, column: int) -> bool:
-        """Whether weighted cell (row, column) represents filled cells."""
-        return bool(self.occupancy[row, column] > 0)
-
     # ------------------------------------------------------------------ #
     @classmethod
     def from_coordinates(cls, coordinates: Collection[tuple[int, int]]) -> "WeightedGrid":

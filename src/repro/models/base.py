@@ -154,10 +154,5 @@ class DataModel(ABC):
             sheet.set_cell(address.row, address.column, cell)
         return sheet
 
-    # ------------------------------------------------------------------ #
-    def update_value(self, row: int, column: int, value: CellValue) -> None:
-        """Convenience: set a constant value at (row, column)."""
-        self.update_cell(row, column, Cell(value=value))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(region={self.region().to_a1()}, cells={self.cell_count()})"

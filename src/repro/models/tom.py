@@ -38,11 +38,6 @@ class TableOrientedModel(DataModel):
         """The linked database table."""
         return self._table
 
-    @property
-    def has_header(self) -> bool:
-        """Whether the first presentational row shows column names."""
-        return self._header
-
     def refresh(self) -> None:
         """Re-read the record list from the table (after external DML)."""
         self._pointers = [pointer for pointer, _ in self._table.scan()]

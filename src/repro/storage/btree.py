@@ -8,8 +8,8 @@ spreadsheet row triggers a cascade of key updates.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from typing import Any, Generic, Iterator, TypeVar
+from bisect import bisect_left, bisect_right
+from typing import Generic, Iterator, TypeVar
 
 from repro.errors import StorageError
 
@@ -312,8 +312,3 @@ class BPlusTree(Generic[K, V]):
         if len(depths) != 1:
             raise AssertionError("leaves are not at a uniform depth")
         return depths.pop() + 1
-
-
-def sorted_insert(values: list[Any], item: Any) -> None:
-    """Tiny helper kept for API symmetry with bisect.insort."""
-    insort(values, item)

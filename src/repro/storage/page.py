@@ -55,11 +55,6 @@ class Page:
         return self.capacity_bytes - self._used_bytes
 
     @property
-    def slot_count(self) -> int:
-        """Total slots allocated (including tombstones)."""
-        return len(self._slots)
-
-    @property
     def live_count(self) -> int:
         """Number of live (non-deleted) records."""
         return sum(1 for record in self._slots if record is not None)

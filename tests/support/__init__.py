@@ -17,6 +17,7 @@ from tests.support.harness import (  # noqa: F401
     assert_engines_agree,
     assert_matches_replay,
     assert_oracle_agrees,
+    full_read_engine,
     random_edit,
     random_formula,
     random_structural,
@@ -26,4 +27,5 @@ from tests.support.harness import (  # noqa: F401
     run_mid_batch_equivalence,
     run_refcount_churn,
     run_session_interleaving,
+    scan_dependents,
 )

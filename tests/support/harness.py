@@ -33,11 +33,13 @@ from __future__ import annotations
 
 import random
 import shutil
+import sys
 import tempfile
 
 from repro.engine.dataspread import DataSpread
 from repro.errors import SavepointError
-from repro.grid.address import MAX_COLUMNS, MAX_ROWS, column_index_to_letter
+from repro.formula.dependencies import DependencyGraph
+from repro.grid.address import MAX_COLUMNS, MAX_ROWS, CellAddress, column_index_to_letter
 from repro.grid.range import RangeRef
 from repro.grid.sheet import Sheet
 from repro.query import col, count, select, sum_
@@ -439,6 +441,30 @@ def run_mid_batch_equivalence(seed: int, *, steps: int = 40) -> None:
     assert_views_match_rescan(sync_spread, sync_views, context=(seed, "final"))
 
 
+def scan_dependents(graph: DependencyGraph, cell: CellAddress) -> set[CellAddress]:
+    """Brute-force reference for ``DependencyGraph.direct_dependents``: every
+    registered formula with ``cell`` among its precedent cells or inside one
+    of its precedent ranges, found without the interval index."""
+    dependents = set()
+    for formula_cell in graph.formula_cells():
+        cells, ranges = graph.precedents_of(formula_cell)
+        if cell in cells or any(region.contains(cell) for region in ranges):
+            dependents.add(formula_cell)
+    return dependents
+
+
+def full_read_engine(**options) -> DataSpread:
+    """A reference engine that folds every aggregate from a full range read.
+
+    Both promotion floors are out of reach, so ``AggregateStore.tracks`` is
+    False for every range: no running state is built, no delta is applied.
+    """
+    spread = DataSpread(**options)
+    spread.aggregate_store.min_state_area = sys.maxsize
+    spread.aggregate_store.min_state_subscribers = sys.maxsize
+    return spread
+
+
 def _assert_store_consistent(store, context=()) -> None:
     """The refcount bookkeeping invariants a churn step must never break.
 
@@ -467,13 +493,12 @@ def run_refcount_churn(seed: int, *, steps: int = 120) -> None:
     the data column, aborts batches, and splices rows through the lot.
     The store's subscription bookkeeping must stay internally consistent
     throughout, and the grid must end cell-for-cell equal to an engine
-    running with the delta machinery disabled (every read from scratch).
+    that keeps no running state (:func:`full_read_engine`).
     """
     rng = random.Random(seed)
     spread = DataSpread()
     spread.aggregate_store.min_state_area = 1
-    oracle = DataSpread()
-    oracle.aggregate_store.enabled = False
+    oracle = full_read_engine()
     targets = (spread, oracle)
     data_rows = 40
     block = [[rng.randint(-9, 9)] for _ in range(data_rows)]

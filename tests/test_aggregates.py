@@ -23,6 +23,8 @@ from repro.errors import FormulaEvaluationError
 from repro.grid.address import CellAddress
 from repro.grid.range import RangeRef
 
+from tests.support import full_read_engine
+
 
 def addr(reference: str) -> CellAddress:
     return CellAddress.from_a1(reference)
@@ -149,7 +151,7 @@ class TestEngineAggregateDeltas:
                 spread.clear_cell(row, 1)
             else:
                 spread.set_value(row, 1, value)
-            oracle = DataSpread()
+            oracle = full_read_engine()
             for check_row in range(1, 61):
                 stored = spread.get_value(check_row, 1)
                 if stored is not None:
@@ -158,7 +160,6 @@ class TestEngineAggregateDeltas:
                 ("SUM(A1:A60)", "AVERAGE(A1:A60)", "COUNT(A1:A60)",
                  "COUNTA(A1:A60)", "MIN(A1:A60)", "MAX(A1:A60)"), start=1
             ):
-                oracle.use_aggregate_deltas = False
                 expected = oracle.set_formula(slot, 5, formula)
                 assert spread.get_value(slot, 3) == expected, (formula, row, value)
 
@@ -279,10 +280,10 @@ class TestEngineAggregateDeltas:
         assert spread.get_value(1, 3) == 4950
         assert spread.aggregate_store.stats.deltas >= 1
 
-    def test_disabling_deltas_matches_enabled_results(self):
-        baseline = self._build(rows=80)
-        baseline.use_aggregate_deltas = False
+    def test_full_read_reference_matches_delta_results(self):
         incremental = self._build(rows=80)
+        baseline = full_read_engine()
+        baseline.import_rows(incremental.get_range_values("A1:A80"))
         for spread in (baseline, incremental):
             spread.set_formula(1, 3, "SUM(A1:A80)")
             spread.set_formula(2, 3, "AVERAGE(A1:A80)")
@@ -291,6 +292,7 @@ class TestEngineAggregateDeltas:
         for row in (1, 2):
             assert baseline.get_value(row, 3) == incremental.get_value(row, 3)
         assert baseline.aggregate_store.stats.deltas == 0
+        assert baseline.aggregate_store.stats.builds == 0
         assert incremental.aggregate_store.stats.deltas > 0
         assert baseline.aggregate_store.state_count == 0
 
@@ -336,17 +338,6 @@ class TestAggregateStoreUnit:
                             _range_value([1, 2]))
         assert state is not None
         assert store.targets_for(addr("A1")) == []
-
-    def test_disable_clears_states(self):
-        from repro.formula.dependencies import DependencyGraph
-
-        store = AggregateStore(DependencyGraph())
-        store.build(addr("B1"), RangeRef(1, 1, 5, 1), _range_value([1]))
-        assert store.state_count == 1
-        store.enabled = False
-        assert store.state_count == 0
-        store.enabled = True
-        assert store.state_count == 0
 
 
 class TestFallbackEfficiency:
@@ -451,10 +442,7 @@ class TestFallbackEfficiency:
         self-cycle the topological order tolerates) must never cache
         state: the delta path and the full-read baseline must stay
         value-identical through any edit sequence."""
-        def run(use_deltas: bool) -> list:
-            spread = DataSpread()
-            spread.aggregate_store.min_state_area = 1
-            spread.use_aggregate_deltas = use_deltas
+        def run(spread: DataSpread) -> list:
             spread.set_value(3, 3, 10)
             spread.set_formula(1, 3, "SUM(C1:C10)")
             trace = [spread.get_value(1, 3)]
@@ -464,7 +452,9 @@ class TestFallbackEfficiency:
             trace.append(spread.get_value(1, 3))
             return trace
 
-        assert run(True) == run(False)
+        delta_engine = DataSpread()
+        delta_engine.aggregate_store.min_state_area = 1
+        assert run(delta_engine) == run(full_read_engine())
 
     def test_self_range_states_are_never_cached(self):
         spread = DataSpread()
@@ -532,6 +522,51 @@ class TestSharedRefcountedStates:
         assert stats.deltas == deltas_before + 1
         for slot in range(1, 31):
             assert spread.get_value(slot, 3) == _full_read_sum(spread, "A1:A50")
+
+    def _shared_column(self, formulas=100, rows=500):
+        """``formulas`` SUMs over one column above the default area floor."""
+        spread = DataSpread()
+        spread.import_rows([[(row * 7) % 211] for row in range(1, rows + 1)])
+        with spread.batch():
+            for slot in range(1, formulas + 1):
+                spread.set_formula(slot, 3, f"SUM(A1:A{rows})")
+        store = spread.aggregate_store
+        assert store.state_count == 1
+        assert len(store.subscribers_of(RangeRef(1, 1, rows, 1))) == formulas
+        return spread
+
+    @pytest.mark.parametrize("event", [
+        lambda spread: spread.optimize_storage(),
+        lambda spread: spread.link_table("side", at="H1", columns=["k", "v"], rows=[[1, 2]]),
+    ], ids=["optimize_storage", "off_range_link_table"])
+    def test_shared_state_survives_events_that_change_no_value_it_reads(self, event):
+        """A relayout moves cells between physical models and an off-range
+        link changes another rectangle: neither changes a coordinate→value
+        binding under A1:A500, so the one shared state keeps running."""
+        spread = self._shared_column()
+        stats = spread.aggregate_store.stats
+        invalidations, builds, deltas = stats.invalidations, stats.builds, stats.deltas
+        event(spread)
+        assert stats.invalidations == invalidations
+        spread.set_value(10, 1, 999)
+        assert (stats.builds, stats.deltas) == (builds, deltas + 1)
+        expected = _full_read_sum(spread, "A1:A500")
+        assert all(spread.get_value(slot, 3) == expected for slot in range(1, 101))
+
+    def test_link_table_over_the_range_drops_only_that_state(self):
+        spread = self._shared_column(formulas=3, rows=300)
+        spread.import_rows([[row] for row in range(1, 301)], left=2)
+        spread.set_formula(1, 4, "SUM(B1:B300)")
+        store = spread.aggregate_store
+        invalidations = store.stats.invalidations
+        spread.link_table("inside", at="A10", columns=["k"], rows=[[5]])
+        assert store.stats.invalidations == invalidations + 1
+        assert store.subscribers_of(RangeRef(1, 1, 300, 1)) == frozenset()
+        assert len(store.subscribers_of(RangeRef(1, 2, 300, 2))) == 1
+        builds = store.stats.builds
+        spread.set_value(1, 1, 77)  # the dropped state is rebuilt from a full read
+        assert store.stats.builds == builds + 1
+        assert spread.get_value(1, 3) == _full_read_sum(spread, "A1:A300")
 
     def test_state_survives_until_the_last_subscriber_leaves(self):
         spread = self._build()
@@ -674,7 +709,9 @@ class TestColumnarBitIdentity:
         spread.set_value(10, 1, 100)       # and deltas work as usual
         assert spread.get_value(1, 3) == 1275 - 10 + 100
 
-    def test_scalar_and_columnar_engines_agree_on_mixed_content(self):
+    def test_scalar_and_columnar_engines_agree_on_mixed_content(self, monkeypatch):
+        from repro.formula import columnar
+
         rng = random.Random(23)
         rows = []
         for row in range(1, 81):
@@ -682,10 +719,9 @@ class TestColumnarBitIdentity:
                 [row, row * 1.5, None, "t", True, float(row), -0.0])
             rows.append([value])
 
-        def build(use_columnar):
+        def build():
             spread = DataSpread()
             spread.aggregate_store.min_state_area = 1
-            spread.aggregate_store.use_columnar = use_columnar
             spread.import_rows(rows)
             results = []
             for slot, name in enumerate(
@@ -696,4 +732,6 @@ class TestColumnarBitIdentity:
             results.extend(spread.get_value(slot, 3) for slot in range(1, 7))
             return results
 
-        assert build(True) == build(False)
+        vectorized = build()
+        monkeypatch.setattr(columnar, "_np", None)
+        assert build() == vectorized

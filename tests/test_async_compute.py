@@ -257,6 +257,35 @@ class TestAsyncEngine:
         assert spread.compute_scheduler.stats.priority_evaluations == 2
         spread.flush_compute()
 
+    def test_hot_cell_edit_acks_with_every_reader_pending_viewport_first(self):
+        """One edit to a cell all N formulas read is acknowledged with N
+        pending; a viewport over V of them is fresh after V evaluations
+        with the other N - V still queued; the drained grid equals the
+        synchronous engine's."""
+        formulas, viewport_rows = 200, 40
+
+        def build(**options) -> DataSpread:
+            spread = DataSpread(**options)
+            with spread.batch():
+                for row in range(1, 101):
+                    spread.set_value(row, 1, row % 97)
+                for index in range(formulas):
+                    spread.set_formula(index + 1, 3, f"SUM(A1:A10)+A{11 + index % 90}")
+            spread.flush_compute()
+            return spread
+
+        sync_spread, spread = build(), build(async_recompute=True)
+        spread.set_viewport(RangeRef(1, 3, viewport_rows, 3))
+        for target in (sync_spread, spread):
+            target.set_value(5, 1, 1_000)
+        assert spread.compute_pending == formulas
+        assert spread.flush_compute(limit=viewport_rows) == viewport_rows
+        assert all(spread.is_fresh(row, 3) for row in range(1, viewport_rows + 1))
+        assert spread.compute_pending == formulas - viewport_rows
+        spread.flush_compute()
+        assert spread.get_range_values(RangeRef(1, 3, formulas, 3)) == \
+            sync_spread.get_range_values(RangeRef(1, 3, formulas, 3))
+
     def test_structural_edit_rewrites_queued_work(self):
         spread = DataSpread(async_recompute=True)
         spread.set_value(1, 1, 1)

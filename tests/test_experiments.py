@@ -18,13 +18,19 @@ TINY = {"scale": 0.1}
 
 class TestRegistry:
     def test_all_expected_ids_registered(self):
+        # The paper's tables, figures and use cases, nothing else.
         expected = {
             "table1", "table2", "fig2", "fig3", "fig4", "fig5", "fig6",
             "fig13a", "fig13b", "fig14", "fig15a", "fig15b", "fig17", "fig18",
             "fig22", "fig23", "fig24", "fig25", "fig26a", "fig26b",
             "usecase-genomics", "usecase-retail",
         }
-        assert expected <= set(EXPERIMENTS)
+        assert set(EXPERIMENTS) == expected
+
+    def test_cli_lists_exactly_the_registry(self, capsys):
+        assert experiments_main([]) == 0
+        _heading, *listed = capsys.readouterr().out.splitlines()
+        assert [line.strip() for line in listed] == list(EXPERIMENTS)
 
     def test_unknown_experiment(self):
         with pytest.raises(KeyError):
@@ -36,6 +42,15 @@ class TestRegistry:
         assert experiments_main(["fig6"]) == 0
         assert "survey" in capsys.readouterr().out.lower()
         assert experiments_main(["nope"]) == 2
+        assert "unknown experiment 'nope'" in capsys.readouterr().err
+
+    def test_cli_does_not_mistake_a_runner_failure_for_an_unknown_id(self, monkeypatch):
+        def broken(**_options):
+            raise KeyError("boom")
+
+        monkeypatch.setitem(EXPERIMENTS, "fig6", broken)
+        with pytest.raises(KeyError, match="boom"):
+            experiments_main(["fig6"])
 
 
 class TestStudyExperiments:
@@ -156,37 +171,6 @@ class TestIncrementalExperiments:
         result = run_experiment("fig26b", scale=0.3, batches=4)
         for row in result.rows:
             assert row["actual_storage"] >= row["optimal_storage"] - 1e-6
-
-    def test_recompute_incremental_shape(self):
-        """Fast smoke of the PR 5 scenario (full scale rides in benchmarks):
-        steady-state churn must not rebuild, and the delta values must
-        match the from-scratch verification engine."""
-        result = run_experiment("recompute-incremental", scale=0.05, edits=10)
-        by_mode = {row["mode"]: row for row in result.rows}
-        maintenance = by_mode["index-maintenance"]
-        assert maintenance["index_rebuilds"] == 0
-        assert maintenance["rebuilds_avoided"] > 0
-        assert by_mode["delta-incremental"]["grids_match"] is True
-        assert by_mode["delta-incremental"]["deltas_applied"] > 0
-        assert by_mode["delta-incremental"]["relayout_invalidations"] == 0
-        assert by_mode["delta-incremental"]["post_relayout_builds"] == 0
-
-    def test_columnar_shape(self):
-        """Fast smoke of the PR 9 scenario (the 10x floor only holds at
-        full scale): the cold builds must agree bit-for-bit, the ladder
-        must share exactly one state, and neither invalidation fallback
-        may touch it."""
-        result = run_experiment("columnar", scale=0.02, edits=10)
-        by_mode = {row["mode"]: row for row in result.rows}
-        assert by_mode["cold-sum-columnar"]["values_match"] is True
-        ladder = by_mode["shared-state-ladder"]
-        assert ladder["shared_states"] == 1
-        assert ladder["subscribers"] == ladder["formulas"]
-        assert ladder["deltas_per_edit"] == 1.0
-        assert ladder["relayout_invalidations"] == 0
-        assert ladder["link_invalidations"] == 0
-        assert ladder["post_relayout_builds"] == 0
-        assert ladder["grids_match"] is True
 
 
 class TestUseCases:

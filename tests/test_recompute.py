@@ -33,6 +33,7 @@ from tests.support import (
     apply_structural,
     assert_oracle_agrees,
     random_formula,
+    scan_dependents,
 )
 
 
@@ -96,14 +97,22 @@ class TestIntervalIndex:
         graph.stats.reset()
         hit = graph.direct_dependents(CellAddress(50, 5))
         assert len(hit) == 1
-        indexed_probes = graph.stats.range_probes
-        assert indexed_probes < formulas / 10
+        assert graph.stats.range_probes < formulas / 10
 
-        graph.use_range_index = False
+    def test_probe_counts_sublinear_within_one_stripe(self):
+        """Inside one column stripe the interval tree, not the bucketing,
+        keeps a stab away from the formulas that do not read the cell."""
+        graph = DependencyGraph()
+        formulas = 1_000
+        for index in range(formulas):
+            top = (index * 7) % 2_490 + 1
+            graph.register(CellAddress(index + 1, 3), f"SUM(A{top}:A{top + 9})")
+        probe = CellAddress(1_200, 1)
+        graph.direct_dependents(probe)  # builds the stripe's tree
         graph.stats.reset()
-        assert graph.direct_dependents(CellAddress(50, 5)) == hit
-        assert graph.stats.range_probes >= formulas - 1
-        assert indexed_probes * 10 < graph.stats.range_probes
+        hit = graph.direct_dependents(probe)
+        assert hit == scan_dependents(graph, probe) and hit
+        assert graph.stats.range_probes < formulas / 10
 
     def test_index_and_scan_agree_on_random_workload(self):
         import random
@@ -119,11 +128,7 @@ class TestIntervalIndex:
             graph.register(CellAddress(500 + index, 1), f"SUM({region})")
         for _ in range(200):
             probe = CellAddress(rng.randint(1, 470), rng.randint(1, 120))
-            graph.use_range_index = True
-            indexed = graph.direct_dependents(probe)
-            graph.use_range_index = False
-            scanned = graph.direct_dependents(probe)
-            assert indexed == scanned
+            assert graph.direct_dependents(probe) == scan_dependents(graph, probe)
 
 
 class TestTopologicalOrder:
@@ -967,7 +972,7 @@ class TestIncrementalIndexMaintenance:
         assert graph.stats.incremental_removes == 20
         assert graph.stats.rebuilds_avoided == 40
 
-    def test_incremental_maintenance_matches_legacy_scan(self):
+    def test_incremental_maintenance_matches_scan(self):
         import random
 
         rng = random.Random(42)
@@ -986,11 +991,8 @@ class TestIncrementalIndexMaintenance:
                 graph.register(address, text)
                 live[address] = text
             probe = CellAddress(rng.randint(1, 100), 1 + rng.randint(0, len(columns) - 1))
-            indexed = graph.direct_dependents(probe)
-            graph.use_range_index = False
-            scanned = graph.direct_dependents(probe)
-            graph.use_range_index = True
-            assert indexed == scanned, (step, probe)
+            assert graph.direct_dependents(probe) == scan_dependents(graph, probe), \
+                (step, probe)
         # The whole randomized run needs only the initial lazy builds: one
         # per (stripe, first-stab-after-creation), never churn rebuilds.
         assert graph.stats.incremental_inserts > 0
@@ -1058,9 +1060,7 @@ class TestIncrementalIndexMaintenance:
         graph = spread.dependency_graph
         # Formula C1499 shifted to C1500; its span A2998:A2999 to A2999:A3000.
         assert graph.direct_dependents(addr("A3000")) == {addr("C1500")}
-        graph.use_range_index = False
-        assert graph.direct_dependents(addr("A3000")) == {addr("C1500")}
-        graph.use_range_index = True
+        assert scan_dependents(graph, addr("A3000")) == {addr("C1500")}
 
 
 # ---------------------------------------------------------------------- #
