@@ -13,7 +13,7 @@ REPRO_SESSION_SEEDS ?= 100
 REPRO_CHAOS_SEEDS ?= 60
 
 .PHONY: test fuzz fuzz-sessions crash-fuzz chaos-fuzz figures docs-check \
-	examples loc all
+	examples loc bench-pairs all
 
 ## Tier-1 test suite (what CI gates on): everything pytest collects from
 ## the root — tests/, the paper-figure benchmarks/ at smoke size, and the
@@ -24,10 +24,12 @@ test:
 ## Widened randomized-equivalence sweep: seeds 1..$(REPRO_FUZZ_SEEDS) of the
 ## unbounded structural-edit harness (sync engine vs async engine vs Sheet
 ## oracle; edits beyond the stored extent, above RCV anchors, and at the
-## MAX_ROWS/MAX_COLUMNS boundary).  Seeded and bounded, so a failure
-## replays deterministically from the seed in its assertion message.
+## MAX_ROWS/MAX_COLUMNS boundary), and of the read-contract differential
+## (dense block vs get_cells vs per-cell vs get_range_values over random
+## hybrids).  Seeded and bounded, so a failure replays deterministically
+## from the seed in its assertion message.
 fuzz:
-	REPRO_FUZZ_SEEDS=$(REPRO_FUZZ_SEEDS) $(PYTHON) -m pytest -q tests/test_equivalence_fuzz.py
+	REPRO_FUZZ_SEEDS=$(REPRO_FUZZ_SEEDS) $(PYTHON) -m pytest -q tests/test_equivalence_fuzz.py tests/test_read_contracts.py
 
 ## Multi-session interleaving sweep: seeds 1..$(REPRO_SESSION_SEEDS) of the
 ## service-layer harness (N writer sessions with batches, savepoints and
@@ -69,6 +71,13 @@ docs-check:
 ## src/ lines, then the engine facade's lines and `def` count.
 loc:
 	@find src -name '*.py' | xargs cat | wc -l; wc -l < src/repro/engine/dataspread.py; grep -c 'def ' src/repro/engine/dataspread.py
+
+## Compare this working tree with a revision the way ROADMAP asks:
+## `make bench-pairs PARENT=<rev> [WORKLOADS=a,b] [PAIRS=10]` runs
+## alternating parent/change pairs of bench/run.py, one process at a time
+## (~1 min a pair and workload), then `--compare` and per-pair ratios.
+bench-pairs:
+	$(PYTHON) scripts/bench_pairs.py $(PARENT) $(if $(WORKLOADS),--workloads $(WORKLOADS)) --pairs $(or $(PAIRS),10)
 
 ## Run the example walkthroughs end to end.
 examples:

@@ -41,9 +41,12 @@ over:
 * A computed value lands through one body too, ``_reevaluate``: the
   synchronous pass, the scheduler's evaluation callback and the quarantine
   of a poisoned formula store it and feed the running aggregates alike.
-* Range references (``SUM(A1:A10000)``) materialise through the model-level
-  ``get_values`` bulk read — one call per range, no per-cell cache probes —
-  overlaid with any writes still buffered in the current batch.
+* Range references (``SUM(A1:A10000)``) materialise through
+  ``grid_values``, the engine's one range-of-values read — a dense block
+  from one ``get_values_dense`` model call per range, no per-cell cache
+  probes, overlaid with any writes still buffered in the current batch —
+  which viewports (``get_range_values``/``scroll``), query scans and live
+  view patches read through too.
 
 Asynchronous recompute
 ----------------------
@@ -248,7 +251,6 @@ class DataSpread:
             range_provider=self.grid_values,
             parse_cache_capacity=parse_cache_capacity,
             aggregate_store=self._aggregates,
-            slab_provider=self._provide_range_slab,
         )
         self._linked_tables: dict[str, TableOrientedModel] = {}
         self._composite_values: dict[tuple[int, int], TableValue] = {}
@@ -644,15 +646,11 @@ class DataSpread:
 
     def get_range_values(self, region: RangeRef | str) -> list[list[CellValue]]:
         """Dense 2-D values for a rectangle (empty cells are ``None``)."""
+        self._maybe_idle_drain()
         region = RangeRef.from_a1(region) if isinstance(region, str) else region
-        cells = self.get_cells(region)
-        grid: list[list[CellValue]] = []
-        for row in range(region.top, region.bottom + 1):
-            grid.append([
-                cells.get(CellAddress(row, column), Cell()).value
-                for column in range(region.left, region.right + 1)
-            ])
-        return grid
+        block = self.grid_values(region)
+        width = region.columns
+        return [block[start:start + width] for start in range(0, len(block), width)]
 
     def scroll(self, first_row: int, *, height: int = 40, first_column: int = 1,
                width: int = 20) -> list[list[CellValue]]:
@@ -684,7 +682,7 @@ class DataSpread:
         """
         count = self._model.cell_count()
         for (row, column), cell in self._cache.overlay_items():
-            stored = bool(self._model.get_cells(RangeRef(row, column, row, column)))
+            stored = not self._model.get_cell(row, column).is_empty
             if cell.is_empty:
                 count -= 1 if stored else 0
             elif not stored:
@@ -1342,19 +1340,24 @@ class DataSpread:
         return list(self._views.values())
 
     # -- catalog protocol (the planner/executor read through these) ----- #
-    def grid_values(self, region: RangeRef) -> dict[tuple[int, int], CellValue]:
-        """Materialise a range with one bulk model read (query scans and
-        formula range references alike).
+    def grid_values(self, region: RangeRef) -> list[CellValue]:
+        """The values of ``region`` as one dense row-major block (``None``
+        = blank): one bulk model read, whoever asks — a viewport, a formula
+        range, the columnar aggregate build, a query scan or a view patch.
 
         Writes still buffered in an open batch — and provisional stale
-        placeholders in async mode — are overlaid so readers see the
-        batch's own edits and stale cells' last known values.
+        placeholders in async mode — are scattered on top so readers see
+        the batch's own edits and stale cells' last known values.  The cell
+        cache is overlaid, never populated: a range read leaves it as it
+        was.
         """
-        values = self._model.get_values(region)
+        values = self._model.get_values_dense(region)
         pending = self._cache.overlay_values(region)
         if pending:
-            for key, cell in pending.items():
-                values[key] = cell.value
+            width = region.columns
+            top, left = region.top, region.left
+            for (row, column), cell in pending.items():
+                values[(row - top) * width + (column - left)] = cell.value
         return values
 
     def resolve_table(self, name: str) -> TableValue:
@@ -1523,22 +1526,6 @@ class DataSpread:
 
     def _provide_value(self, row: int, column: int) -> CellValue:
         return self._cache.get(row, column).value
-
-    def _provide_range_slab(self, region: RangeRef) -> list[CellValue]:
-        """Dense row-major slab of a range (the columnar build's read path).
-
-        One ``get_values_dense`` bulk read against the model, with the same
-        batch/async overlay semantics as :meth:`grid_values` scattered on
-        top — the columnar and scalar paths must see identical values.
-        """
-        values = self._model.get_values_dense(region)
-        pending = self._cache.overlay_values(region)
-        if pending:
-            width = region.right - region.left + 1
-            top, left = region.top, region.left
-            for (row, column), cell in pending.items():
-                values[(row - top) * width + (column - left)] = cell.value
-        return values
 
     def _safe_evaluate(self, formula: str | FormulaNode,
                        address: CellAddress | None = None) -> CellValue:

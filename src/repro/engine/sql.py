@@ -411,7 +411,7 @@ class _ResolverCatalog:
     def __init__(self, resolver: TableResolver) -> None:
         self._resolver = resolver
 
-    def grid_values(self, region: RangeRef) -> dict[tuple[int, int], Any]:
+    def grid_values(self, region: RangeRef) -> list[Any]:
         raise QueryPlanError("this SQL context has no sheet attached")
 
     def resolve_table(self, name: str) -> TableValue:

@@ -185,7 +185,7 @@ def run_fig15b(*, scale: float = 0.2, seed: int = 2018) -> ExperimentResult:
                 ),
             }
             for model_name, model in models.items():
-                evaluator = Evaluator(model.get_value, range_provider=model.get_cells)
+                evaluator = Evaluator(model.get_value, range_provider=model.get_values_dense)
                 started = time.perf_counter()
                 for _address, formula in formulas:
                     try:
@@ -283,7 +283,7 @@ def _formula_access_times(sheet: Sheet, aggressive_plan) -> dict[str, float]:
     }
     results = {}
     for model_name, model in models.items():
-        evaluator = Evaluator(model.get_value, range_provider=model.get_cells)
+        evaluator = Evaluator(model.get_value, range_provider=model.get_values_dense)
         started = time.perf_counter()
         for _address, formula in formulas:
             try:

@@ -33,14 +33,13 @@ from repro.formula.ast_nodes import (
 from repro.formula.functions import FUNCTION_REGISTRY, RangeValue, to_number, to_text
 from repro.formula.parser import parse_formula
 from repro.grid.address import CellAddress
-from repro.grid.cell import Cell, CellValue
+from repro.grid.cell import CellValue
 from repro.grid.range import RangeRef
 
 CellProvider = Callable[[int, int], CellValue]
-RangeProvider = Callable[[RangeRef], dict]
-#: Dense row-major slab of a region's values (``None`` = blank cell), the
-#: bulk-read contract behind the vectorized columnar build path.
-SlabProvider = Callable[[RangeRef], list]
+#: A region's values as one dense row-major block (``None`` = blank cell):
+#: the storage layer's ``get_values_dense`` contract.
+RangeProvider = Callable[[RangeRef], list]
 
 #: Ranges larger than this raise instead of materialising (safety valve for
 #: accidental whole-column references on huge sheets).
@@ -76,12 +75,14 @@ class Evaluator:
     """Evaluates formula ASTs by pulling referenced cells from a provider.
 
     ``range_provider`` is optional: when given, rectangular range references
-    are materialised with a single ``getCells(range)`` call (the storage
-    engine's bulk access path) instead of one cell probe per coordinate,
-    which is how the DataSpread engine actually evaluates SUM/VLOOKUP-style
-    formulae over a data model.  The provider may return either the classic
-    ``{CellAddress: Cell}`` mapping or the allocation-free fast-path form
-    ``{(row, column): value}`` (see ``HybridDataModel.get_values``).
+    are materialised with a single bulk read (the storage engine's
+    ``getCells(range)`` access path) instead of one cell probe per
+    coordinate, which is how the DataSpread engine actually evaluates
+    SUM/VLOOKUP-style formulae over a data model.  The provider returns the
+    region's values as one dense row-major block, ``region.area`` long with
+    ``None`` for a blank cell (``DataModel.get_values_dense``,
+    ``DataSpread.grid_values``); cold aggregate state is built by the
+    vectorized columnar path over the same block.
 
     Parsed ASTs are cached with LRU eviction bounded by
     ``parse_cache_capacity`` so millions of distinct formulas cannot grow
@@ -100,18 +101,12 @@ class Evaluator:
     def __init__(self, cell_provider: CellProvider,
                  range_provider: RangeProvider | None = None,
                  *, parse_cache_capacity: int = DEFAULT_PARSE_CACHE_CAPACITY,
-                 aggregate_store=None,
-                 slab_provider: SlabProvider | None = None) -> None:
+                 aggregate_store=None) -> None:
         if parse_cache_capacity < 1:
             raise ValueError("parse cache capacity must be >= 1")
         self._provider = cell_provider
         self._range_provider = range_provider
         self._aggregate_store = aggregate_store
-        #: Optional dense bulk reader; when present (and the store allows
-        #: it), cold aggregate state is built by the vectorized columnar
-        #: path over one slab instead of the scalar fold over a
-        #: materialised RangeValue.
-        self._slab_provider = slab_provider
         #: The formula cell currently being evaluated on behalf of the
         #: engine; keys the aggregate store's running state.  ``None``
         #: disables the decomposable fast path entirely.
@@ -220,20 +215,12 @@ class Evaluator:
                 "#REF!", f"range {region.to_a1()} too large to materialise"
             )
         if self._range_provider is not None:
-            filled = self._range_provider(region)
-            # Accept both provider shapes: {CellAddress: Cell} (the classic
-            # getCells contract) and {(row, column): value} (the model-level
-            # fast path that avoids per-cell CellAddress/Cell allocation).
-            values: dict[tuple[int, int], CellValue] = {}
-            for key, item in filled.items():
-                coordinate = key if type(key) is tuple else (key.row, key.column)
-                values[coordinate] = item.value if isinstance(item, Cell) else item
-            rows = [
-                tuple(values.get((row, column))
-                      for column in range(region.left, region.right + 1))
-                for row in range(region.top, region.bottom + 1)
-            ]
-            return RangeValue(values=tuple(rows))
+            block = self._range_provider(region)
+            width = region.columns
+            return RangeValue(values=tuple(
+                tuple(block[start:start + width])
+                for start in range(0, len(block), width)
+            ))
         rows = [
             tuple(
                 self._provider(row, column)
@@ -356,13 +343,12 @@ class Evaluator:
                 # cannot be rebuilt away while the content stands, so
                 # those cases skip the rebuild and fall straight through
                 # to the classic evaluation below.
-                state = None
-                if self._slab_provider is not None and region.area <= MAX_RANGE_CELLS:
+                if self._range_provider is not None and region.area <= MAX_RANGE_CELLS:
                     built, vectorized = columnar.build_state(
-                        self._slab_provider(region))
+                        self._range_provider(region))
                     state = store.install(address, region, built,
                                           columnar=vectorized)
-                if state is None:
+                else:
                     values = self._materialize_range(region)
                     state = store.build(address, region, values)
                 from_state = False

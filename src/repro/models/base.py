@@ -31,7 +31,10 @@ class DataModel(ABC):
 
     The interface mirrors the spreadsheet-oriented operations of Section III:
     ``get_cells``, ``update_cell``, and row/column insert/delete (which all
-    route through :meth:`apply_structural_edit`).
+    route through :meth:`apply_structural_edit`).  A rectangle is read in
+    one of two shapes: :meth:`get_cells`, sparse and whole-cell (formula
+    text included), or :meth:`get_values_dense`, the dense block every
+    consumer of a range of *values* reads.
     """
 
     kind: ModelKind
@@ -48,11 +51,12 @@ class DataModel(ABC):
         """Return the filled cells of this model that fall inside ``region``."""
 
     def get_values(self, region: RangeRef) -> dict[tuple[int, int], CellValue]:
-        """Bulk value read: ``{(row, column): value}`` for filled cells.
+        """``{(row, column): value}`` for filled cells, derived from
+        :meth:`get_cells`.
 
-        This is the allocation-light path used to materialise formula range
-        references; subclasses override it to skip per-cell
-        :class:`CellAddress` construction entirely.
+        Nothing in ``src/`` calls this: it stays, overridden nowhere,
+        because the benchmark's tracer resolves the name on every model
+        class.  Ranges of values are read with :meth:`get_values_dense`.
         """
         return {
             (address.row, address.column): cell.value
@@ -60,19 +64,20 @@ class DataModel(ABC):
         }
 
     def get_values_dense(self, region: RangeRef) -> list[CellValue]:
-        """Dense row-major slab of ``region``'s values (``None`` = blank).
+        """The values of ``region`` as one dense row-major block.
 
-        The bulk-read contract behind the vectorized columnar aggregate
-        path: one flat ``region.area``-long list the caller can reduce
-        without per-cell dictionary probes.  The default scatters
-        :meth:`get_values` into the slab; ordered stores override it to
-        walk their layout directly.
+        The one value-read contract, from the stored layout to the
+        viewport: a flat ``region.area``-long list, ``None`` where nothing
+        is stored, that the caller slices by row.  (:meth:`get_cells` is
+        the other read, sparse and whole-cell, for callers that need
+        formula text.)  This default scatters :meth:`get_cells` into the
+        block; the stores with an order of their own walk it directly.
         """
-        width = region.right - region.left + 1
+        width = region.columns
         dense: list[CellValue] = [None] * region.area
         top, left = region.top, region.left
-        for (row, column), value in self.get_values(region).items():
-            dense[(row - top) * width + (column - left)] = value
+        for address, cell in self.get_cells(region).items():
+            dense[(address.row - top) * width + (address.column - left)] = cell.value
         return dense
 
     @abstractmethod

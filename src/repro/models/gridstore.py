@@ -13,7 +13,6 @@ with the major axis as data; ROM and COM are its two orientations.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Iterator
 
 from repro.errors import DataModelError
@@ -94,25 +93,26 @@ class LineGridStore:
         stored = record[slot] if slot < len(record) else None
         return _to_cell(stored)
 
-    def get_major_slice(self, major: int, minor_start: int, minor_end: int) -> list[Cell]:
-        """Cells of one major line restricted to minor positions [start..end].
+    def get_major_slice(self, major: int, minor_start: int,
+                        minor_end: int) -> list[StoredCell | None]:
+        """Stored payloads of one major line at minor positions [start..end].
 
-        Reads the stored tuple once and materialises only the requested
-        slots — the bulk access path used by ``getCells`` so that wide rows
-        are not fully decoded when a formula touches a narrow range.
+        Reads the stored tuple once and picks only the requested slots
+        (positions outside the stored extent read as empty) — the raw
+        slice both bulk reads decode, so a wide row is not fully decoded
+        when a formula touches a narrow range and no ``Cell`` is built for
+        a caller that wants values.
         """
+        width = minor_end - minor_start + 1
         if major < 1 or major > self.major_count:
-            return [Cell() for _ in range(minor_end - minor_start + 1)]
+            return [None] * width
         record = self._read_record(major)
-        cells = []
-        for minor in range(minor_start, minor_end + 1):
-            if minor < 1 or minor > self.minor_count:
-                cells.append(Cell())
-                continue
-            slot = self._minor_slots[minor - 1]
-            stored = record[slot] if slot < len(record) else None
-            cells.append(_to_cell(stored))
-        return cells
+        size = len(record)
+        first = max(minor_start, 1)
+        last = max(min(minor_end, self.minor_count), first - 1)
+        stored = [record[slot] if slot < size else None
+                  for slot in self._minor_slots[first - 1:last]]
+        return [None] * (first - minor_start) + stored + [None] * (minor_end - last)
 
     def set(self, major: int, minor: int, cell: Cell) -> None:
         """Store ``cell`` at (major, minor), growing the region as needed."""
@@ -335,14 +335,12 @@ class LineOrientedModel(DataModel):
     def cell_count(self) -> int:
         return self._store.filled_cells
 
-    def _lines(self, region: RangeRef) -> Iterator[Iterator[tuple[int, int, Cell]]]:
-        """The stored major lines inside ``region``, one iterator per line.
-
-        Each yields ``(row, column, cell)`` — absolute coordinates — for
-        every position of the line's slice of the region, filled or not.
-        The orientation is decided here, once per line, so the per-cell
-        loops of the callers are the same for ROM and COM.
-        """
+    def _lines(self, region: RangeRef) -> Iterator[tuple[int, int, list]]:
+        """The stored major lines crossing ``region``: ``(major, first
+        minor, stored payloads of the line's slice of the region)`` per
+        line, in absolute coordinates, one heap read each.  The
+        orientation is decided here, so the two bulk reads only choose
+        which of the pair is the row."""
         overlap = self.region().intersection(region)
         if overlap is None:
             return
@@ -350,30 +348,37 @@ class LineOrientedModel(DataModel):
             (overlap.top, overlap.bottom), (overlap.left, overlap.right))
         major_anchor, minor_anchor = self._oriented(
             self._anchor["row"], self._anchor["column"])
-        minors = range(minor_first, minor_last + 1)
-        row_major = self.major_axis == "row"
         for major in range(major_first, major_last + 1):
-            cells = self._store.get_major_slice(
+            yield major, minor_first, self._store.get_major_slice(
                 major - major_anchor + 1,
                 minor_first - minor_anchor + 1, minor_last - minor_anchor + 1)
-            yield (zip(repeat(major), minors, cells) if row_major
-                   else zip(minors, repeat(major), cells))
 
     def get_cells(self, region: RangeRef) -> dict[CellAddress, Cell]:
         result: dict[CellAddress, Cell] = {}
-        for line in self._lines(region):
-            for row, column, cell in line:
-                if not cell.is_empty:
-                    result[CellAddress(row, column)] = cell
+        row_major = self.major_axis == "row"
+        for major, minor_first, stored in self._lines(region):
+            for minor, payload in enumerate(stored, minor_first):
+                if payload is not None:
+                    address = (CellAddress(major, minor) if row_major
+                               else CellAddress(minor, major))
+                    result[address] = _to_cell(payload)
         return result
 
-    def get_values(self, region: RangeRef) -> dict[tuple[int, int], CellValue]:
-        result: dict[tuple[int, int], CellValue] = {}
-        for line in self._lines(region):
-            for row, column, cell in line:
-                if not cell.is_empty:
-                    result[(row, column)] = cell.value
-        return result
+    def get_values_dense(self, region: RangeRef) -> list[CellValue]:
+        """The block straight from the stored record slices: a row-major
+        line fills a run of the block, a column-major line a stride."""
+        width = region.columns
+        dense: list[CellValue] = [None] * region.area
+        row_major = self.major_axis == "row"
+        for major, minor_first, stored in self._lines(region):
+            values = [None if payload is None else payload[0] for payload in stored]
+            if row_major:
+                start = (major - region.top) * width + minor_first - region.left
+                dense[start:start + len(values)] = values
+            else:
+                start = (minor_first - region.top) * width + major - region.left
+                dense[start:start + len(values) * width:width] = values
+        return dense
 
     def _position(self, row: int, column: int) -> tuple[int, int]:
         """The store's 1-based ``(major, minor)`` of an absolute coordinate."""

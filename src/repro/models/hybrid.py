@@ -60,7 +60,7 @@ class HybridDataModel(DataModel):
         self._mapping_scheme = mapping_scheme
         self._catch_all: RowColumnValueModel | None = None
         self._has_overlaps = False
-        #: Observability counters for bulk reads (``get_cells``/``get_values``):
+        #: Observability counters for bulk reads (``get_cells``/``get_values_dense``):
         #: number of calls and total cell area requested.  The query executor's
         #: streaming guarantees are asserted against these in tests.
         self.bulk_reads = 0
@@ -144,43 +144,36 @@ class HybridDataModel(DataModel):
         nothing) and the catch-all only supplies coordinates outside every
         region."""
         self._count_bulk_read(region)
-        return self._merge_owned(
-            region,
-            lambda model: model.get_cells(region),
-            lambda address: (address.row, address.column),
-        )
-
-    def get_values(self, region: RangeRef) -> dict[tuple[int, int], CellValue]:
-        """Bulk value read; per-cell precedence matches ``get_cell`` exactly
-        (first containing region wins, catch-all fills only unowned
-        coordinates), so range formulas agree with per-cell reads."""
-        self._count_bulk_read(region)
-        return self._merge_owned(region, lambda model: model.get_values(region), lambda key: key)
+        result: dict[CellAddress, Cell] = {}
+        for model, part in reversed(self._layers(region)):
+            if result:  # what this model answers for, it answers alone
+                result = {address: cell for address, cell in result.items()
+                          if not part.contains(address)}
+            result.update(model.get_cells(part))
+        return result
 
     def get_values_dense(self, region: RangeRef) -> list[CellValue]:
-        """Dense row-major slab with the same precedence as ``get_values``.
+        """The dense block under the same precedence as ``get_cell``.
 
         The hot shapes delegate wholesale: a request owned entirely by one
         constituent region (or by no region at all — pure catch-all) is one
-        dense read of that model.  Mixed ownership falls back to scattering
-        the precedence-merged ``_merge_owned`` read into the slab.
+        dense read of that model.  Under mixed ownership each model's block
+        is painted over the ones it takes precedence over, the catch-all's
+        first, so an owning region blanks what it does not store.
         """
         self._count_bulk_read(region)
-        overlapping = [entry for entry in self._regions
-                       if entry.range.overlaps(region)]
-        if not overlapping:
-            if self._catch_all is None:
-                return [None] * region.area
-            return self._catch_all.get_values_dense(region)
-        if len(overlapping) == 1 and overlapping[0].range.contains_range(region):
-            return overlapping[0].model.get_values_dense(region)
-        width = region.right - region.left + 1
+        layers = self._layers(region)
+        if len(layers) == 1 and layers[0][1] == region:
+            return layers[0][0].get_values_dense(region)
+        width = region.columns
         dense: list[CellValue] = [None] * region.area
-        top, left = region.top, region.left
-        merged = self._merge_owned(
-            region, lambda model: model.get_values(region), lambda key: key)
-        for (row, column), value in merged.items():
-            dense[(row - top) * width + (column - left)] = value
+        for model, part in reversed(layers):
+            block = model.get_values_dense(part)
+            span = part.columns
+            start = (part.top - region.top) * width + part.left - region.left
+            for offset in range(0, len(block), span):
+                dense[start:start + span] = block[offset:offset + span]
+                start += width
         return dense
 
     def _count_bulk_read(self, region: RangeRef) -> None:
@@ -194,40 +187,25 @@ class HybridDataModel(DataModel):
         self.bulk_reads = 0
         self.cells_read = 0
 
-    def _merge_owned(self, region, read, coords):
-        """Merge per-model bulk reads under ``get_cell`` precedence.
+    def _layers(self, region: RangeRef) -> list[tuple[DataModel, RangeRef]]:
+        """The models a bulk read of ``region`` consults, in ``get_cell``
+        precedence, each with the part of ``region`` it answers for.
 
-        ``read`` performs the bulk read against one model; ``coords`` maps a
-        result key to its (row, column).  A later model only contributes
-        keys outside every earlier region's rectangle, and a model whose
-        visible slice is entirely inside one earlier rectangle is skipped
-        without being read at all.
+        A region whose visible part lies entirely inside one earlier
+        region's is shadowed and skipped without being read at all, and so
+        is the catch-all (whose part is the whole request) when one region
+        covers the request.
         """
-        result: dict = {}
-        claimed: list[RangeRef] = []
-        for entry in self._regions:
-            if not entry.range.overlaps(region):
-                continue
-            visible = entry.range.intersection(region)
-            if any(box.contains_range(visible) for box in claimed):
-                continue
-            self._merge_unclaimed(result, read(entry.model), claimed, coords)
-            claimed.append(entry.range)
-        if self._catch_all is not None and not any(
-            box.contains_range(region) for box in claimed
-        ):
-            self._merge_unclaimed(result, read(self._catch_all), claimed, coords)
-        return result
-
-    @staticmethod
-    def _merge_unclaimed(result: dict, items: dict, claimed: list[RangeRef], coords) -> None:
-        if not claimed:
-            result.update(items)
-            return
-        for key, value in items.items():
-            row, column = coords(key)
-            if not any(box.contains_coordinates(row, column) for box in claimed):
-                result[key] = value
+        candidates = [(entry.model, entry.range.intersection(region))
+                      for entry in self._regions]
+        if self._catch_all is not None:
+            candidates.append((self._catch_all, region))
+        layers: list[tuple[DataModel, RangeRef]] = []
+        for model, part in candidates:
+            if part is not None and not any(
+                    claimed.contains_range(part) for _model, claimed in layers):
+                layers.append((model, part))
+        return layers
 
     def get_cell(self, row: int, column: int) -> Cell:
         owner = self._owning_region(row, column)

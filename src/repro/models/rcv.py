@@ -113,93 +113,60 @@ class RowColumnValueModel(DataModel):
     def cell_count(self) -> int:
         return len(self._cells)
 
-    def get_cells(self, region: RangeRef) -> dict[CellAddress, Cell]:
+    def _identifiers(self, region: RangeRef) -> tuple[RangeRef, list[int], list[int]] | None:
+        """The part of ``region`` this table maps, with the row and the
+        column identifiers along it — one ``fetch_range`` walk of each
+        positional mapping, however large the window (``None`` when no
+        mapped position falls inside)."""
         rows, columns = self._rows, self._columns
         if not rows.ids or not columns.ids:
-            return {}  # no mapped positions: nothing stored is visible
-        own = self.region()
-        overlap = own.intersection(region)
+            return None  # no mapped positions: nothing stored is visible
+        overlap = self.region().intersection(region)
         if overlap is None:
+            return None
+        return (
+            overlap,
+            rows.ids.fetch_range(
+                overlap.top - rows.anchor + 1, overlap.bottom - rows.anchor + 1),
+            columns.ids.fetch_range(
+                overlap.left - columns.anchor + 1, overlap.right - columns.anchor + 1),
+        )
+
+    def get_cells(self, region: RangeRef) -> dict[CellAddress, Cell]:
+        resolved = self._identifiers(region)
+        if resolved is None:
             return {}
+        overlap, row_ids, column_ids = resolved
+        cells = self._cells
         result: dict[CellAddress, Cell] = {}
-        if overlap.area <= len(self._cells):
+        if overlap.area <= len(cells):
             # Probe each position of the requested rectangle.
-            for row in range(overlap.top, overlap.bottom + 1):
-                row_id = rows.ids.fetch(row - rows.anchor + 1)
-                for column in range(overlap.left, overlap.right + 1):
-                    column_id = columns.ids.fetch(column - columns.anchor + 1)
-                    cell = self._cells.get((row_id, column_id))
+            for row, row_id in enumerate(row_ids, overlap.top):
+                for column, column_id in enumerate(column_ids, overlap.left):
+                    cell = cells.get((row_id, column_id))
                     if cell is not None:
                         result[CellAddress(row, column)] = cell
         else:
             # Fewer stored cells than probe positions: invert the mapping once.
-            row_positions = {rows.ids.fetch(p): p for p in
-                             range(overlap.top - rows.anchor + 1, overlap.bottom - rows.anchor + 2)}
-            column_positions = {columns.ids.fetch(p): p for p in
-                                range(overlap.left - columns.anchor + 1,
-                                      overlap.right - columns.anchor + 2)}
-            for (row_id, column_id), cell in self._cells.items():
-                row_position = row_positions.get(row_id)
-                column_position = column_positions.get(column_id)
-                if row_position is not None and column_position is not None:
-                    result[CellAddress(rows.anchor + row_position - 1,
-                                       columns.anchor + column_position - 1)] = cell
-        return result
-
-    def get_values(self, region: RangeRef) -> dict[tuple[int, int], CellValue]:
-        rows, columns = self._rows, self._columns
-        if not rows.ids or not columns.ids:
-            return {}
-        own = self.region()
-        overlap = own.intersection(region)
-        if overlap is None:
-            return {}
-        result: dict[tuple[int, int], CellValue] = {}
-        if overlap.area <= len(self._cells):
-            column_ids = [
-                (column, columns.ids.fetch(column - columns.anchor + 1))
-                for column in range(overlap.left, overlap.right + 1)
-            ]
-            for row in range(overlap.top, overlap.bottom + 1):
-                row_id = rows.ids.fetch(row - rows.anchor + 1)
-                for column, column_id in column_ids:
-                    cell = self._cells.get((row_id, column_id))
-                    if cell is not None:
-                        result[(row, column)] = cell.value
-        else:
-            row_positions = {rows.ids.fetch(p): p for p in
-                             range(overlap.top - rows.anchor + 1, overlap.bottom - rows.anchor + 2)}
-            column_positions = {columns.ids.fetch(p): p for p in
-                                range(overlap.left - columns.anchor + 1,
-                                      overlap.right - columns.anchor + 2)}
-            for (row_id, column_id), cell in self._cells.items():
-                row_position = row_positions.get(row_id)
-                column_position = column_positions.get(column_id)
-                if row_position is not None and column_position is not None:
-                    result[(rows.anchor + row_position - 1,
-                            columns.anchor + column_position - 1)] = cell.value
+            row_of = {row_id: row for row, row_id in enumerate(row_ids, overlap.top)}
+            column_of = {column_id: column
+                         for column, column_id in enumerate(column_ids, overlap.left)}
+            for (row_id, column_id), cell in cells.items():
+                row = row_of.get(row_id)
+                column = column_of.get(column_id)
+                if row is not None and column is not None:
+                    result[CellAddress(row, column)] = cell
         return result
 
     def get_values_dense(self, region: RangeRef) -> list[CellValue]:
-        """Dense row-major slab via one ordered walk per positional mapping.
-
-        ``fetch_range`` resolves all spanned row/column identifiers in one
-        traversal of each mapping, so the slab costs O(identifiers + area)
-        dictionary probes instead of an O(log n) positional fetch per row —
-        the read path the columnar aggregate build reduces over.
-        """
-        rows, columns = self._rows, self._columns
-        width = region.right - region.left + 1
+        """The block at O(identifiers + area) dictionary probes: no
+        positional ``fetch`` per row or column of the window."""
+        width = region.columns
         dense: list[CellValue] = [None] * region.area
-        if not rows.ids or not columns.ids:
+        resolved = self._identifiers(region)
+        if resolved is None:
             return dense
-        overlap = self.region().intersection(region)
-        if overlap is None:
-            return dense
-        row_ids = rows.ids.fetch_range(
-            overlap.top - rows.anchor + 1, overlap.bottom - rows.anchor + 1)
-        column_ids = columns.ids.fetch_range(
-            overlap.left - columns.anchor + 1, overlap.right - columns.anchor + 1)
+        overlap, row_ids, column_ids = resolved
         cells = self._cells
         base = (overlap.top - region.top) * width + (overlap.left - region.left)
         if len(column_ids) == 1:

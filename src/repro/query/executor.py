@@ -51,30 +51,30 @@ def grid_rows(scan: GridScanOp, catalog: Catalog, top: int | None = None,
 
     Yields ``(sheet row, local tuple)`` for every row that passes the
     pushed predicate (empty cells read as ``None``), in row order.  Reads
-    happen one row-chunk at a time, one bulk ``grid_values`` per contiguous
-    column run — none at all for a scan that projects no column (a bare
-    ``COUNT(*)``) — so a downstream ``LIMIT`` stops the reads early.  This
-    is the one body that turns cells into rows: a query's scan, a live
-    view's first fill and its dirty-row patch all read through it, so a
-    patched row and a scanned row cannot differ.
+    happen one row-chunk at a time, one dense ``grid_values`` block per
+    contiguous column run — none at all for a scan that projects no column
+    (a bare ``COUNT(*)``) — so a downstream ``LIMIT`` stops the reads
+    early, and a row is the runs' slices of it side by side.  This is the
+    one body that turns cells into rows: a query's scan, a live view's
+    first fill and its dirty-row patch all read through it, so a patched
+    row and a scanned row cannot differ.
     """
     top = scan.data_top if top is None else top
     bottom = scan.region.bottom if bottom is None else bottom
-    columns = scan.columns
     predicate = scan.predicate
     for chunk_top in range(top, bottom + 1, scan.chunk_rows):
         chunk_bottom = min(chunk_top + scan.chunk_rows - 1, bottom)
-        values: dict[tuple[int, int], Any] = {}
-        for left, right in scan.runs:
-            values.update(
-                catalog.grid_values(RangeRef(chunk_top, left, chunk_bottom, right))
-            )
-        get = values.get
-        for row_index in range(chunk_top, chunk_bottom + 1):
-            # (a list comprehension fills the tuple faster than a generator)
-            row = tuple([get((row_index, column)) for column in columns])
+        strips = [
+            (catalog.grid_values(RangeRef(chunk_top, left, chunk_bottom, right)),
+             right - left + 1)
+            for left, right in scan.runs
+        ]
+        for offset in range(chunk_bottom - chunk_top + 1):
+            row: tuple = ()
+            for block, width in strips:
+                row += tuple(block[offset * width:(offset + 1) * width])
             if predicate is None or predicate(row):
-                yield row_index, row
+                yield chunk_top + offset, row
 
 
 def _table_rows(scan: TableScanOp, catalog: Catalog) -> Iterator[tuple]:

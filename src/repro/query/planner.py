@@ -16,7 +16,7 @@ executor (:mod:`repro.query.executor`) is a dumb iterator pipeline:
   any join), the rest run as a residual filter after the joins.
 * **Projection pushdown.**  Only the columns a query actually touches
   (outputs, predicates, join keys, grouping) are read: a grid scan
-  narrows its bulk ``get_values`` reads to those sheet columns, so a
+  narrows its bulk ``grid_values`` reads to those sheet columns, so a
   six-column region queried on two columns reads two column strips.
 
 Plan-time failures raise :class:`~repro.errors.QueryPlanError`.
@@ -59,8 +59,9 @@ from repro.query.builder import Select
 class Catalog(Protocol):
     """What the planner/executor need from an engine (duck-typed)."""
 
-    def grid_values(self, region: RangeRef) -> dict[tuple[int, int], Any]:
-        """Bulk-read a region's filled cell values (engine read path)."""
+    def grid_values(self, region: RangeRef) -> list[Any]:
+        """A region's values as one dense row-major block, ``region.area``
+        long with ``None`` for a blank cell (the engine's one range read)."""
 
     def resolve_table(self, name: str) -> TableValue:
         """Materialise a named table."""
@@ -99,11 +100,9 @@ def _grid_schema(rel: GridRelation, catalog: Catalog) -> RelationSchema:
                 f"region {region.to_a1()} has no header row"
             )
         header_row = RangeRef(region.top, region.left, region.top, region.right)
-        values = catalog.grid_values(header_row)
         names = tuple(
-            str(value) if (value := values.get((region.top, column))) not in (None, "")
-            else letters[column - region.left]
-            for column in range(region.left, region.right + 1)
+            str(value) if value not in (None, "") else letter
+            for value, letter in zip(catalog.grid_values(header_row), letters)
         )
     return RelationSchema(
         alias=rel.name, names=names, kind="grid", region=region,

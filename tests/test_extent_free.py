@@ -177,8 +177,9 @@ class TestModelsMatchNaiveSheet:
                 com.apply_structural_edit(StructuralEdit(other, kind, line, count))
             context = (scheme, seed, step)
             assert {(c, r): v for (r, c), v in grid(rom).items()} == grid(com), context
-            assert {(c, r): v for (r, c), v in rom.get_values(WINDOW).items()} \
-                == com.get_values(WINDOW), context
+            side, block = WINDOW.rows, rom.get_values_dense(WINDOW)  # a square window
+            assert [block[r * side + c] for c in range(side) for r in range(side)] \
+                == com.get_values_dense(WINDOW), context
             own = rom.region()
             assert com.region() == RangeRef(own.left, own.top, own.right, own.bottom), context
             assert com.cell_count() == rom.cell_count(), context

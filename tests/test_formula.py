@@ -194,11 +194,12 @@ class TestEvaluator:
 
         def range_provider(region):
             calls.append(region)
-            return sheet.get_cells(region)
+            return [value for row in sheet.get_values(region) for value in row]
 
         evaluator = Evaluator(sheet.get_value, range_provider=range_provider)
         assert evaluator.evaluate("SUM(A1:B2)") == 10
-        assert len(calls) == 1
+        assert evaluator.evaluate("INDEX(A1:B2, 2, 1)") == 3  # row-major block
+        assert len(calls) == 2
 
     @given(st.integers(-100, 100), st.integers(-100, 100))
     def test_addition_property(self, a, b):

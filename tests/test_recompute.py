@@ -273,17 +273,17 @@ class TestBulkRangeReads:
         spread = DataSpread()
         spread.import_rows([[row] for row in range(1, 101)])
         calls = []
-        original = spread.model.get_values
+        original = spread.model.get_values_dense
 
         def counting(region):
             calls.append(region)
             return original(region)
 
-        spread.model.get_values = counting
+        spread.model.get_values_dense = counting
         try:
             assert spread.set_formula(1, 2, "SUM(A1:A100)") == 5050
         finally:
-            del spread.model.get_values
+            del spread.model.get_values_dense
         assert len(calls) == 1
         assert (calls[0].top, calls[0].bottom) == (1, 100)
 
@@ -294,14 +294,6 @@ class TestBulkRangeReads:
                 spread.set_value(row, 1, 3)
             spread.set_formula(1, 2, "SUM(A1:A10)")
         assert spread.get_value(1, 2) == 30
-
-    def test_model_get_values_matches_get_cells(self):
-        spread = DataSpread()
-        spread.import_rows([[1, None, 3], [None, 5, None]])
-        region = spread.used_range()
-        values = spread.model.get_values(region)
-        cells = spread.model.get_cells(region)
-        assert values == {(a.row, a.column): c.value for a, c in cells.items()}
 
 
 class TestReviewRegressions:
@@ -325,8 +317,8 @@ class TestReviewRegressions:
         assert second.get_cell(7, 3).value is None
 
     def test_range_formula_over_linked_table_matches_per_cell_reads(self):
-        """get_values must give the owning region precedence over the
-        catch-all, exactly like get_cell, so SUM over a linked table that
+        """The dense block read must give the owning region precedence over
+        the catch-all, exactly like get_cell, so SUM over a linked table that
         overlaps pre-existing data does not resurrect stale values."""
         spread = DataSpread()
         spread.set_value(1, 1, 100)
@@ -473,20 +465,20 @@ class TestReviewRegressions:
         so range reads do not scan a pending map holding every batched cell."""
         spread = DataSpread()
         pending_at_range_read = []
-        original = spread.model.get_values
+        original = spread.model.get_values_dense
 
         def probing(region):
             pending_at_range_read.append(spread.cache.pending_count)
             return original(region)
 
-        spread.model.get_values = probing
+        spread.model.get_values_dense = probing
         try:
             with spread.batch():
                 for row in range(1, 51):
                     spread.set_value(row, 1, 1)
                 spread.set_formula(1, 2, "SUM(A1:A50)")
         finally:
-            del spread.model.get_values
+            del spread.model.get_values_dense
         assert spread.get_value(1, 2) == 50
         assert pending_at_range_read == [0]
 
