@@ -24,12 +24,15 @@ test:
 ## Widened randomized-equivalence sweep: seeds 1..$(REPRO_FUZZ_SEEDS) of the
 ## unbounded structural-edit harness (sync engine vs async engine vs Sheet
 ## oracle; edits beyond the stored extent, above RCV anchors, and at the
-## MAX_ROWS/MAX_COLUMNS boundary), and of the read-contract differential
+## MAX_ROWS/MAX_COLUMNS boundary), of the read-contract differential
 ## (dense block vs get_cells vs per-cell vs get_range_values over random
-## hybrids).  Seeded and bounded, so a failure replays deterministically
-## from the seed in its assertion message.
+## hybrids), and of its twin, the write-contract differential
+## (update_cells on one copy vs a loop of update_cell on another, every
+## store, every block order; the engine's bulk writers across layouts vs
+## the Sheet oracle).  Seeded and bounded, so a failure replays
+## deterministically from the seed in its assertion message.
 fuzz:
-	REPRO_FUZZ_SEEDS=$(REPRO_FUZZ_SEEDS) $(PYTHON) -m pytest -q tests/test_equivalence_fuzz.py tests/test_read_contracts.py
+	REPRO_FUZZ_SEEDS=$(REPRO_FUZZ_SEEDS) $(PYTHON) -m pytest -q tests/test_equivalence_fuzz.py tests/test_read_contracts.py tests/test_write_contracts.py
 
 ## Multi-session interleaving sweep: seeds 1..$(REPRO_SESSION_SEEDS) of the
 ## service-layer harness (N writer sessions with batches, savepoints and

@@ -7,8 +7,8 @@ exactly the same optimum with numpy: rectangles are processed in increasing
 (height, width) order, and for every cut position the candidate costs of
 *all* rectangles of that shape are evaluated in one array operation.
 
-The result is identical to the recursive engine (the test suite asserts this
-on randomised grids); only the constant factor changes.
+The result is identical to that memoised reference (the test suite asserts
+this on randomised grids); only the constant factor changes.
 """
 
 from __future__ import annotations

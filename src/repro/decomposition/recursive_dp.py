@@ -9,7 +9,6 @@ weighted grid this is optimal within the class of recursive decompositions
 
 from __future__ import annotations
 
-import sys
 import time
 from typing import Collection, Sequence
 
@@ -33,8 +32,6 @@ def decompose_dp(
     use_weighted: bool = True,
     max_weighted_cells: int = DEFAULT_MAX_WEIGHTED_CELLS,
     max_columns: int | None = None,
-    time_budget_seconds: float | None = None,
-    engine: str = "vectorized",
 ) -> DecompositionResult:
     """Optimal recursive decomposition of the filled cells.
 
@@ -53,16 +50,7 @@ def decompose_dp(
         Refuse grids whose weighted area exceeds this bound.
     max_columns:
         Database column-count limit (Appendix A-C4); ``None`` disables it.
-    time_budget_seconds:
-        Abort (raising ``TimeoutError``) when the DP exceeds this budget,
-        mirroring the paper's 10-minute cut-off for huge sheets.  Only
-        enforced by the recursive engine.
-    engine:
-        ``"vectorized"`` (default, numpy-based) or ``"recursive"`` (the
-        textbook memoised formulation).  Both produce the same optimum.
     """
-    if engine not in ("vectorized", "recursive"):
-        raise ValueError(f"unknown DP engine {engine!r}")
     started = time.perf_counter()
     coordinates = set(coordinates)
     if not coordinates:
@@ -80,40 +68,25 @@ def decompose_dp(
             f"weighted grid of {rows}x{columns} cells exceeds the DP budget of "
             f"{max_weighted_cells}; use the greedy algorithms instead"
         )
-    deadline = None if time_budget_seconds is None else started + time_budget_seconds
 
-    def run(pass_kinds: Sequence[ModelKind]) -> tuple[float, list[DecomposedRegion], int]:
+    def run(pass_kinds: Sequence[ModelKind]) -> tuple[float, list[DecomposedRegion]]:
         model = RegionCostModel(grid, costs, kinds=pass_kinds, max_columns=max_columns)
-        if engine == "vectorized":
-            raw_cost, plan = solve_vectorized(model)
-            total, plan = _finalize_rcv(raw_cost, plan, costs)
-            return total, plan, rows * columns
-        memo: dict[tuple[int, int, int, int], float] = {}
-        choice: dict[tuple[int, int, int, int], tuple[str, int]] = {}
-        # The recursion depth can reach rows + columns; make room for it.
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, 10_000))
-        try:
-            raw_cost = _optimal(0, 0, rows - 1, columns - 1, model, memo, choice, deadline)
-            plan = _reconstruct(0, 0, rows - 1, columns - 1, model, choice)
-        finally:
-            sys.setrecursionlimit(old_limit)
-        total, plan = _finalize_rcv(raw_cost, plan, costs)
-        return total, plan, len(memo)
+        return _finalize_rcv(*solve_vectorized(model), costs)
 
     # RCV regions share a single physical table whose fixed cost is charged
     # up-front; the per-region search therefore under-counts RCV by s1.  To
     # stay optimal we compare the RCV-enabled plan (plus the up-front charge)
     # with the best plan that avoids RCV altogether.
-    total_cost, regions, subproblems = run(kinds)
+    total_cost, regions = run(kinds)
+    subproblems = rows * columns
     non_rcv_kinds = tuple(kind for kind in kinds if kind is not ModelKind.RCV)
     if (
         ModelKind.RCV in kinds
         and non_rcv_kinds
         and any(region.kind is ModelKind.RCV for region in regions)
     ):
-        alt_cost, alt_regions, alt_subproblems = run(non_rcv_kinds)
-        subproblems += alt_subproblems
+        alt_cost, alt_regions = run(non_rcv_kinds)
+        subproblems += rows * columns
         if alt_cost < total_cost:
             total_cost, regions = alt_cost, alt_regions
 
@@ -128,6 +101,9 @@ def decompose_dp(
 
 
 # ---------------------------------------------------------------------- #
+# The textbook memoised formulation: one sub-rectangle at a time, easy to
+# read and too slow to run.  ``decompose_dp`` never calls it; it is the
+# reference the tests hold ``solve_vectorized`` against.
 def _optimal(
     top: int,
     left: int,
@@ -136,14 +112,11 @@ def _optimal(
     model: RegionCostModel,
     memo: dict,
     choice: dict,
-    deadline: float | None,
 ) -> float:
     key = (top, left, bottom, right)
     cached = memo.get(key)
     if cached is not None:
         return cached
-    if deadline is not None and time.perf_counter() > deadline:
-        raise TimeoutError("recursive-decomposition DP exceeded its time budget")
     filled = model.filled(top, left, bottom, right)
     if filled == 0:
         memo[key] = 0.0
@@ -155,8 +128,8 @@ def _optimal(
     # Horizontal cuts: between weighted rows i and i+1.
     for cut in range(top, bottom):
         cost = (
-            _optimal(top, left, cut, right, model, memo, choice, deadline)
-            + _optimal(cut + 1, left, bottom, right, model, memo, choice, deadline)
+            _optimal(top, left, cut, right, model, memo, choice)
+            + _optimal(cut + 1, left, bottom, right, model, memo, choice)
         )
         if cost < best_cost:
             best_cost = cost
@@ -164,8 +137,8 @@ def _optimal(
     # Vertical cuts: between weighted columns j and j+1.
     for cut in range(left, right):
         cost = (
-            _optimal(top, left, bottom, cut, model, memo, choice, deadline)
-            + _optimal(top, cut + 1, bottom, right, model, memo, choice, deadline)
+            _optimal(top, left, bottom, cut, model, memo, choice)
+            + _optimal(top, cut + 1, bottom, right, model, memo, choice)
         )
         if cost < best_cost:
             best_cost = cost

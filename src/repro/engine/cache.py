@@ -7,12 +7,12 @@ cached).
 
 For batched edits the cache additionally supports a *deferred* write mode:
 between ``begin_deferred()`` and ``end_deferred()`` puts are buffered in a
-pending map and pushed to the storage layer in one bulk call (via
-``bulk_writer`` when provided, else the per-cell writer).  Pending entries
-survive LRU eviction — a read miss consults the pending map before the
-loader — so a batch larger than the cache capacity still flushes completely
-and never reads stale storage.  A failed batch can instead abandon its
-buffered writes with ``discard_deferred()``, leaving storage untouched.
+pending map and pushed to the storage layer in one bulk call
+(``bulk_writer``).  Pending entries survive LRU eviction — a read miss
+consults the pending map before the loader — so a batch larger than the
+cache capacity still flushes completely and never reads stale storage.  A
+failed batch can instead abandon its buffered writes with
+``discard_deferred()``, leaving storage untouched.
 
 For asynchronous recompute the cache also holds *provisional* entries
 (``put_provisional``): stale placeholders — typically a freshly entered
@@ -27,14 +27,14 @@ scheduler commits a freshly evaluated value.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.grid.cell import Cell
 from repro.grid.range import RangeRef
 
 CellLoader = Callable[[int, int], Cell]
 CellWriter = Callable[[int, int, Cell], None]
-BulkCellWriter = Callable[[Iterable[tuple[int, int, Cell]]], None]
+BulkCellWriter = Callable[[list[tuple[int, int, Cell]]], None]
 
 DEFAULT_CAPACITY = 100_000
 
@@ -62,7 +62,7 @@ class LRUCellCache:
         writer: CellWriter,
         capacity: int = DEFAULT_CAPACITY,
         *,
-        bulk_writer: BulkCellWriter | None = None,
+        bulk_writer: BulkCellWriter,
     ) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
@@ -86,11 +86,6 @@ class LRUCellCache:
     def capacity(self) -> int:
         """Maximum number of cached cells."""
         return self._capacity
-
-    @property
-    def deferred(self) -> bool:
-        """Whether writes are currently buffered instead of written through."""
-        return self._pending is not None
 
     @property
     def pending_count(self) -> int:
@@ -248,10 +243,6 @@ class LRUCellCache:
         else:
             self.put_provisional(row, column, cell)
 
-    def invalidate(self, row: int, column: int) -> None:
-        """Drop a cached cell (e.g. after structural edits)."""
-        self._entries.pop((row, column), None)
-
     def clear(self) -> None:
         """Drop every cached cell, buffered write *and* provisional entry.
 
@@ -333,11 +324,7 @@ class LRUCellCache:
         if not self._pending:
             return 0
         items = [(row, column, cell) for (row, column), cell in self._pending.items()]
-        if self._bulk_writer is not None:
-            self._bulk_writer(items)
-        else:
-            for row, column, cell in items:
-                self._writer(row, column, cell)
+        self._bulk_writer(items)
         if self._pending_owner is not None:
             # Now committed: safe (and necessary) to refresh the shared
             # entry map — it may hold values from autonomous writes that

@@ -10,9 +10,9 @@ Recompute architecture
 ----------------------
 Every write runs one fixed sequence in one body, ``_edit_cell``, that
 ``set_value``/``set_formula``/``clear_cell`` — and through them
-``set_input``, ``set_values``, ``import_rows``/``import_csv``/
-``from_sheet``, ``place_table`` and live-view spills — are thin wrappers
-over:
+``set_input`` — are thin wrappers over; ``set_values``, ``import_rows``/
+``import_csv``/``from_sheet``, ``place_table`` and live-view spills stream
+their cells into one ingest body, ``_ingest``, a single batch of them:
 
 1. **admit** — on the async engine, outside a batch, admission control may
    refuse the edit before anything is touched;
@@ -361,6 +361,31 @@ class DataSpread:
         self._backend = self._wal_backend(directory, wal_options, expect_fresh=False)
         self._backend.checkpoint()
 
+    def adopt_cells(self, cells: dict[tuple[int, int], tuple[CellValue, str | None]]) -> None:
+        """Install recovered ``{(row, column): (value, formula)}`` cells into
+        this fresh engine: one ``update_cells`` block write, the formulas
+        that parse registered and routed as committed work (one topological
+        pass; a cycle keeps its adopted values until it is edited away).
+        Text that does not parse is adopted as-is: it can never evaluate.
+
+        Not a transaction and not logged: a fresh engine has nothing to
+        undo, and :func:`~repro.storage.recovery.recover` attaches the WAL
+        afterwards, behind a checkpoint of exactly this state.
+        """
+        adopted = sorted(cells.items())
+        self._model.update_cells([(row, column, Cell(value=value, formula=formula))
+                                  for (row, column), (value, formula) in adopted])
+        formulas: dict[CellAddress, FormulaNode] = {}
+        for (row, column), (_value, formula) in adopted:
+            if formula is not None:
+                try:
+                    formulas[CellAddress(row, column)] = self._evaluator.parse(formula)
+                except FormulaSyntaxError:
+                    pass
+        for address, node in formulas.items():
+            self._dependencies.register(address, node)
+        self._route_dirty(formulas, committed=True)
+
     def _committed_cells(self) -> list[tuple[int, int, CellValue, str | None]]:
         """Every committed non-empty cell, for a checkpoint snapshot."""
         cells = self._model.get_cells(self._model.region())
@@ -377,17 +402,23 @@ class DataSpread:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_sheet(cls, sheet: Sheet, **kwargs) -> "DataSpread":
-        """Import an in-memory :class:`Sheet` (formulae are evaluated).
-
-        The import runs as one batch: constants and formula registrations
-        are buffered, then every formula is evaluated in a single
-        topological pass regardless of iteration order.
-        """
+        """Import an in-memory :class:`Sheet` (formulae are evaluated in a
+        single topological pass regardless of iteration order)."""
         spread = cls(**kwargs)
-        with spread.batch():
-            for address, cell in sheet.items():
-                spread._set_cell(address.row, address.column, cell)
+        spread._ingest((address.row, address.column, cell) for address, cell in sheet.items())
         return spread
+
+    def _ingest(self, cells: Iterable[tuple[int, int, Cell]]) -> int:
+        """The one ingest body every bulk writer feeds: a stream of ``(row,
+        column, cell)`` lands as one batch — each cell through the ordinary
+        edit path, the storage writes flushed as one ``update_cells`` block,
+        the formulas reading or among them evaluated in one topological
+        pass at the end.  Returns the number of cells written."""
+        count = 0
+        with self.batch():
+            for count, (row, column, cell) in enumerate(cells, 1):
+                self._set_cell(row, column, cell)
+        return count
 
     def import_rows(
         self,
@@ -396,42 +427,34 @@ class DataSpread:
         top: int = 1,
         left: int = 1,
     ) -> int:
-        """Bulk-import a dense block of values anchored at (top, left).
-
-        Returns the number of rows imported.  The whole block is written as
-        one batch: storage writes are flushed in bulk and formulas reading
-        the block re-evaluate in a single topological pass at the end.
-        """
-        count = 0
-        with self.batch():
-            for row_offset, row_values in enumerate(rows):
-                row = top + row_offset
-                for column_offset, value in enumerate(row_values):
-                    if value is None:
-                        continue
-                    self.set_value(row, left + column_offset, value)
-                count += 1
-        return count
+        """Bulk-import a dense block of values anchored at (top, left), as
+        one batch (see ``_ingest``); ``None`` fields are skipped.  Returns
+        the number of rows imported."""
+        rows = list(rows)
+        self._ingest((row, column, Cell(value=value))
+                     for row, values in enumerate(rows, top)
+                     for column, value in enumerate(values, left) if value is not None)
+        return len(rows)
 
     def import_csv(self, path: str | Path, *, top: int = 1, left: int = 1,
                    delimiter: str = ",") -> int:
-        """Import a CSV/TSV file; numeric-looking fields are coerced."""
-        imported = 0
-        with self.batch(), open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle, delimiter=delimiter)
-            for row_offset, row in enumerate(reader):
-                for column_offset, text in enumerate(row):
-                    if text == "":
-                        continue
-                    row, column = top + row_offset, left + column_offset
-                    try:
-                        self._set_cell(row, column, Cell.from_input(text))
-                    except FormulaSyntaxError:
-                        # A field that merely looks like a formula must
-                        # not abort the import; keep it as raw text.
-                        self.set_value(row, column, text)
-                imported += 1
-        return imported
+        """Import a CSV/TSV file; numeric-looking fields are coerced, and a
+        field that merely looks like a formula is kept as raw text."""
+        with open(path, newline="", encoding="utf-8") as handle:
+            records = list(csv.reader(handle, delimiter=delimiter))
+        self._ingest((row, column, self._csv_cell(text))
+                     for row, record in enumerate(records, top)
+                     for column, text in enumerate(record, left) if text != "")
+        return len(records)
+
+    def _csv_cell(self, text: str) -> Cell:
+        cell = Cell.from_input(text)
+        if cell.formula is not None:
+            try:
+                self._evaluator.parse(cell.formula.removeprefix("="))
+            except FormulaSyntaxError:
+                return Cell(value=text)  # it must not abort the import
+        return cell
 
     # ------------------------------------------------------------------ #
     # batched edits
@@ -601,12 +624,7 @@ class DataSpread:
         ``updates`` yields ``(row, column, value)`` triples.  Returns the
         number of cells written.
         """
-        count = 0
-        with self.batch():
-            for row, column, value in updates:
-                self.set_value(row, column, value)
-                count += 1
-        return count
+        return self._ingest((row, column, Cell(value=value)) for row, column, value in updates)
 
     # ------------------------------------------------------------------ #
     # cell reads
@@ -699,10 +717,9 @@ class DataSpread:
 
     def _set_cell(self, row: int, column: int, cell: Cell) -> CellValue:
         """Store parsed input: a formula through ``set_formula``, else a constant."""
-        if cell.has_formula:
-            return self.set_formula(row, column, cell.formula or "")
-        self.set_value(row, column, cell.value)
-        return cell.value
+        if cell.formula is not None:
+            return self.set_formula(row, column, cell.formula)
+        return self._edit_cell(CellAddress(row, column), cell)
 
     def set_value(self, row: int, column: int, value: CellValue) -> None:
         """The ``updateCell`` primitive for constants; dependents re-evaluate.
@@ -722,20 +739,20 @@ class DataSpread:
         ``None`` is returned — read the result after ``flush_compute()`` or
         with ``get_fresh_value``.
         """
-        text = formula[1:] if formula.startswith("=") else formula
+        text = formula.removeprefix("=")
         node = self._evaluator.parse(text)
         return self._edit_cell(CellAddress(row, column), Cell(formula=text), node)
 
     def clear_cell(self, row: int, column: int) -> None:
         """Empty a cell and re-evaluate its dependents."""
-        self._edit_cell(CellAddress(row, column), Cell(), clear=True)
+        self._edit_cell(CellAddress(row, column), Cell())
 
     def _edit_cell(self, address: CellAddress, cell: Cell,
-                   node: FormulaNode | None = None, *, clear: bool = False) -> CellValue:
+                   node: FormulaNode | None = None) -> CellValue:
         """The one write path: admit → preimage → mutate → delta → route.
 
-        ``cell`` is the content to store; ``node`` its parsed formula, if it
-        has one; ``clear`` also drops a composite value spilled at the cell.
+        ``cell`` is the content to store (an empty one also drops a composite
+        value spilled at the cell); ``node`` its parsed formula, if it has one.
         Returns the value the cell now shows when it is already known: a
         formula outside a batch on the synchronous engine is evaluated as
         it is stored, otherwise its value materialises when the routed
@@ -763,7 +780,7 @@ class DataSpread:
         # which releases the old formula's subscriptions.
         if node is None:
             self._dependencies.unregister(address)
-            if clear:
+            if cell.value is None:
                 self._composite_values.pop((row, column), None)
         else:
             self._dependencies.register(address, node)
@@ -1242,20 +1259,11 @@ class DataSpread:
                     include_header: bool = True) -> RangeRef:
         """Spill a composite table value onto the sheet (the ``index`` helper)."""
         anchor = CellAddress.from_a1(at) if isinstance(at, str) else at
-        row = anchor.row
-        with self.batch():
-            if include_header:
-                for offset, name in enumerate(table.columns):
-                    self.set_value(row, anchor.column + offset, name)
-                row += 1
-            for record in table.rows:
-                for offset, value in enumerate(record):
-                    if value is not None:
-                        self.set_value(row, anchor.column + offset, value)
-                row += 1
+        rows = (table.columns, *table.rows) if include_header else table.rows
+        self.import_rows(rows, top=anchor.row, left=anchor.column)
         self._txn.touch(anchor)  # the displaced composite is part of its preimage
         self._composite_values[(anchor.row, anchor.column)] = table
-        bottom = max(row - 1, anchor.row)
+        bottom = anchor.row + max(len(rows) - 1, 0)
         right = anchor.column + max(table.column_count - 1, 0)
         return RangeRef(anchor.row, anchor.column, bottom, right)
 
@@ -1404,22 +1412,15 @@ class DataSpread:
             view.mark_stale()
 
     def _write_view_spill(self, changes: dict[tuple[int, int], CellValue]) -> None:
-        """Land a view's spill diff through the ordinary edit path, as one
-        batch: formulas and views reading the spilled region recompute (or
-        queue) once per spill, and a durable spill is one commit group.
-        Unchanged cells are skipped — a point edit rewrites only the rows
-        it actually moved."""
-        with self.batch():
-            for (row, column), value in sorted(changes.items()):
-                existing = self._cache.get(row, column)
-                if value is None:
-                    if existing.is_empty:
-                        continue
-                    self.clear_cell(row, column)
-                else:
-                    if existing.formula is None and existing.value == value:
-                        continue
-                    self.set_value(row, column, value)
+        """Land a view's spill diff through the ingest body, as one batch:
+        formulas and views reading the spilled region recompute (or queue)
+        once per spill, and a durable spill is one commit group.  A ``None``
+        clears; unchanged cells are skipped — a point edit rewrites only the
+        rows it actually moved."""
+        self._ingest(
+            (row, column, Cell(value=value)) for (row, column), value in sorted(changes.items())
+            if (existing := self._cache.get(row, column)).formula is not None
+            or existing.value != value)
 
     # ------------------------------------------------------------------ #
     # internals
@@ -1507,10 +1508,9 @@ class DataSpread:
         self._backend.write_cell(row, column, cell)
         self._txn.commit_epoch += 1
 
-    def _write_cells(self, items: Iterable[tuple[int, int, Cell]]) -> None:
+    def _write_cells(self, items: list[tuple[int, int, Cell]]) -> None:
         # The cache's bulk (batch-flush) path: the backend groups the flush
         # into one atomic commit point.
-        items = list(items)
         if not items:
             return
         if self.before_commit_hook is not None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from enum import Enum
+from typing import Iterable
 
 from repro.grid.address import CellAddress
 from repro.grid.cell import Cell, CellValue
@@ -34,7 +35,9 @@ class DataModel(ABC):
     route through :meth:`apply_structural_edit`).  A rectangle is read in
     one of two shapes: :meth:`get_cells`, sparse and whole-cell (formula
     text included), or :meth:`get_values_dense`, the dense block every
-    consumer of a range of *values* reads.
+    consumer of a range of *values* reads.  A write likewise has two
+    shapes: :meth:`update_cell`, the paper's point primitive, and
+    :meth:`update_cells`, the block every bulk writer hands down.
     """
 
     kind: ModelKind
@@ -100,14 +103,36 @@ class DataModel(ABC):
     def update_cell(self, row: int, column: int, cell: Cell) -> None:
         """Set the cell at an absolute (row, column) inside the region."""
 
-    def update_cells(self, items) -> None:
-        """Bulk write many ``(row, column, cell)`` triples.
+    def update_cells(self, items: Iterable[tuple[int, int, Cell]]) -> None:
+        """Write a block of ``(row, column, cell)`` triples.
 
-        Subclasses override this to amortise per-cell overhead (e.g. RCV
-        resolves each distinct row/column identifier once per bulk write).
+        The one block write, from the engine's commit down to the stored
+        records: a batch flush, a relayout, a recovery and
+        :meth:`from_sheet` all land here.  It leaves the model exactly as
+        :meth:`update_cell` over the items in order would — a later item
+        wins its coordinate, an empty ``Cell()`` clears — and this default
+        is that loop.  The stores with a per-line cost override it to pay
+        that cost once per line of the block, not once per cell.
         """
         for row, column, cell in items:
             self.update_cell(row, column, cell)
+
+    @classmethod
+    def from_sheet(cls, sheet: Sheet, region: RangeRef | None = None, *,
+                   mapping_scheme: str = "hierarchical") -> "DataModel":
+        """Load the cells of ``sheet`` (optionally restricted to ``region``):
+        an empty model over the region, then one :meth:`update_cells`.
+
+        For the models that are constructed over a region (ROM, COM, RCV).
+        """
+        if region is None:
+            box = sheet.bounding_box()
+            region = box.to_range() if box is not None else RangeRef(1, 1, 1, 1)
+        model = cls(top=region.top, left=region.left, rows=region.rows,
+                    columns=region.columns, mapping_scheme=mapping_scheme)
+        model.update_cells((address.row, address.column, cell)
+                           for address, cell in sheet.get_cells(region).items())
+        return model
 
     def check_structural_edit(self, edit: StructuralEdit) -> None:
         """Pre-flight hook: raise if this model cannot absorb a structural edit.

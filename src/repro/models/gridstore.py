@@ -13,13 +13,12 @@ with the major axis as data; ROM and COM are its two orientations.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.errors import DataModelError
 from repro.grid.address import CellAddress
 from repro.grid.cell import Cell, CellValue
 from repro.grid.range import RangeRef
-from repro.grid.sheet import Sheet
 from repro.grid.structural import StructuralEdit
 from repro.models.base import DataModel
 from repro.positional import PositionalMapping, create_mapping
@@ -116,35 +115,20 @@ class LineGridStore:
 
     def set(self, major: int, minor: int, cell: Cell) -> None:
         """Store ``cell`` at (major, minor), growing the region as needed."""
-        if major < 1 or minor < 1:
-            raise DataModelError(f"positions must be >= 1, got ({major}, {minor})")
-        self.ensure_major(major)
-        self.ensure_minor(minor)
-        pointer = self._mapping.fetch(major)
-        record = list(self._heap.read(pointer))
-        slot = self._minor_slots[minor - 1]
-        if slot >= len(record):
-            record.extend([None] * (slot - len(record) + 1))
-        previous = record[slot]
-        stored = None if cell.is_empty else (cell.value, cell.formula)
-        record[slot] = stored
-        new_pointer = self._heap.update(pointer, tuple(record))
-        if new_pointer != pointer:
-            self._replace_pointer(major, new_pointer)
-        if previous is None and stored is not None:
-            self._filled += 1
-        elif previous is not None and stored is None:
-            self._filled -= 1
+        self.set_major_line(major, {minor: cell})
 
     def set_major_line(self, major: int, cells: dict[int, Cell]) -> None:
-        """Write many cells of one major line with a single record update.
+        """Write cells of one major line (``{minor: cell}``) with a single
+        record rewrite, growing the region as needed.
 
-        The bulk-load path: building a long line cell-by-cell through
-        :meth:`set` rewrites the stored tuple per cell (quadratic once the
-        record overflows onto a heap chain); this writes the line once.
+        The one body that rewrites a stored record for a cell write.  A
+        point write is its one-cell case; a block is handed over one line
+        at a time, because rewriting a long line's record per cell is
+        quadratic once the record overflows onto a heap chain.
         """
         if major < 1 or any(minor < 1 for minor in cells):
-            raise DataModelError(f"positions must be >= 1, got major {major}")
+            raise DataModelError(
+                f"positions must be >= 1, got ({major}, {min(cells, default=1)})")
         if not cells:
             return
         self.ensure_major(major)
@@ -287,40 +271,6 @@ class LineOrientedModel(DataModel):
         return (row, column) if self.major_axis == "row" else (column, row)
 
     # ------------------------------------------------------------------ #
-    # construction
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_sheet(
-        cls,
-        sheet: Sheet,
-        region: RangeRef | None = None,
-        *,
-        mapping_scheme: str = "hierarchical",
-    ) -> "LineOrientedModel":
-        """Load the cells of ``sheet`` (optionally restricted to ``region``)."""
-        if region is None:
-            box = sheet.bounding_box()
-            region = box.to_range() if box is not None else RangeRef(1, 1, 1, 1)
-        model = cls(
-            top=region.top,
-            left=region.left,
-            rows=region.rows,
-            columns=region.columns,
-            mapping_scheme=mapping_scheme,
-        )
-        # Group by major line so each stored tuple is written exactly once —
-        # per-cell updates rewrite a long line's record per cell.
-        row_major = cls.major_axis == "row"
-        lines: dict[int, dict[int, Cell]] = {}
-        for address, cell in sheet.get_cells(region).items():
-            row, column = address.row - region.top + 1, address.column - region.left + 1
-            major, minor = (row, column) if row_major else (column, row)
-            lines.setdefault(major, {})[minor] = cell
-        for major in sorted(lines):
-            model._store.set_major_line(major, lines[major])
-        return model
-
-    # ------------------------------------------------------------------ #
     # reads
     # ------------------------------------------------------------------ #
     def _shape(self) -> tuple[int, int]:
@@ -393,6 +343,16 @@ class LineOrientedModel(DataModel):
     # ------------------------------------------------------------------ #
     def update_cell(self, row: int, column: int, cell: Cell) -> None:
         self._store.set(*self._position(row, column), cell)
+
+    def update_cells(self, items: Iterable[tuple[int, int, Cell]]) -> None:
+        """The block grouped by major line: one record rewrite per line it
+        touches, in line order, whatever order the items arrive in."""
+        lines: dict[int, dict[int, Cell]] = {}
+        for row, column, cell in items:
+            major, minor = self._position(row, column)
+            lines.setdefault(major, {})[minor] = cell
+        for major in sorted(lines):
+            self._store.set_major_line(major, lines[major])
 
     def apply_structural_edit(self, edit: StructuralEdit) -> None:
         # Strictly above/left of the anchor only the anchor moves; beyond the

@@ -86,15 +86,16 @@ class HybridDataModel(DataModel):
         listed region go to the catch-all RCV table.
         """
         hybrid = cls(mapping_scheme=mapping_scheme)
-        covered: set[tuple[int, int]] = set()
         for region, kind in regions:
-            model = _build_primitive(sheet, region, kind, mapping_scheme)
+            if kind not in _PRIMITIVES:
+                raise ValueError(
+                    f"cannot build a {kind} region from a sheet without a linked table")
+            model = _PRIMITIVES[kind](
+                top=region.top, left=region.left, rows=region.rows,
+                columns=region.columns, mapping_scheme=mapping_scheme)
             hybrid.add_region(HybridRegion(range=region, model=model))
-            for address in region.addresses():
-                covered.add((address.row, address.column))
-        for (row, column), cell in ((key, sheet.get_cell(*key)) for key in sheet.coordinates()):
-            if (row, column) not in covered:
-                hybrid.update_cell(row, column, cell)
+        hybrid.update_cells(
+            (address.row, address.column, cell) for address, cell in sheet.items())
         return hybrid
 
     def add_region(self, region: HybridRegion, *, allow_overlap: bool = False) -> None:
@@ -223,62 +224,47 @@ class HybridDataModel(DataModel):
         if owner is not None:
             owner.model.update_cell(row, column, cell)
             return
-        self._update_catch_all(row, column, cell)
+        self._loose_cells_table(row, column).update_cell(row, column, cell)
 
     def update_cells(self, items: Iterable[tuple[int, int, Cell]]) -> None:
-        """Bulk write: route many cells to their owning regions in one pass.
+        """The block split by owning model, one ``update_cells`` each.
 
-        Consecutive cells usually land in the same region, so the owner
-        found for the previous cell is retried before the linear region
-        lookup — bulk imports pay the routing cost once per region run, not
-        once per cell.  When overlapping regions exist (linked tables), the
-        cached owner may not be the *first* containing region, so the fast
-        path is disabled to keep routing identical to ``update_cell``.
+        Every item goes to the model ``update_cell`` would route it to —
+        the first containing region, else the catch-all — and each model
+        sees all of its items at once, in their arrival order: a
+        column-major region fed row-major items still rewrites each of its
+        lines once.  A coordinate always routes to the same owner, so
+        regrouping never reorders two writes of one cell.
 
-        Runs of cells bound for the same model are handed over through that
-        model's own ``update_cells``, so a model with a bulk path (RCV
-        batching its positional-mapping lookups, including the catch-all
-        table) sees the whole run at once.
+        Consecutive cells usually share an owner, so the previous item's is
+        retried before the linear region lookup — unless regions overlap
+        (linked tables), where it may not be the *first* containing one.
         """
         reuse_owner = not self._has_overlaps
         owner: HybridRegion | None = None
-        have_owner = False
-        run: list[tuple[int, int, Cell]] = []
+        loose: list[tuple[int, int, Cell]] = []
+        blocks: dict[int, list[tuple[int, int, Cell]]] = {}
+        block = loose  # the block of ``owner``
+        for item in items:
+            row, column = item[0], item[1]
+            if not (reuse_owner and owner is not None
+                    and owner.range.contains_coordinates(row, column)):
+                owner = self._owning_region(row, column)
+                block = loose if owner is None else blocks.setdefault(id(owner), [])
+            block.append(item)
+        for entry in self._regions:
+            if id(entry) in blocks:
+                entry.model.update_cells(blocks[id(entry)])
+        if loose:
+            self._loose_cells_table(loose[0][0], loose[0][1]).update_cells(loose)
 
-        def flush_run(target: HybridRegion | None) -> None:
-            if not run:
-                return
-            if target is not None:
-                target.model.update_cells(run)
-            else:
-                if self._catch_all is None:
-                    first_row, first_column, _cell = run[0]
-                    self._catch_all = RowColumnValueModel(
-                        top=first_row, left=first_column,
-                        mapping_scheme=self._mapping_scheme,
-                    )
-                self._catch_all.update_cells(run)
-            run.clear()
-
-        for row, column, cell in items:
-            if reuse_owner and have_owner and owner is not None \
-                    and owner.range.contains_coordinates(row, column):
-                next_owner = owner
-            else:
-                next_owner = self._owning_region(row, column)
-            if not have_owner or next_owner is not owner:
-                flush_run(owner)
-                owner = next_owner
-                have_owner = True
-            run.append((row, column, cell))
-        flush_run(owner)
-
-    def _update_catch_all(self, row: int, column: int, cell: Cell) -> None:
+    def _loose_cells_table(self, row: int, column: int) -> RowColumnValueModel:
+        """The catch-all, created anchored at its first cell."""
         if self._catch_all is None:
             self._catch_all = RowColumnValueModel(
                 top=row, left=column, mapping_scheme=self._mapping_scheme
             )
-        self._catch_all.update_cell(row, column, cell)
+        return self._catch_all
 
     def check_structural_edit(self, edit: StructuralEdit) -> None:
         """Raise if any region's model must refuse ``edit``; mutates nothing.
@@ -357,13 +343,10 @@ class HybridDataModel(DataModel):
         return None
 
 
-def _build_primitive(
-    sheet: Sheet, region: RangeRef, kind: ModelKind, mapping_scheme: str
-) -> DataModel:
-    if kind is ModelKind.ROM:
-        return RowOrientedModel.from_sheet(sheet, region, mapping_scheme=mapping_scheme)
-    if kind is ModelKind.COM:
-        return ColumnOrientedModel.from_sheet(sheet, region, mapping_scheme=mapping_scheme)
-    if kind is ModelKind.RCV:
-        return RowColumnValueModel.from_sheet(sheet, region, mapping_scheme=mapping_scheme)
-    raise ValueError(f"cannot build a {kind} region from a sheet without a linked table")
+#: The primitive models a decomposition plan can name (TOM regions come
+#: from ``link_table``, never from a plan).
+_PRIMITIVES: dict[ModelKind, type[DataModel]] = {
+    ModelKind.ROM: RowOrientedModel,
+    ModelKind.COM: ColumnOrientedModel,
+    ModelKind.RCV: RowColumnValueModel,
+}

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from repro.grid.address import CellAddress
 from repro.grid.cell import Cell, CellValue
 from repro.grid.range import RangeRef
-from repro.grid.sheet import Sheet
 from repro.grid.structural import StructuralEdit
 from repro.models.base import DataModel, ModelKind
 from repro.positional import PositionalMapping, create_mapping
@@ -77,30 +76,6 @@ class RowColumnValueModel(DataModel):
         self._columns = _Axis(left, create_mapping(mapping_scheme))
         self._rows.ensure(rows)
         self._columns.ensure(columns)
-
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_sheet(
-        cls,
-        sheet: Sheet,
-        region: RangeRef | None = None,
-        *,
-        mapping_scheme: str = "hierarchical",
-    ) -> "RowColumnValueModel":
-        """Load the cells of ``sheet`` (optionally restricted to ``region``)."""
-        if region is None:
-            box = sheet.bounding_box()
-            region = box.to_range() if box is not None else RangeRef(1, 1, 1, 1)
-        model = cls(
-            top=region.top,
-            left=region.left,
-            rows=region.rows,
-            columns=region.columns,
-            mapping_scheme=mapping_scheme,
-        )
-        for address, cell in sheet.get_cells(region).items():
-            model.update_cell(address.row, address.column, cell)
-        return model
 
     # ------------------------------------------------------------------ #
     # reads

@@ -15,12 +15,14 @@ crash (or clean shutdown) left behind:
    the engine used, rewriting straddling formula references, so the replay
    of a structural record is correct on its own (the engine's logged
    formula-text rewrites, which share the record's commit group, repeat it).
-3. **Adopt and recompute.**  The cells are installed into a fresh
-   :class:`~repro.engine.dataspread.DataSpread` (model write + dependency
-   registration, no evaluation), then every formula re-evaluates in one
-   topological pass.  Recomputing heals the window where a crash logged an
-   edit but not yet its dependents' refreshed values — the recovered state
-   is always *exactly* the one implied by the last durable commit point.
+3. **Adopt and recompute.**  The cell map is handed to a fresh
+   :class:`~repro.engine.dataspread.DataSpread` through its one adoption
+   method, ``adopt_cells``: one block write to the model, the parseable
+   formulas registered, then every formula re-evaluated in one topological
+   pass (the engine turns asynchronous, if asked to, only after it).
+   Recomputing heals the window where a crash logged an edit but
+   not yet its dependents' refreshed values — the recovered state is
+   always *exactly* the one implied by the last durable commit point.
 4. **Recovery barrier.**  The recovered engine re-attaches to the
    workspace in WAL mode and immediately checkpoints, folding the replayed
    log into a fresh snapshot generation — recovery never replays the same
@@ -31,12 +33,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import CircularDependencyError, FormulaSyntaxError, RecoveryError
+from repro.errors import FormulaSyntaxError, RecoveryError
 from repro.formula.parser import parse_formula
 from repro.formula.rewrite import rewrite_formula
 from repro.formula.serializer import to_formula
 from repro.grid.address import CellAddress
-from repro.grid.cell import Cell
 from repro.storage.snapshot import load_snapshot, wal_path
 from repro.storage.wal import committed_records, read_records, structural_edit_from
 
@@ -123,28 +124,11 @@ def recover(directory: str, *, wal_options: dict[str, Any] | None = None,
         engine_kwargs.setdefault("mapping_scheme", snapshot["config"]["mapping_scheme"])
     cells = recovered_cells(directory)
 
+    # Adopted values are committed state, not work to leave queued stale:
+    # they recompute synchronously, whatever mode the engine then runs in.
+    async_recompute = engine_kwargs.pop("async_recompute", False)
     spread = DataSpread(**engine_kwargs)
-    formulas: list[CellAddress] = []
-    for (row, column), (value, formula) in sorted(cells.items()):
-        spread.model.update_cell(row, column, Cell(value=value, formula=formula))
-        if formula is not None:
-            address = CellAddress(row, column)
-            try:
-                node = spread.evaluator.parse(formula)
-            except FormulaSyntaxError:
-                continue  # adopt the text as-is; it can never evaluate
-            spread.dependency_graph.register(address, node)
-            formulas.append(address)
-    if formulas:
-        # One topological pass heals any crash window between a logged edit
-        # and its dependents' refreshed values.  In async mode the adopted
-        # values are already committed state, so recompute synchronously
-        # rather than leaving the whole workspace queued stale.
-        try:
-            spread._recompute_batch(dict.fromkeys(formulas))
-        except CircularDependencyError:
-            pass  # a logged cycle keeps its logged values until edited away
-        if spread.async_recompute:
-            spread.flush_compute()
+    spread.adopt_cells(cells)
+    spread.async_recompute = async_recompute
     spread._attach_wal(directory, wal_options=wal_options)
     return spread

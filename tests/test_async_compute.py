@@ -354,6 +354,8 @@ class TestCacheOverlay:
             loader=lambda row, column: store.get((row, column), Cell()),
             writer=lambda row, column, cell: store.__setitem__((row, column), cell),
             capacity=100,
+            bulk_writer=lambda items: store.update(
+                ((row, column), cell) for row, column, cell in items),
         )
         cache.begin_deferred()
         for row in range(1, 9):
@@ -516,6 +518,8 @@ class TestRcvBulkWrites:
         assert model.get_cell(7, 3).value == 703
 
     def test_bulk_write_equals_per_cell_writes(self):
+        """One fixed block of the differential ``tests/test_write_contracts.py``
+        runs over every store, order and seed."""
         rng = random.Random(3)
         items = [
             (rng.randint(1, 20), rng.randint(1, 20), Cell(value=rng.randint(0, 99)))
@@ -530,6 +534,9 @@ class TestRcvBulkWrites:
         assert bulk.get_cells(region) == loop.get_cells(region)
 
     def test_hybrid_routes_runs_through_bulk_path(self):
+        """A block split between a region and the lazily created catch-all
+        (per owner since the hybrid stopped grouping by consecutive run;
+        ``tests/test_write_contracts.py`` holds the general contract)."""
         region_model = RowColumnValueModel(top=1, left=1, rows=5, columns=5)
         hybrid = HybridDataModel(
             regions=[HybridRegion(range=RangeRef(1, 1, 5, 5), model=region_model)]

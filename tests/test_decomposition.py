@@ -15,6 +15,8 @@ from repro.decomposition import (
 )
 from repro.decomposition.bounds import recursive_decomposition_gap
 from repro.decomposition.cost import RegionCostModel, primitive_costs
+from repro.decomposition.dp_vectorized import solve_vectorized
+from repro.decomposition.recursive_dp import _optimal, _reconstruct
 from repro.grid.range import RangeRef
 from repro.grid.weighted import WeightedGrid
 from repro.models.base import ModelKind
@@ -30,6 +32,21 @@ def block(top, left, rows, columns):
 TWO_TABLES = block(1, 1, 20, 5) | block(40, 10, 15, 4)
 ONE_TABLE = block(1, 1, 10, 10)
 SPARSE = {(1, 1), (50, 50), (100, 3), (7, 90)}
+
+def assert_solvers_agree(grid, costs):
+    """``solve_vectorized`` (what ``decompose_dp`` runs) against the
+    textbook memoised solver kept beside it as the reference: the same
+    optimum, and each plan adds up to it."""
+    model = RegionCostModel(grid, costs)
+    corners = (0, 0, grid.shape[0] - 1, grid.shape[1] - 1)
+    choice = {}
+    reference = _optimal(*corners, model, {}, choice)
+    cost, regions = solve_vectorized(model)
+    assert cost == pytest.approx(reference)
+    assert sum(region.cost for region in regions) == pytest.approx(cost)
+    assert sum(region.cost for region in _reconstruct(*corners, model, choice)) \
+        == pytest.approx(reference)
+
 
 coords_strategy = st.sets(
     st.tuples(st.integers(1, 25), st.integers(1, 15)), min_size=1, max_size=80
@@ -102,20 +119,19 @@ class TestDecompositionAlgorithms:
             assert dp.cost <= aggressive.cost + 1e-6
             assert dp.cost <= best_primitive + 1e-6
 
-    def test_dp_engines_agree(self):
+    def test_dp_agrees_with_memoised_reference(self):
         # Unweighted comparison on the small dense grid, weighted on the rest
-        # (the recursive engine is too slow for large unweighted grids).
-        vectorized = decompose_dp(ONE_TABLE, POSTGRES_COSTS, engine="vectorized", use_weighted=False)
-        recursive = decompose_dp(ONE_TABLE, POSTGRES_COSTS, engine="recursive", use_weighted=False)
-        assert vectorized.cost == pytest.approx(recursive.cost)
+        # (the reference is too slow for large unweighted grids).
+        assert_solvers_agree(WeightedGrid.dense_from_coordinates(ONE_TABLE), POSTGRES_COSTS)
         for coords in (TWO_TABLES, SPARSE):
-            vectorized = decompose_dp(coords, POSTGRES_COSTS, engine="vectorized")
-            recursive = decompose_dp(coords, POSTGRES_COSTS, engine="recursive")
-            assert vectorized.cost == pytest.approx(recursive.cost)
+            assert_solvers_agree(WeightedGrid.from_coordinates(coords), POSTGRES_COSTS)
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            decompose_dp(ONE_TABLE, POSTGRES_COSTS, engine="quantum")
+    def test_dp_has_no_engine_switch_and_no_ignored_budget(self):
+        """``time_budget_seconds=0`` used to return normally on the default
+        engine: an option that is silently ignored is worse than none."""
+        for removed in ({"engine": "recursive"}, {"time_budget_seconds": 0}):
+            with pytest.raises(TypeError):
+                decompose_dp(ONE_TABLE, POSTGRES_COSTS, **removed)
 
     def test_weighted_grid_does_not_hurt_optimality(self):
         for coords in (TWO_TABLES, ONE_TABLE):
@@ -187,10 +203,8 @@ class TestDecompositionAlgorithms:
 
     @settings(max_examples=15, deadline=None)
     @given(coords_strategy)
-    def test_property_engines_agree(self, coords):
-        vectorized = decompose_dp(coords, IDEAL_COSTS, engine="vectorized")
-        recursive = decompose_dp(coords, IDEAL_COSTS, engine="recursive")
-        assert vectorized.cost == pytest.approx(recursive.cost)
+    def test_property_dp_agrees_with_memoised_reference(self, coords):
+        assert_solvers_agree(WeightedGrid.from_coordinates(coords), IDEAL_COSTS)
 
 
 class TestBounds:

@@ -24,6 +24,10 @@ from repro.grid.sheet import Sheet
 from repro.workloads.retail import generate_retail_dataset
 
 
+def _no_bulk_write(items):
+    raise AssertionError("these tests never open deferred mode")
+
+
 class TestLRUCellCache:
     def test_read_through_and_hit_tracking(self):
         backing = {(1, 1): Cell(value=7)}
@@ -31,6 +35,7 @@ class TestLRUCellCache:
             loader=lambda r, c: backing.get((r, c), Cell()),
             writer=lambda r, c, cell: backing.__setitem__((r, c), cell),
             capacity=10,
+            bulk_writer=_no_bulk_write,
         )
         assert cache.get(1, 1).value == 7
         assert cache.get(1, 1).value == 7
@@ -41,19 +46,22 @@ class TestLRUCellCache:
         cache = LRUCellCache(
             loader=lambda r, c: backing.get((r, c), Cell()),
             writer=lambda r, c, cell: backing.__setitem__((r, c), cell),
+            bulk_writer=_no_bulk_write,
         )
         cache.put(2, 2, Cell(value="x"))
         assert backing[(2, 2)].value == "x"
 
     def test_eviction_respects_capacity(self):
-        cache = LRUCellCache(loader=lambda r, c: Cell(value=r), writer=lambda r, c, cell: None, capacity=3)
+        cache = LRUCellCache(loader=lambda r, c: Cell(value=r), writer=lambda r, c, cell: None,
+                             capacity=3, bulk_writer=_no_bulk_write)
         for row in range(1, 6):
             cache.get(row, 1)
         assert len(cache) == 3
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
-            LRUCellCache(loader=lambda r, c: Cell(), writer=lambda r, c, cell: None, capacity=0)
+            LRUCellCache(loader=lambda r, c: Cell(), writer=lambda r, c, cell: None,
+                         capacity=0, bulk_writer=_no_bulk_write)
 
 
 SUPPLIERS = TableValue.from_rows(("id", "name"), [(1, "acme"), (2, "globex")])

@@ -298,6 +298,9 @@ class TestBulkRangeReads:
 
 class TestReviewRegressions:
     def test_bulk_update_cells_routes_like_update_cell_with_overlaps(self, tmp_path):
+        """The pinned case of the one-shape contract that
+        ``tests/test_write_contracts.py`` checks at random: a block is
+        grouped per owner, and the owner is the *first* containing region."""
         from repro.grid.range import RangeRef
         from repro.models.hybrid import HybridDataModel, HybridRegion
         from repro.models.rcv import RowColumnValueModel
