@@ -15,8 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro import DataSpread
-from repro.engine.relational import project, select
+from repro import DataSpread, col, select
 from repro.workloads.retail import generate_retail_dataset
 
 
@@ -68,12 +67,13 @@ def main() -> None:
     assert abs(remaining - (grand - summary.rows[0][2])) < 1e-6
     print(f"Grand total without {summary.rows[0][0]}: ${remaining:,.2f}")
 
-    # Relational operators on composite table values: top overdue invoices.
-    invoice_table = spread.sql("SELECT inv_id, amount, status, due_day FROM invoice")
-    overdue = select(invoice_table, lambda r: r["status"] == "overdue")
-    overdue_ids = project(overdue, "inv_id", "amount")
+    # The same planner behind a generative query: the overdue invoices.
+    overdue = spread.execute(
+        select("invoice").where(col("status") == "overdue")
+        .project(col("inv_id"), col("amount"))
+    ).to_table()
     print(f"{overdue.row_count} overdue invoices; the first few:",
-          overdue_ids.rows[:5])
+          overdue.rows[:5])
 
     # Parameterised (prepared-statement style) query.
     big = spread.sql("SELECT COUNT(*) AS n FROM invoice WHERE amount >= ?", 1_000)

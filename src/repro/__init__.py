@@ -32,7 +32,8 @@ The public API is organised around a handful of entry points:
 
 ``repro.engine``
     The DataSpread facade tying everything together: LRU cell cache, hybrid
-    translator/optimizer, formula evaluation, and relational operators.
+    translator/optimizer, formula evaluation, linked tables, and the catalog
+    that ``repro.query`` plans and runs against.
 
 ``repro.service``
     The multi-session workspace layer: named sessions over one shared
@@ -41,8 +42,9 @@ The public API is organised around a handful of entry points:
 
 ``repro.query``
     The generative relational query subsystem: composable ``select()``
-    over grid regions and linked tables, a pushdown planner, a streaming
-    executor, and reactive live views.
+    over grid regions and linked tables, the ``sql()`` parser, a pushdown
+    planner, a streaming executor whose drained results are composite
+    ``TableValue`` tables, and reactive live views.
 
 ``repro.workloads`` / ``repro.analysis`` / ``repro.experiments``
     Workload generators, corpus analysis, and the per-table/figure experiment

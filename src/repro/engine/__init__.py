@@ -2,36 +2,11 @@
 
 Ties together the storage engine pieces: the hybrid translator routing cell
 operations to the owning data model, the LRU cell cache, the formula parser /
-evaluator / dependency graph, the hybrid optimizer, and the spreadsheet-level
-relational operators (Appendix B).
+evaluator / dependency graph, and the hybrid optimizer.  Relational queries
+and ``sql()`` run through :mod:`repro.query`, which the engine serves.
 """
 
 from repro.engine.cache import LRUCellCache
-from repro.engine.relational import (
-    TableValue,
-    crossproduct,
-    difference,
-    intersection,
-    join,
-    project,
-    rename,
-    select,
-    union,
-)
-from repro.engine.sql import execute_sql
 from repro.engine.dataspread import DataSpread
 
-__all__ = [
-    "DataSpread",
-    "LRUCellCache",
-    "TableValue",
-    "union",
-    "difference",
-    "intersection",
-    "crossproduct",
-    "join",
-    "select",
-    "project",
-    "rename",
-    "execute_sql",
-]
+__all__ = ["DataSpread", "LRUCellCache"]

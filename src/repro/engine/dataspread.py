@@ -4,7 +4,8 @@ This is the public entry point tying together the pieces described in the
 paper's architecture (Figure 12): the hybrid translator (routing cell reads
 and writes to ROM/COM/RCV/TOM regions), the positional mapper (inside each
 data model), the LRU cell cache, the formula parser/evaluator and dependency
-graph, the hybrid optimizer, and the spreadsheet-level relational operators.
+graph, and the hybrid optimizer; relational queries, ``sql()`` and live views
+compile and run through :mod:`repro.query`, with this class as their catalog.
 
 Recompute architecture
 ----------------------
@@ -17,8 +18,8 @@ their cells into one ingest body, ``_ingest``, a single batch of them:
 1. **admit** — on the async engine, outside a batch, admission control may
    refuse the edit before anything is touched;
 2. **first-touch preimage** — inside a transaction the top undo frame
-   captures the cell's registration, buffered write, placeholder and
-   composite (``TransactionStack.touch``; the transaction stack, savepoints
+   captures the cell's registration, buffered write and placeholder
+   (``TransactionStack.touch``; the transaction stack, savepoints
    and the ``autonomous()`` park/resume state live in
    :mod:`repro.engine.transactions`);
 3. **mutate** — the dependency graph and the cell cache take the new
@@ -124,8 +125,6 @@ from repro.decomposition import (
     decompose_greedy,
 )
 from repro.engine.cache import LRUCellCache
-from repro.engine.relational import TableValue
-from repro.engine.sql import parse_sql
 from repro.engine.transactions import Savepoint, TransactionStack
 from repro.errors import (
     CircularDependencyError,
@@ -149,11 +148,12 @@ from repro.models.base import ModelKind
 from repro.models.hybrid import HybridDataModel, HybridRegion
 from repro.models.tom import TableOrientedModel
 from repro.query.builder import Select, select as build_select
-from repro.query.executor import QueryResult, run_plan
+from repro.query.executor import QueryResult, TableValue, run_plan
 from repro.query.planner import compile_select
+from repro.query.sql import parse_sql
 from repro.query.views import LiveView
 from repro.storage.costs import POSTGRES_COSTS, CostParameters
-from repro.storage.database import Database
+from repro.storage.database import Database, Table
 
 _OPTIMIZERS = {
     "dp": decompose_dp,
@@ -253,7 +253,6 @@ class DataSpread:
             aggregate_store=self._aggregates,
         )
         self._linked_tables: dict[str, TableOrientedModel] = {}
-        self._composite_values: dict[tuple[int, int], TableValue] = {}
         # Live query views, keyed by the sentinel anchor address that
         # represents each view in the dependency graph / scheduler.
         self._views: dict[CellAddress, LiveView] = {}
@@ -281,7 +280,7 @@ class DataSpread:
         # level (see repro.engine.transactions).
         self._txn = TransactionStack(
             self._cache, self._dependencies, self._aggregates, self._scheduler,
-            self._composite_values, commit=self._commit, rolled_back=self._rolled_back,
+            commit=self._commit, rolled_back=self._rolled_back,
         )
         #: Injectable monotonic clock (seconds) for deadline paths.
         self.clock = clock
@@ -751,8 +750,8 @@ class DataSpread:
                    node: FormulaNode | None = None) -> CellValue:
         """The one write path: admit → preimage → mutate → delta → route.
 
-        ``cell`` is the content to store (an empty one also drops a composite
-        value spilled at the cell); ``node`` its parsed formula, if it has one.
+        ``cell`` is the content to store (an empty one clears the cell);
+        ``node`` its parsed formula, if it has one.
         Returns the value the cell now shows when it is already known: a
         formula outside a batch on the synchronous engine is evaluated as
         it is stored, otherwise its value materialises when the routed
@@ -780,8 +779,6 @@ class DataSpread:
         # which releases the old formula's subscriptions.
         if node is None:
             self._dependencies.unregister(address)
-            if cell.value is None:
-                self._composite_values.pop((row, column), None)
         else:
             self._dependencies.register(address, node)
         if placeholder:
@@ -904,7 +901,7 @@ class DataSpread:
         the model shifts, the aggregate states splice, the dependency graph
         re-keys the registrations the edit reaches — pre-batch and
         batch-local formulas alike — the scheduler, placeholders, batch
-        bookkeeping, composites and views follow through the same mapping,
+        bookkeeping and views follow through the same mapping,
         and every formula whose references moved gets its source text
         rewritten through the AST rewriter and serializer, written back in
         one bulk write.
@@ -949,14 +946,6 @@ class DataSpread:
                     if shadowed is not None:
                         texts.append((moved.row, moved.column, shadowed))
             self._txn.remap(edit.map_address)
-            composites = {
-                (moved.row, moved.column): table
-                for (row, column), table in self._composite_values.items()
-                if (moved := edit.map_address(CellAddress(row, column))) is not None
-            }
-            # In place: the transaction stack shares this map.
-            self._composite_values.clear()
-            self._composite_values.update(composites)
             surviving_anchors: list[CellAddress] = []
             for anchor, view in list(self._views.items()):
                 if view.remap(edit):
@@ -1250,27 +1239,16 @@ class DataSpread:
         statement = parse_sql(query, parameters)
         return run_plan(compile_select(statement, self), self).to_table()
 
-    def table_from_range(self, region: RangeRef | str, *, header: bool = True) -> TableValue:
-        """Treat a tabular spreadsheet region as a composite table value."""
-        region = RangeRef.from_a1(region) if isinstance(region, str) else region
-        return TableValue.from_grid(self.get_range_values(region), header=header)
-
     def place_table(self, table: TableValue, *, at: str | CellAddress,
                     include_header: bool = True) -> RangeRef:
-        """Spill a composite table value onto the sheet (the ``index`` helper)."""
+        """Spill a composite table value onto the sheet as plain cells (one
+        ``import_rows`` block); returns the range it covers."""
         anchor = CellAddress.from_a1(at) if isinstance(at, str) else at
         rows = (table.columns, *table.rows) if include_header else table.rows
         self.import_rows(rows, top=anchor.row, left=anchor.column)
-        self._txn.touch(anchor)  # the displaced composite is part of its preimage
-        self._composite_values[(anchor.row, anchor.column)] = table
         bottom = anchor.row + max(len(rows) - 1, 0)
         right = anchor.column + max(table.column_count - 1, 0)
         return RangeRef(anchor.row, anchor.column, bottom, right)
-
-    def composite_at(self, reference: str | CellAddress) -> TableValue | None:
-        """The composite table value most recently spilled at ``reference``."""
-        anchor = CellAddress.from_a1(reference) if isinstance(reference, str) else reference
-        return self._composite_values.get((anchor.row, anchor.column))
 
     # ------------------------------------------------------------------ #
     # the generative query subsystem
@@ -1368,10 +1346,10 @@ class DataSpread:
                 values[(row - top) * width + (column - left)] = cell.value
         return values
 
-    def resolve_table(self, name: str) -> TableValue:
-        """Resolve a linked or database table by name."""
+    def resolve_table(self, name: str) -> Table:
+        """The linked or database table of that name (the stored table)."""
         if self.database.has_table(name):
-            return TableValue.from_table(self.database.table(name))
+            return self.database.table(name)
         raise LinkTableError(f"unknown table {name!r}")
 
     def table_region(self, name: str) -> RangeRef | None:

@@ -10,8 +10,8 @@ The stack remembers and restores; it decides nothing about recompute:
 * :meth:`TransactionStack.touch` is the *one* first-touch recorder.  The
   engine calls it before a cell changes — an edit, or a computed value
   landing mid-batch — and the top frame captures everything a rollback of
-  that cell needs: its dependency registration, its buffered write, its
-  stale placeholder and its spilled composite value.
+  that cell needs: its dependency registration, its buffered write and
+  its stale placeholder.
 * :meth:`TransactionStack.rollback` is the *one* restore routine, behind
   ``Savepoint.rollback``, a failed ``with`` block and the reaper alike.  It
   hands the committed cells that still need a recompute to the engine's
@@ -40,7 +40,7 @@ class _UndoFrame:
     boundary without disturbing outer levels:
 
     * ``preimages`` — per touched cell, its pre-frame ``(registration,
-      buffered write or ABSENT, placeholder, composite)``, first touch wins;
+      buffered write or ABSENT, placeholder)``, first touch wins;
     * ``dirty`` — addresses first dirtied by this frame (insertion order);
     * ``requeue`` — cells a rollback queues stale again: those the scheduler
       evaluated inside this frame (their computed values sit in the
@@ -132,15 +132,14 @@ class TransactionStack:
 
     Works on the engine's collaborators directly — the cell cache (whose
     deferred mode it opens with the first level and closes with the last),
-    the dependency graph, the aggregate store, the compute scheduler and
-    the engine's composite-value map (mutated in place, never rebound).
+    the dependency graph, the aggregate store and the compute scheduler.
     ``commit(dirty)`` lands and routes an outermost level's work;
     ``rolled_back(flushed)`` follows every rollback with the committed
     cells that still need a recompute.
     """
 
     def __init__(self, cache: LRUCellCache, dependencies, aggregates, scheduler,
-                 composites: dict, *, commit: Callable[[Dirty], None],
+                 *, commit: Callable[[Dirty], None],
                  rolled_back: Callable[[Dirty], None]) -> None:
         self._commit = commit
         self._rolled_back = rolled_back
@@ -148,7 +147,6 @@ class TransactionStack:
         self._dependencies = dependencies
         self._aggregates = aggregates
         self._scheduler = scheduler
-        self._composites = composites
         self.frames: list[_UndoFrame] = []
         #: Dirty cells whose writes a mid-batch commit point already landed
         #: in storage: they survive a failed batch and still get recomputed,
@@ -222,7 +220,6 @@ class TransactionStack:
             self._dependencies.snapshot_registration(address),
             self._cache.pending_at(row, column),
             self._cache.provisional_at(row, column),
-            self._composites.get((row, column)),
         )
         if self._scheduler.pending_count and not self._scheduler.is_fresh(address):
             frame.requeue[address] = None
@@ -359,15 +356,11 @@ class TransactionStack:
     def _restore_records(self, frame: _UndoFrame) -> None:
         """Undo everything a frame recorded (records are consumed)."""
         for address, preimage in frame.preimages.items():
-            registration, pending, provisional, composite = preimage
+            registration, pending, provisional = preimage
             row, column = address.row, address.column
             self._dependencies.restore_registration(address, registration)
             self._cache.restore_pending((row, column), pending)
             self._cache.restore_provisional(row, column, provisional)
-            if composite is None:
-                self._composites.pop((row, column), None)
-            else:
-                self._composites[(row, column)] = composite
         requeue = frame.requeue
         frame.clear_records()
         if requeue:

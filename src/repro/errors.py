@@ -130,7 +130,9 @@ class LinkTableError(ReproError):
 
 
 class RelationalOperationError(ReproError):
-    """Raised when a spreadsheet-level relational operator receives bad input."""
+    """Raised when a composite table value is misused: a row of the wrong
+    width, or an ``index`` / column lookup outside the table
+    (:class:`~repro.query.executor.TableValue`).  Query failures subclass it."""
 
 
 class QueryError(RelationalOperationError):
@@ -142,8 +144,8 @@ class QueryError(RelationalOperationError):
     :class:`QueryExecutionError` for problems that only surface while the
     executor streams rows (type errors inside predicates, a live view
     whose source region was structurally deleted).  Both stay inside the
-    :class:`RelationalOperationError` family so existing callers of the
-    relational layer keep one ``except`` clause.
+    :class:`RelationalOperationError` family, so one ``except`` clause
+    covers a query and the table value it returns.
     """
 
 

@@ -13,9 +13,10 @@ when source cells change:
 >>> spread.execute(q).to_table()          # doctest: +SKIP
 >>> view = spread.create_live_view(q)     # doctest: +SKIP
 
-The SQL front-end (:func:`repro.engine.sql.execute_sql`, i.e. the
-spreadsheet's ``sql()`` function) parses into the same AST and runs
-through the same planner/executor.
+The SQL front-end (:func:`repro.query.sql.parse_sql`, behind the
+spreadsheet's ``sql()`` function, ``DataSpread.sql``) parses into the same
+AST and runs through the same planner/executor.  A drained result is a
+:class:`TableValue`.
 """
 
 from repro.query.ast import (
@@ -40,7 +41,7 @@ from repro.query.builder import (
     sum_,
     table,
 )
-from repro.query.executor import QueryResult, run_plan
+from repro.query.executor import QueryResult, TableValue, run_plan
 from repro.query.planner import Catalog, Plan, compile_select
 from repro.query.views import LiveView
 
@@ -57,6 +58,7 @@ __all__ = [
     "QueryResult",
     "Select",
     "TableRelation",
+    "TableValue",
     "avg",
     "col",
     "compile_select",

@@ -20,7 +20,7 @@ overloaded).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.errors import QueryPlanError
@@ -251,7 +251,6 @@ class Select:
     order: tuple[OrderItem, ...] = ()
     limit_count: int | None = None
     offset_count: int = 0
-    distinct_flag: bool = field(default=False)
 
     def where(self, *predicates: PredicateExpr) -> "Select":
         """AND one or more predicates onto the query."""

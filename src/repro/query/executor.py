@@ -2,30 +2,31 @@
 
 Every stage is a generator over plain row tuples: scan → hash-join →
 residual filter → (group | project) → sort → offset/limit.  Nothing
-materialises an intermediate :class:`~repro.engine.relational.TableValue`
-— the only barriers are the ones the semantics force (a hash join's
-build side, grouping, and sorting).  When a plan ``streams`` (no group,
-no sort), ``LIMIT n`` short-circuits the pipeline: a grid scan reads its
-region in row chunks and simply stops issuing bulk reads once ``n`` rows
-have flowed out the end, which is what makes ``select().where().limit()``
-over a million-row region cheap.
+materialises an intermediate :class:`TableValue` — the only barriers are
+the ones the semantics force (a hash join's build side, grouping, and
+sorting).  When a plan ``streams`` (no group, no sort), ``LIMIT n``
+short-circuits the pipeline: a grid scan reads its region in row chunks
+and simply stops issuing bulk reads once ``n`` rows have flowed out the
+end, which is what makes ``select().where().limit()`` over a million-row
+region cheap.
 
 Execution-time failures (a sort over incomparable values, a scan against
 a catalog with no grid) raise
-:class:`~repro.errors.QueryExecutionError`.
+:class:`~repro.errors.QueryExecutionError`.  A drained result is a
+:class:`TableValue`: the composite table value the paper's relational
+functions return and its ``index`` function reads cells out of.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from repro.errors import QueryExecutionError
+from repro.errors import QueryExecutionError, RelationalOperationError
+from repro.grid.cell import CellValue
 from repro.grid.range import RangeRef
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.relational import TableValue
 from repro.query.planner import (
     AggregateSpec,
     Catalog,
@@ -81,7 +82,7 @@ def _table_rows(scan: TableScanOp, catalog: Catalog) -> Iterator[tuple]:
     table = catalog.resolve_table(scan.table_name)
     indices = scan.indices
     predicate = scan.predicate
-    for record in table.rows:
+    for record in table.rows():
         row = tuple(record[index] for index in indices)
         if predicate is None or predicate(row):
             yield row
@@ -153,7 +154,8 @@ def _sorted_rows(rows: Iterator[tuple],
     try:
         # Successive stable sorts from the minor key to the major key give
         # multi-column ordering; ``(is not None, value)`` keeps NULLs first
-        # ascending / last descending, matching the legacy sql() sort.
+        # ascending / last descending, and equal keys keep their input order
+        # in both directions.
         for position, descending in reversed(order):
             materialised.sort(
                 key=lambda row: (row[position] is not None, row[position]),
@@ -189,13 +191,61 @@ def _pipeline(plan: Plan, rows_of: RowSource) -> Iterator[tuple]:
     return rows
 
 
+@dataclass(frozen=True)
+class TableValue:
+    """An immutable composite table: ordered columns plus rows of values
+    (what :meth:`QueryResult.to_table` drains a result into)."""
+
+    columns: tuple[str, ...]
+    rows: tuple[tuple, ...]
+
+    def __post_init__(self) -> None:
+        for row in self.rows:
+            if len(row) != len(self.columns):
+                raise RelationalOperationError(
+                    f"row of width {len(row)} does not match {len(self.columns)} column(s)"
+                )
+
+    @property
+    def row_count(self) -> int:
+        """Number of rows."""
+        return len(self.rows)
+
+    @property
+    def column_count(self) -> int:
+        """Number of columns."""
+        return len(self.columns)
+
+    def column_index(self, name: str) -> int:
+        """0-based index of a column; raises when absent."""
+        try:
+            return self.columns.index(name)
+        except ValueError as exc:
+            raise RelationalOperationError(f"no column named {name!r}") from exc
+
+    def cell(self, row: int, column: int | str = 1) -> CellValue:
+        """The ``index(table, row, column)`` function (both 1-based)."""
+        if isinstance(column, str):
+            column = self.column_index(column) + 1
+        if not (1 <= row <= self.row_count and 1 <= column <= self.column_count):
+            raise RelationalOperationError(
+                f"index ({row}, {column}) outside a {self.row_count}x{self.column_count} table"
+            )
+        return self.rows[row - 1][column - 1]
+
+    @classmethod
+    def from_rows(cls, columns: Sequence[str],
+                  rows: Iterable[Sequence[CellValue]]) -> "TableValue":
+        """Build from explicit columns and row data."""
+        return cls(columns=tuple(columns), rows=tuple(tuple(row) for row in rows))
+
+
 class QueryResult:
     """A streamed query result.
 
     Iterating yields row tuples straight off the executor pipeline —
     single pass, pulling only as much data as consumed.  ``to_table()``
-    drains the remainder into an immutable
-    :class:`~repro.engine.relational.TableValue`.
+    drains the remainder into an immutable :class:`TableValue`.
     """
 
     __slots__ = ("columns", "_rows", "_consumed")
@@ -212,12 +262,8 @@ class QueryResult:
         """The next row, or ``None`` when the stream is exhausted."""
         return next(self._rows, None)
 
-    def to_table(self) -> "TableValue":
+    def to_table(self) -> TableValue:
         """Drain the (remaining) stream into a ``TableValue``."""
-        # Imported here, not at module scope: engine.sql imports this
-        # module, so a top-level engine import would cycle.
-        from repro.engine.relational import TableValue
-
         if self._consumed:
             raise QueryExecutionError("query result was already drained")
         self._consumed = True

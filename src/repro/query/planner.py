@@ -5,11 +5,11 @@ executor (:mod:`repro.query.executor`) is a dumb iterator pipeline:
 
 * **Schema resolution.**  Every relation gets a schema: a grid region's
   columns come from its header row (one single-row bulk read at plan
-  time) or its sheet column letters; a table's from the resolved
-  :class:`~repro.engine.relational.TableValue`.  Column references
-  resolve case-insensitively; a reference matching more than one column
-  is an error (never a silent first-match), and qualifiers must name a
-  relation alias.
+  time; a blank header cell is named by its column letter) or its sheet
+  column letters; a table's from its stored schema — the planner reads no
+  table row.  Column references resolve case-insensitively; a reference
+  matching more than one column is an error (never a silent first-match),
+  and qualifiers must name a relation alias.
 * **Predicate pushdown.**  The WHERE tree is split into top-level AND
   conjuncts; a conjunct whose columns all belong to one relation is
   pushed into that relation's scan (evaluated per streamed row, before
@@ -28,12 +28,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Protocol
 
 from repro.errors import QueryPlanError
-# TableValue is annotation-only here: importing repro.engine at module
-# scope would cycle (engine.sql imports this package).
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.relational import TableValue
 from repro.grid.address import column_index_to_letter
 from repro.grid.range import RangeRef
 from repro.query.ast import (
@@ -54,6 +48,7 @@ from repro.query.ast import (
     relation_alias,
 )
 from repro.query.builder import Select
+from repro.storage.database import Table
 
 
 class Catalog(Protocol):
@@ -63,8 +58,8 @@ class Catalog(Protocol):
         """A region's values as one dense row-major block, ``region.area``
         long with ``None`` for a blank cell (the engine's one range read)."""
 
-    def resolve_table(self, name: str) -> TableValue:
-        """Materialise a named table."""
+    def resolve_table(self, name: str) -> Table:
+        """The stored table of that name (read, never copied)."""
 
     def table_region(self, name: str) -> RangeRef | None:
         """The grid footprint of a linked table (``None`` if off-grid)."""
@@ -83,7 +78,6 @@ class RelationSchema:
     region: RangeRef | None      # grid footprint (grid relations / linked tables)
     table_name: str | None
     header: bool
-    table: TableValue | None     # resolved table (table relations only)
 
 
 def _grid_schema(rel: GridRelation, catalog: Catalog) -> RelationSchema:
@@ -106,16 +100,16 @@ def _grid_schema(rel: GridRelation, catalog: Catalog) -> RelationSchema:
         )
     return RelationSchema(
         alias=rel.name, names=names, kind="grid", region=region,
-        table_name=None, header=rel.header, table=None,
+        table_name=None, header=rel.header,
     )
 
 
 def _table_schema(rel: TableRelation, catalog: Catalog) -> RelationSchema:
-    value = catalog.resolve_table(rel.table)
+    names = catalog.resolve_table(rel.table).schema.column_names
     return RelationSchema(
-        alias=rel.alias, names=value.columns, kind="table",
+        alias=rel.alias, names=names, kind="table",
         region=catalog.table_region(rel.table), table_name=rel.table,
-        header=True, table=value,
+        header=True,
     )
 
 
@@ -196,7 +190,7 @@ class GridScanOp:
 
 @dataclass(slots=True)
 class TableScanOp:
-    """Filtered projection over a materialised table."""
+    """Filtered projection over a stored table's rows."""
 
     table_name: str
     indices: tuple[int, ...]         # column positions kept

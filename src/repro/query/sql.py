@@ -3,13 +3,14 @@
 The paper delegates ``sql(query, param, ...)`` to the backing PostgreSQL
 instance.  This substrate implements the SELECT subset the paper's use
 cases exercise (Appendix B, Figure 19) — but instead of executing it
-directly, the statement is *parsed into the generative query AST*
-(:mod:`repro.query`) and compiled/run by the same planner and streaming
-executor that serve ``select()`` queries, so the two surfaces share one
-execution path:
+directly, :func:`parse_sql` turns the statement into the generative
+:class:`~repro.query.builder.Select` that ``DataSpread.sql`` compiles and
+runs with the same planner and streaming executor as every ``select()``
+query, so the two surfaces share one execution path:
 
 * ``SELECT`` of columns, ``*``, and the aggregates COUNT/SUM/AVG/MIN/MAX
-  (with optional ``AS`` aliases);
+  (with optional ``AS`` aliases); a name is an aggregate only when ``(``
+  follows it, so a column called ``count`` or ``max`` selects as a column;
 * a single ``FROM`` relation — a linked table by name or a grid region
   in A1 form (``FROM A1:C500``, first row as header) — plus any number
   of ``JOIN ... ON a = b`` (same relation forms);
@@ -32,10 +33,9 @@ rather than a silent first match.  Malformed statements raise
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.errors import QueryPlanError
-from repro.engine.relational import TableValue
 from repro.grid.cell import CellValue
 from repro.grid.range import RangeRef
 from repro.query.ast import (
@@ -56,10 +56,6 @@ from repro.query.ast import (
     TableRelation,
 )
 from repro.query.builder import Select
-from repro.query.executor import run_plan
-from repro.query.planner import compile_select
-
-TableResolver = Callable[[str], TableValue]
 
 
 # ---------------------------------------------------------------------- #
@@ -116,8 +112,9 @@ class _Tokens:
         self._index = 0
         self.query = query
 
-    def peek(self) -> tuple[str, Any] | None:
-        return self._tokens[self._index] if self._index < len(self._tokens) else None
+    def peek(self, ahead: int = 0) -> tuple[str, Any] | None:
+        index = self._index + ahead
+        return self._tokens[index] if index < len(self._tokens) else None
 
     def next(self) -> tuple[str, Any]:
         token = self.peek()
@@ -284,7 +281,8 @@ def _parse_select_item(cursor: _Tokens) -> SelectItem:
     token = cursor.peek()
     if token is None:
         raise QueryPlanError("unexpected end of select list")
-    if (token[0] == "ident" and token[1].upper() in AGGREGATE_FUNCS):
+    if (token[0] == "ident" and token[1].upper() in AGGREGATE_FUNCS
+            and cursor.peek(1) == ("sym", "(")):
         func = cursor.next()[1].upper()
         cursor.expect_symbol("(")
         if cursor.take_symbol("*") is not None:
@@ -296,7 +294,7 @@ def _parse_select_item(cursor: _Tokens) -> SelectItem:
         cursor.expect_symbol(")")
         alias = _parse_alias(cursor)
         if alias is None:
-            # Legacy default names: count_all, sum_invoice_amount, ...
+            # Default names: count_all, sum_invoice_amount, ...
             alias = f"{func.lower()}_{argument_text.replace('.', '_').replace('*', 'all')}"
         return AggregateItem(func, argument, alias=alias)
     name = cursor.expect_name()
@@ -398,39 +396,3 @@ def _parse_operand(cursor: _Tokens, bound: list[CellValue]) -> ColumnRef | Liter
             raise QueryPlanError(f"unsupported operand {token[1]!r}")
         return _column(token[1])
     raise QueryPlanError(f"unsupported literal: {token[1]!r}")
-
-
-# ---------------------------------------------------------------------- #
-# execution
-# ---------------------------------------------------------------------- #
-class _ResolverCatalog:
-    """Adapt a bare table resolver to the planner's catalog protocol."""
-
-    __slots__ = ("_resolver",)
-
-    def __init__(self, resolver: TableResolver) -> None:
-        self._resolver = resolver
-
-    def grid_values(self, region: RangeRef) -> list[Any]:
-        raise QueryPlanError("this SQL context has no sheet attached")
-
-    def resolve_table(self, name: str) -> TableValue:
-        return self._resolver(name)
-
-    def table_region(self, name: str) -> RangeRef | None:
-        return None
-
-
-def execute_sql(
-    query: str,
-    resolver: TableResolver,
-    parameters: Sequence[CellValue] = (),
-) -> TableValue:
-    """Execute a SELECT statement against tables provided by ``resolver``.
-
-    The statement parses into the generative query AST and runs through
-    the shared planner/executor pipeline.
-    """
-    statement = parse_sql(query, parameters)
-    catalog = _ResolverCatalog(resolver)
-    return run_plan(compile_select(statement, catalog), catalog).to_table()

@@ -68,7 +68,7 @@ the view is dropped.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from repro.errors import QueryExecutionError
 from repro.formula.rewrite import StructuralEdit
@@ -76,7 +76,7 @@ from repro.grid.address import CellAddress
 from repro.grid.range import RangeRef
 from repro.query.ast import GridRelation
 from repro.query.builder import Select
-from repro.query.executor import grid_rows, run_plan
+from repro.query.executor import TableValue, grid_rows, run_plan
 from repro.query.planner import (
     Catalog,
     GridScanOp,
@@ -85,9 +85,6 @@ from repro.query.planner import (
     compile_select,
     contiguous_runs,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.relational import TableValue
 
 #: A patch stops paying once more than one in this many of a scan's rows
 #: is dirty; the refresh reads that scan whole instead.  Measured on the

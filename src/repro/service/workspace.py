@@ -529,7 +529,7 @@ class Session:
 
     def query(self, query: Any) -> Any:
         """Run a generative ``select()`` query (or SQL-free source) and
-        return the drained :class:`~repro.engine.relational.TableValue`.
+        return the drained :class:`~repro.query.executor.TableValue`.
 
         Runs under this session's scope, so the session's own buffered
         transaction writes are visible to the scan.

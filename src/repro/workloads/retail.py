@@ -2,7 +2,7 @@
 
 The paper's small-business owner manages customers, invoices, payments and
 suppliers in a MySQL schema.  This generator produces a compatible schema and
-seeded data so the linkTable / sql / relational-operator path can be exercised
+seeded data so the linkTable / sql / generative-query path can be exercised
 end to end.
 """
 

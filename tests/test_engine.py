@@ -1,26 +1,14 @@
-"""Tests for the execution engine: cache, relational operators, SQL, DataSpread facade."""
+"""Tests for the execution engine: cache, table values, SQL, DataSpread facade."""
 
 import pytest
 
 from repro.engine.cache import LRUCellCache
 from repro.engine.dataspread import DataSpread
-from repro.engine.relational import (
-    TableValue,
-    crossproduct,
-    difference,
-    intersection,
-    join,
-    project,
-    rename,
-    select,
-    sort,
-    union,
-)
-from repro.engine.sql import execute_sql
 from repro.errors import LinkTableError, RelationalOperationError
 from repro.grid.cell import Cell
 from repro.grid.range import RangeRef
 from repro.grid.sheet import Sheet
+from repro.query import TableValue, region
 from repro.workloads.retail import generate_retail_dataset
 
 
@@ -70,158 +58,69 @@ INVOICES = TableValue.from_rows(
 )
 
 
-class TestRelationalOperators:
-    def test_union_difference_intersection(self):
-        a = TableValue.from_rows(("x",), [(1,), (2,)])
-        b = TableValue.from_rows(("x",), [(2,), (3,)])
-        assert union(a, b).row_count == 3
-        assert difference(a, b).rows == ((1,),)
-        assert intersection(a, b).rows == ((2,),)
-
-    def test_union_incompatible(self):
-        with pytest.raises(RelationalOperationError):
-            union(SUPPLIERS, INVOICES)
-
-    def test_crossproduct_renames_clashes(self):
-        product = crossproduct(SUPPLIERS, SUPPLIERS)
-        assert product.row_count == 4
-        assert "id_2" in product.columns
-
-    def test_select_project_rename_sort(self):
-        filtered = select(INVOICES, lambda row: row["amount"] > 50)
-        assert filtered.row_count == 2
-        projected = project(filtered, "inv")
-        assert projected.columns == ("inv",)
-        renamed = rename(projected, "inv", "invoice_id")
-        assert renamed.columns == ("invoice_id",)
-        ordered = sort(INVOICES, "amount", descending=True)
-        assert ordered.rows[0][2] == 250.0
-
-    def test_project_unknown_column(self):
-        with pytest.raises(RelationalOperationError):
-            project(SUPPLIERS, "missing")
-
-    def test_join_on_shared_column(self):
-        joined = join(INVOICES, SUPPLIERS, on="id")
-        assert joined.row_count == 3
-        names = {row[joined.column_index("name")] for row in joined.rows}
-        assert names == {"acme", "globex"}
-
-    def test_join_with_explicit_pair_and_predicate(self):
-        joined = join(INVOICES, SUPPLIERS, on=("id", "id"), predicate=lambda row: row["amount"] > 50)
-        assert joined.row_count == 2
-
+class TestTableValue:
     def test_index_function(self):
         assert INVOICES.cell(2, 3) == 250.0
         assert INVOICES.cell(1, "amount") == 100.0
         with pytest.raises(RelationalOperationError):
             INVOICES.cell(99, 1)
 
-    def test_from_grid_with_header(self):
-        table = TableValue.from_grid([["a", "b"], [1, 2], [3, None]])
-        assert table.columns == ("a", "b")
-        assert table.rows == ((1, 2), (3, None))
-
-    def test_join_on_duplicate_column_names(self):
-        left = TableValue.from_rows(("id", "name"), [(1, "a"), (2, "b")])
-        right = TableValue.from_rows(("id", "name"), [(1, "x"), (3, "y")])
-        joined = join(left, right, on="id")
-        # Clashing right-side columns carry the _2 suffix, and indexing by
-        # the bare name still resolves the left-side column.
-        assert joined.columns == ("id", "name", "id_2", "name_2")
-        assert joined.rows == ((1, "a", 1, "x"),)
-        assert joined.cell(1, "name") == "a"
-        assert joined.cell(1, "name_2") == "x"
-
-    def test_union_and_difference_with_empty_tables(self):
-        table = TableValue.from_rows(("x", "y"), [(1, 2), (3, 4)])
-        empty = TableValue.from_rows(("x", "y"), [])
-        assert union(table, empty).rows == table.rows
-        assert union(empty, table).rows == table.rows
-        assert union(empty, empty).rows == ()
-        assert difference(table, empty).rows == table.rows
-        assert difference(empty, table).rows == ()
-        # A zero-column table is not union-compatible with a 2-column one.
-        with pytest.raises(RelationalOperationError):
-            union(table, TableValue.from_grid([]))
-
-    def test_sort_is_stable_and_orders_none_first(self):
-        table = TableValue.from_rows(
-            ("k", "tag"),
-            [(2, "first-2"), (None, "null"), (1, "one"),
-             (2, "second-2"), (2, "third-2")],
-        )
-        ordered = sort(table, "k")
-        assert [row[1] for row in ordered.rows] == [
-            "null", "one", "first-2", "second-2", "third-2"]
-        # Descending flips the comparator but stays stable: equal keys
-        # keep their input order, and None moves to the end.
-        descending = sort(table, "k", descending=True)
-        assert [row[1] for row in descending.rows] == [
-            "first-2", "second-2", "third-2", "one", "null"]
-
-    def test_from_grid_pads_and_clips_ragged_rows(self):
-        table = TableValue.from_grid([
-            ["a", "b", "c"],
-            [1],                 # short: padded with None
-            [2, 3, 4, 5],        # long: clipped to the header width
-            [],                  # empty: all None
-        ])
-        assert table.columns == ("a", "b", "c")
-        assert table.rows == ((1, None, None), (2, 3, 4), (None, None, None))
-
 
 class TestSQL:
-    def _resolver(self):
-        tables = {"supp": SUPPLIERS, "invoice": INVOICES}
-        return lambda name: tables[name]
+    """``spread.sql`` over a database holding the two fixture tables."""
 
-    def test_select_star_where(self):
-        result = execute_sql("SELECT * FROM invoice WHERE amount >= 100", self._resolver())
+    @pytest.fixture
+    def spread(self):
+        spread = DataSpread()
+        for name, table in (("supp", SUPPLIERS), ("invoice", INVOICES)):
+            spread.database.create_table(name, table.columns)
+            spread.database.insert_many(name, table.rows)
+        return spread
+
+    def test_select_star_where(self, spread):
+        result = spread.sql("SELECT * FROM invoice WHERE amount >= 100")
         assert result.row_count == 2
 
-    def test_projection_and_alias(self):
-        result = execute_sql("SELECT inv AS invoice_id FROM invoice", self._resolver())
+    def test_projection_and_alias(self, spread):
+        result = spread.sql("SELECT inv AS invoice_id FROM invoice")
         assert result.columns == ("invoice_id",)
 
-    def test_join_group_by_order_by(self):
-        result = execute_sql(
+    def test_join_group_by_order_by(self, spread):
+        result = spread.sql(
             "SELECT supp.name AS supplier, SUM(invoice.amount) AS total "
             "FROM invoice JOIN supp ON invoice.id = supp.id "
-            "GROUP BY supp.name ORDER BY total DESC",
-            self._resolver(),
+            "GROUP BY supp.name ORDER BY total DESC"
         )
         assert result.rows[0] == ("globex", 250.0)
         assert result.rows[1] == ("acme", 140.0)
 
-    def test_aggregates_without_group_by(self):
-        result = execute_sql(
-            "SELECT COUNT(*) AS n, MIN(amount) AS lo, MAX(amount) AS hi, AVG(amount) AS mean FROM invoice",
-            self._resolver(),
+    def test_aggregates_without_group_by(self, spread):
+        result = spread.sql(
+            "SELECT COUNT(*) AS n, MIN(amount) AS lo, MAX(amount) AS hi, AVG(amount) AS mean FROM invoice"
         )
         assert result.rows[0][0] == 3
         assert result.rows[0][1] == 40.0
         assert result.rows[0][2] == 250.0
 
-    def test_parameters(self):
-        result = execute_sql("SELECT * FROM invoice WHERE amount > ? LIMIT 1", self._resolver(), (90,))
+    def test_parameters(self, spread):
+        result = spread.sql("SELECT * FROM invoice WHERE amount > ? LIMIT 1", 90)
         assert result.row_count == 1
 
-    def test_parameter_count_mismatch(self):
+    def test_parameter_count_mismatch(self, spread):
         with pytest.raises(RelationalOperationError):
-            execute_sql("SELECT * FROM invoice WHERE amount > ?", self._resolver(), ())
+            spread.sql("SELECT * FROM invoice WHERE amount > ?")
 
-    def test_string_literal_and_inequality(self):
-        result = execute_sql("SELECT * FROM supp WHERE name <> 'acme'", self._resolver())
+    def test_string_literal_and_inequality(self, spread):
+        result = spread.sql("SELECT * FROM supp WHERE name <> 'acme'")
         assert result.rows == ((2, "globex"),)
 
-    def test_unsupported_statement(self):
+    def test_unsupported_statement(self, spread):
         with pytest.raises(RelationalOperationError):
-            execute_sql("DELETE FROM supp", self._resolver())
+            spread.sql("DELETE FROM supp")
 
-    def test_unknown_column(self):
+    def test_unknown_column(self, spread):
         with pytest.raises(RelationalOperationError):
-            execute_sql("SELECT wrong FROM supp", self._resolver())
+            spread.sql("SELECT wrong FROM supp")
 
 
 class TestDataSpread:
@@ -311,15 +210,18 @@ class TestDataSpread:
         )
         region = spread.place_table(summary, at="H1")
         assert spread.get_value(1, 8) == "status"
-        assert spread.composite_at("H1") is summary
         assert region.top == 1 and region.left == 8
+        assert region.bottom == summary.row_count + 1
 
-    def test_table_from_range(self):
+    def test_region_read_as_table(self):
         spread = DataSpread()
-        spread.import_rows([["name", "score"], ["a", 1], ["b", 2]])
-        table = spread.table_from_range("A1:B3")
-        assert table.columns == ("name", "score")
-        assert table.row_count == 2
+        spread.import_rows([["name", None, "score"], ["a", "x", 1], ["b", "y", 2]])
+        table = spread.execute(region("A1:C3", header=True)).to_table()
+        # A blank header cell is named by its column letter, as in every query.
+        assert table.columns == ("name", "B", "score")
+        assert table.rows == (("a", "x", 1), ("b", "y", 2))
+        bare = spread.execute(region("A1:C3", header=False)).to_table()
+        assert bare.columns == ("A", "B", "C") and bare.row_count == 3
 
     def test_import_csv(self, tmp_path):
         path = tmp_path / "data.csv"

@@ -17,6 +17,7 @@ from repro.query import views as views_module
 from repro.query.builder import region
 from repro.query.planner import CHUNK_ROWS
 from repro.service.workspace import Workspace
+from repro.storage.database import Table
 
 
 def _sales_spread():
@@ -203,6 +204,19 @@ class TestExecutor:
             (None, "fox"), (75, "carol"), (80, "echo"), (80, "bravo"),
             (120, "alpha"), (200, "delta")]
 
+    def test_order_by_is_stable_and_orders_none_first(self):
+        spread = DataSpread()
+        spread.import_rows([["k", "tag"], [2, "first-2"], [None, "null"],
+                            [1, "one"], [2, "second-2"], [2, "third-2"]])
+        ascending = spread.execute(select("A1:B6").order_by(col("k")))
+        assert [row[1] for row in ascending] == [
+            "null", "one", "first-2", "second-2", "third-2"]
+        # Descending flips the comparator but stays stable: equal keys
+        # keep their input order, and None moves to the end.
+        descending = spread.execute(select("A1:B6").order_by(col("k").desc()))
+        assert [row[1] for row in descending] == [
+            "first-2", "second-2", "third-2", "one", "null"]
+
     def test_mixed_type_order_is_an_execution_error(self):
         spread = DataSpread()
         spread.import_rows([["v"], [1], ["two"]])
@@ -337,6 +351,47 @@ class TestSQLFrontEnd:
         ).to_table()
         assert via_sql.rows == via_builder.rows
         assert via_sql.columns == via_builder.columns
+
+    @pytest.mark.parametrize("name", ["count", "SUM", "Avg", "min", "MAX"])
+    def test_column_named_like_an_aggregate(self, name):
+        spread = DataSpread()
+        spread.import_rows([["label", name], ["a", 3], ["b", 5]])
+        via_sql = spread.sql(f"SELECT label, {name} FROM A1:B3 ORDER BY {name} DESC")
+        via_builder = spread.execute(
+            select("A1:B3").project(col("label"), col(name))
+            .order_by(col(name).desc())).to_table()
+        assert via_sql == via_builder
+        assert via_sql.rows == (("b", 5), ("a", 3))
+        alone = spread.sql(f"SELECT {name} FROM A1:B3")
+        assert alone.columns == (name,) and alone.rows == ((3,), (5,))
+
+    def test_aggregate_calls_still_aggregate(self):
+        spread = _sales_spread()
+        table = spread.sql("SELECT COUNT(*), SUM(amount) AS t, max(amount) FROM A1:C7")
+        assert table.columns == ("count_all", "t", "max_amount")
+        assert table.rows == ((6, 555, 200),)
+
+    def test_table_relation_is_read_once_per_query(self, monkeypatch):
+        spread = DataSpread()
+        spread.database.create_table("inv", ["id", "supp"])
+        spread.database.insert_many("inv", [(1, 10), (2, 20), (3, 10)])
+        spread.database.create_table("supp", ["supp", "name"])
+        spread.database.insert_many("supp", [(10, "acme"), (20, "globex")])
+        reads = []
+        original = Table.rows
+
+        def counting_rows(table):
+            reads.append(table.schema.name)
+            return original(table)
+
+        monkeypatch.setattr(Table, "rows", counting_rows)
+        assert spread.sql("SELECT COUNT(*) AS n FROM inv").rows == ((3,),)
+        assert reads == ["inv"]
+        reads.clear()
+        joined = spread.sql("SELECT inv.id, supp.name FROM inv "
+                            "JOIN supp ON inv.supp = supp.supp ORDER BY inv.id")
+        assert joined.rows == ((1, "acme"), (2, "globex"), (3, "acme"))
+        assert sorted(reads) == ["inv", "supp"]
 
 
 class TestLiveViews:

@@ -410,18 +410,6 @@ class TestReviewRegressions:
             assert spread.cell_count() == outside + 1
         assert spread.cell_count() == outside + 1
 
-    def test_failed_batch_restores_displaced_composite_value(self):
-        from repro.engine.relational import TableValue
-
-        spread = DataSpread()
-        table = TableValue(columns=["v"], rows=[(1,)])
-        spread.place_table(table, at="A1")
-        with pytest.raises(RuntimeError):
-            with spread.batch():
-                spread.clear_cell(1, 1)
-                raise RuntimeError("boom")
-        assert spread.composite_at("A1") is table
-
     def test_bulk_reads_inside_batch_see_buffered_writes(self):
         spread = DataSpread()
         with spread.batch():

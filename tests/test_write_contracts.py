@@ -29,7 +29,6 @@ import pytest
 
 from repro.decomposition import decompose_aggressive, decompose_dp, decompose_greedy
 from repro.engine.dataspread import DataSpread
-from repro.engine.relational import TableValue
 from repro.errors import DataModelError, LinkTableError
 from repro.grid.cell import Cell
 from repro.grid.range import RangeRef
@@ -44,7 +43,7 @@ from repro.models import (
     TableOrientedModel,
 )
 from repro.positional.hierarchical import HierarchicalMapping
-from repro.query import col, region as grid_region, select
+from repro.query import TableValue, col, region as grid_region, select
 from repro.storage.costs import POSTGRES_COSTS
 from repro.storage.database import Database
 from repro.storage.heap import HeapFile
@@ -316,7 +315,6 @@ def test_engine_bulk_writers_agree_across_layouts_and_with_the_oracle(algorithm,
     table = TableValue.from_rows(("k", "v"), [(1, "one"), (2, None), (None, "three")])
     for spread in spreads:
         assert spread.place_table(table, at="E4") == RangeRef(4, 5, 7, 6)
-        assert spread.composite_at("E4") is table
     for row, record in enumerate((table.columns, *table.rows), 4):
         for column, value in enumerate(record, 5):
             if value is not None:
