@@ -76,11 +76,12 @@ loc:
 	@find src -name '*.py' | xargs cat | wc -l; wc -l < src/repro/engine/dataspread.py; grep -c 'def ' src/repro/engine/dataspread.py
 
 ## Compare this working tree with a revision the way ROADMAP asks:
-## `make bench-pairs PARENT=<rev> [WORKLOADS=a,b] [PAIRS=10]` runs
-## alternating parent/change pairs of bench/run.py, one process at a time
-## (~1 min a pair and workload), then `--compare` and per-pair ratios.
+## `make bench-pairs PARENT=<rev> [WORKLOADS=a,b] [PAIRS=10] [SUMMARY=file]`
+## runs alternating parent/change pairs of bench/run.py, one process at a
+## time (~1 min a pair and workload), then `--compare` and per-pair ratios;
+## SUMMARY also writes ratios, medians and verdicts as JSON.
 bench-pairs:
-	$(PYTHON) scripts/bench_pairs.py $(PARENT) $(if $(WORKLOADS),--workloads $(WORKLOADS)) --pairs $(or $(PAIRS),10)
+	$(PYTHON) scripts/bench_pairs.py $(PARENT) $(if $(WORKLOADS),--workloads $(WORKLOADS)) --pairs $(or $(PAIRS),10) $(if $(SUMMARY),--summary $(SUMMARY))
 
 ## Run the example walkthroughs end to end.
 examples:

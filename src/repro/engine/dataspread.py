@@ -280,7 +280,7 @@ class DataSpread:
         # level (see repro.engine.transactions).
         self._txn = TransactionStack(
             self._cache, self._dependencies, self._aggregates, self._scheduler,
-            commit=self._commit, rolled_back=self._rolled_back,
+            commit=self._commit, route=self._route_dirty, rolled_back=self._rolled_back,
         )
         #: Injectable monotonic clock (seconds) for deadline paths.
         self.clock = clock
@@ -579,8 +579,10 @@ class DataSpread:
 
     @property
     def in_batch(self) -> bool:
-        """Whether a batch (or standalone savepoint) is currently open."""
-        return bool(self._txn.frames)
+        """Whether a batch (or standalone savepoint) is currently open —
+        and not already committing."""
+        txn = self._txn
+        return len(txn.frames) > txn.committing
 
     @property
     def commit_epoch(self) -> int:
@@ -1546,7 +1548,7 @@ class DataSpread:
         equal the placeholder's — commitment (formula text landing in
         storage) is the point, not just the value.
         """
-        mid_batch = bool(self._txn.frames)
+        mid_batch = self.in_batch
         view = self._views.get(address)
         if view is not None:
             # A live view's sentinel anchor landed in the recompute order:

@@ -134,14 +134,16 @@ class TransactionStack:
     deferred mode it opens with the first level and closes with the last),
     the dependency graph, the aggregate store and the compute scheduler.
     ``commit(dirty)`` lands and routes an outermost level's work;
+    ``route(dirty)`` routes the work of a level opened during that commit;
     ``rolled_back(flushed)`` follows every rollback with the committed
     cells that still need a recompute.
     """
 
     def __init__(self, cache: LRUCellCache, dependencies, aggregates, scheduler,
-                 *, commit: Callable[[Dirty], None],
+                 *, commit: Callable[[Dirty], None], route: Callable[[Dirty], None],
                  rolled_back: Callable[[Dirty], None]) -> None:
         self._commit = commit
+        self._route = route
         self._rolled_back = rolled_back
         self._cache = cache
         self._dependencies = dependencies
@@ -154,6 +156,14 @@ class TransactionStack:
         self.flushed: Dirty = {}
         #: Savepoints opened inside the current outermost level.
         self.savepoints = 0
+        #: Whether the outermost level is committing: it stays on the stack
+        #: until its commit is done, so a level the commit itself opens (a
+        #: view spill's ingest) nests in it instead of opening — and
+        #: closing — the cache's deferred mode a second time.
+        #: A level is open for writing while ``len(frames) > committing``;
+        #: the per-cell checks (``touch``, ``DataSpread.in_batch``) compare
+        #: inline rather than through a property.
+        self.committing = False
         #: Monotonic count of commit points (write-throughs, flushes,
         #: structural edits), bumped by the engine's commit funnel.  Frames
         #: capture it so an aggregate snapshot is only restored when
@@ -190,14 +200,14 @@ class TransactionStack:
         """Set the whole open transaction aside for an autonomous commit:
         frames, flushed set, savepoint count and the cache's buffered writes
         all leave together and come back untouched."""
-        state = (self.frames, self.flushed, self.savepoints)
-        self.frames, self.flushed, self.savepoints = [], {}, 0
+        state = (self.frames, self.flushed, self.savepoints, self.committing)
+        self.frames, self.flushed, self.savepoints, self.committing = [], {}, 0, False
         buffered = self._cache.suspend_deferred()
         try:
             yield
         finally:
             self._cache.resume_deferred(buffered)
-            self.frames, self.flushed, self.savepoints = state
+            self.frames, self.flushed, self.savepoints, self.committing = state
 
     # ------------------------------------------------------------------ #
     # recording
@@ -210,7 +220,7 @@ class TransactionStack:
         pre-batch state.  A formula that was queued stale at that point is
         queued again by the rollback.  A no-op outside a transaction.
         """
-        if not self.frames:
+        if len(self.frames) <= self.committing:
             return
         frame = self.frames[-1]
         if address in frame.preimages:
@@ -259,7 +269,7 @@ class TransactionStack:
         storage and need no re-queue either) and a user rollback across the
         barrier raises.  A no-op outside a transaction.
         """
-        if not self.frames:
+        if len(self.frames) <= self.committing:
             return
         self._cache.flush_pending()
         for frame in self.frames:
@@ -290,9 +300,12 @@ class TransactionStack:
         Savepoints left open inside the level are collapsed first; their
         work is kept (first-touch-wins merge), exactly as if released.  The
         outermost level hands its dirty cells (flushed ones included) to
-        the engine's commit — still in deferred mode, so what the commit
-        recomputes lands as one more bulk write — and then leaves deferred
-        mode.
+        the engine's commit — still in deferred mode and still on the
+        stack, so what the commit recomputes (view spills included) lands
+        as one more bulk write — and then leaves deferred mode.  A level
+        opened by that commit hands its dirty cells to the engine's
+        ``route`` on release: they are recomputed now, their writes join
+        the same bulk write.
         """
         index = self._index(frame)
         while len(self.frames) > max(index, 1):
@@ -304,13 +317,20 @@ class TransactionStack:
             parent.requeue.update(child.requeue)
             # ``parent.aggregates`` keeps the earlier boundary.
         if index > 0:
+            if index == 1 and self.committing:
+                dirty, self.frames[0].dirty = self.frames[0].dirty, {}
+                self._route(dirty)
             return
         dirty, self.flushed = self.flushed, {}
-        dirty.update(self.frames.pop().dirty)
+        dirty.update(frame.dirty)
+        frame.dirty = {}
+        self.committing = True
         try:
             if dirty:
                 self._commit(dirty)
         finally:
+            self.committing = False
+            self.frames.pop()
             self._cache.end_deferred()
 
     def rollback(self, frame: _UndoFrame, *, keep_open: bool = False) -> None:

@@ -23,7 +23,6 @@ from repro.grid.structural import StructuralEdit
 from repro.models.base import DataModel
 from repro.positional import PositionalMapping, create_mapping
 from repro.storage.heap import HeapFile
-from repro.storage.tuples import TuplePointer
 
 #: Stored cell payload: ``None`` for an empty slot, else ``(value, formula)``.
 StoredCell = tuple
@@ -148,7 +147,7 @@ class LineGridStore:
                 self._filled -= 1
         new_pointer = self._heap.update(pointer, tuple(record))
         if new_pointer != pointer:
-            self._replace_pointer(major, new_pointer)
+            self._mapping.replace_at(major, new_pointer)
 
     # ------------------------------------------------------------------ #
     # structural operations
@@ -221,9 +220,6 @@ class LineGridStore:
     # ------------------------------------------------------------------ #
     def _read_record(self, major: int) -> tuple:
         return self._heap.read(self._mapping.fetch(major))
-
-    def _replace_pointer(self, major: int, pointer: TuplePointer) -> None:
-        self._mapping.replace_at(major, pointer)
 
 
 def _to_cell(stored: StoredCell | None) -> Cell:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import is_not
 from typing import Iterator
 
 from repro.errors import StorageError
@@ -44,9 +46,12 @@ class HeapFile:
     equivalent of PostgreSQL's TOAST): its fields are split across linked
     continuation records, each of which fits a page, and the head link's
     pointer addresses the logical record.  Chaining is transparent —
-    ``read``/``scan`` reassemble, ``update``/``delete`` release every link —
-    so column/row-oriented grid stores can hold arbitrarily long lines.
-    Only a single *field* larger than a page remains unstorable.
+    ``read``/``scan`` reassemble, ``delete`` releases every link — so
+    column/row-oriented grid stores can hold arbitrarily long lines.  A
+    link is the unit of an update: rewriting a chained record patches in
+    place just the links whose fields changed, so a point write into a long
+    line costs one link, not the line.  Only a single *field* larger than a
+    page remains unstorable.
     """
 
     def __init__(self, page_capacity_bytes: int = PAGE_SIZE_BYTES) -> None:
@@ -90,15 +95,25 @@ class HeapFile:
         return self._fetch(pointer)
 
     def update(self, pointer: TuplePointer, record: Record) -> TuplePointer:
-        """Update in place when possible; otherwise relocate and return the new pointer."""
+        """Update in place when possible; otherwise relocate and return the new pointer.
+
+        A chained record keeps its pointer as long as it keeps its field
+        count and every changed link still fits its page; it moves only
+        when one of those fails, or when a one-page record outgrows a page.
+        """
         page = self._page(pointer)
         existing = page.read(pointer.slot_id)
-        if not _is_chain_link(existing) and self._fits_one_page(record):
-            try:
-                page.update(pointer.slot_id, record)
+        if _is_chain_link(existing):
+            if self._patch_chain(pointer, existing, record):
                 return pointer
-            except StorageError:
-                pass
+        else:
+            size = record_payload_size(record)
+            if self._fits_one_page(size):
+                try:
+                    page.update(pointer.slot_id, record, size)
+                    return pointer
+                except StorageError:
+                    pass
         self._release(pointer)
         self._live_records -= 1
         return self.insert(record)
@@ -127,31 +142,34 @@ class HeapFile:
     # ------------------------------------------------------------------ #
     # physical placement and overflow chains
     # ------------------------------------------------------------------ #
-    def _fits_one_page(self, record: Record) -> bool:
-        return (record_payload_size(record) + 4
-                <= self._page_capacity - PAGE_HEADER_BYTES)
+    def _fits_one_page(self, size: int) -> bool:
+        return size + 4 <= self._page_capacity - PAGE_HEADER_BYTES
 
-    def _place(self, record: Record) -> TuplePointer:
-        """Put one physical record on a page; no chain handling."""
-        if not self._pages or not self._pages[-1].has_room_for(record):
+    def _place(self, record: Record, size: int) -> TuplePointer:
+        """Put one physical record of payload ``size`` on a page; no chain
+        handling."""
+        if not self._pages or size + 4 > self._pages[-1].free_bytes:
             self._pages.append(Page(page_id=len(self._pages), capacity_bytes=self._page_capacity))
         page = self._pages[-1]
-        if not page.has_room_for(record):
-            raise StorageError("record larger than a page")
-        slot_id = page.insert(record)
+        slot_id = page.insert(record, size)
         return TuplePointer(page_id=page.page_id, slot_id=slot_id)
 
     def _store(self, record: Record) -> TuplePointer:
-        if self._fits_one_page(record):
-            return self._place(record)
+        size = record_payload_size(record)
+        if self._fits_one_page(size):
+            return self._place(record, size)
         chunks = self._chunk_fields(record)
         next_pointer: TuplePointer | None = None
-        for chunk in reversed(chunks[1:]):
-            next_pointer = self._place((_CHAIN_CONT, next_pointer, *chunk))
-        return self._place((_CHAIN_HEAD, next_pointer, *chunks[0]))
+        for index in range(len(chunks) - 1, -1, -1):
+            fields, fields_size = chunks[index]
+            link_head = (_CHAIN_CONT if index else _CHAIN_HEAD, next_pointer)
+            next_pointer = self._place((*link_head, *fields),
+                                       record_payload_size(link_head) + fields_size)
+        return next_pointer
 
-    def _chunk_fields(self, record: Record) -> list[list]:
-        """Greedily pack fields into link-sized chunks (each fits a page).
+    def _chunk_fields(self, record: Record) -> list[tuple[list, int]]:
+        """Greedily pack fields into link-sized chunks (each fits a page),
+        each with the summed ``value_size`` of its fields.
 
         Runs in one pass with an additive size accumulator —
         ``record_payload_size`` is a sum over fields, so tracking the
@@ -159,21 +177,59 @@ class HeapFile:
         """
         budget = self._page_capacity - PAGE_HEADER_BYTES - 4
         overhead = record_payload_size((_CHAIN_CONT, _PROBE_POINTER))
-        chunks: list[list] = []
+        chunks: list[tuple[list, int]] = []
         current: list = []
         used = overhead
         for field in record:
             size = value_size(field)
             if current and used + size > budget:
-                chunks.append(current)
+                chunks.append((current, used - overhead))
                 current = []
                 used = overhead
             if used + size > budget:
                 raise StorageError("record field larger than a page")
             current.append(field)
             used += size
-        chunks.append(current)
+        chunks.append((current, used - overhead))
         return chunks
+
+    def _patch_chain(self, pointer: TuplePointer, head: Record, record: Record) -> bool:
+        """Rewrite in place only the links of a chained record whose fields
+        changed; every link keeps its place, so the head pointer holds.
+
+        A changed link is re-sized from its cached size and the changed
+        fields alone.  Returns ``False`` when the field count differs or a
+        changed link outgrows its page: the caller then re-stores the whole
+        record (links patched so far are released with it).
+        """
+        links = [(pointer, head)]
+        next_pointer = head[1]
+        while next_pointer is not None:
+            link = self._page(next_pointer).read(next_pointer.slot_id)
+            links.append((next_pointer, link))
+            next_pointer = link[1]
+        if sum(len(link) - 2 for _, link in links) != len(record):
+            return False
+        start = 0
+        for link_pointer, link in links:
+            old = link[2:]
+            new = record[start:start + len(old)]
+            start += len(old)
+            # Identity, not equality: ``1 == True == 1.0``, so an equality
+            # test would skip a write that changes only a value's type.
+            # The caller rebuilds just the fields it writes.
+            changed = list(compress(range(len(old)), map(is_not, old, new)))
+            if not changed:
+                continue
+            page = self._page(link_pointer)
+            size = (page.size_of(link_pointer.slot_id)
+                    - sum(value_size(old[i]) for i in changed)
+                    + sum(value_size(new[i]) for i in changed))
+            try:
+                page.update(link_pointer.slot_id, (*link[:2], *new), size)
+            except StorageError:
+                return False
+        return True
 
     def _fetch(self, pointer: TuplePointer) -> Record:
         record = self._page(pointer).read(pointer.slot_id)
@@ -214,6 +270,34 @@ class HeapFile:
     def dead_bytes(self) -> int:
         """Bytes held by tombstoned slots across all pages."""
         return sum(page.dead_bytes for page in self._pages)
+
+    def check_invariants(self) -> None:
+        """Validate every page's cached sizes and byte counters, the live
+        record count, and that every chain walks from its head through
+        continuation links each owned by exactly one head (used by tests)."""
+        heads: list[TuplePointer] = []
+        continuations: set[TuplePointer] = set()
+        for page in self._pages:
+            page.check_invariants()
+            for slot_id, record in page.records():
+                pointer = TuplePointer(page.page_id, slot_id)
+                if record and record[0] is _CHAIN_CONT:
+                    continuations.add(pointer)
+                else:
+                    heads.append(pointer)
+        if len(heads) != self._live_records:
+            raise AssertionError(f"{len(heads)} live records, {self._live_records} counted")
+        owned: set[TuplePointer] = set()
+        for pointer in heads:
+            link = self._page(pointer).read(pointer.slot_id)
+            while _is_chain_link(link) and link[1] is not None:
+                next_pointer = link[1]
+                if next_pointer in owned or next_pointer not in continuations:
+                    raise AssertionError(f"chain at {pointer} reaches a bad link {next_pointer}")
+                owned.add(next_pointer)
+                link = self._page(next_pointer).read(next_pointer.slot_id)
+        if owned != continuations:
+            raise AssertionError(f"{len(continuations - owned)} orphaned continuation links")
 
     def vacuum(self) -> dict[str, int]:
         """Compact the heap without moving any live record.

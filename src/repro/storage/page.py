@@ -20,12 +20,18 @@ class Page:
     Deleting a record leaves its slot as a tombstone (``None``) so that the
     slot ids of surviving records — and therefore tuple pointers — never
     change, which is what lets positional mappings avoid cascading updates.
+
+    Each slot's payload size is kept beside it, so a stored record is
+    measured once, when it is written: ``insert``/``update`` take the size
+    a caller already computed, and ``update``/``delete`` account with the
+    cached size of the record they replace.
     """
 
     def __init__(self, page_id: int, capacity_bytes: int = PAGE_SIZE_BYTES) -> None:
         self.page_id = page_id
         self.capacity_bytes = capacity_bytes
         self._slots: list[Record | None] = []
+        self._sizes: list[int] = []
         self._used_bytes = PAGE_HEADER_BYTES
         self._live_bytes = PAGE_HEADER_BYTES
 
@@ -59,18 +65,23 @@ class Page:
         """Number of live (non-deleted) records."""
         return sum(1 for record in self._slots if record is not None)
 
-    def has_room_for(self, record: Record) -> bool:
-        """Whether ``record`` fits on this page."""
-        return record_payload_size(record) + 4 <= self.free_bytes
+    def size_of(self, slot_id: int) -> int:
+        """The payload size of the live record at ``slot_id``."""
+        self.read(slot_id)
+        return self._sizes[slot_id]
 
     # ------------------------------------------------------------------ #
-    def insert(self, record: Record) -> int:
-        """Append ``record``; returns its slot id.  Raises when the page is full."""
-        if not self.has_room_for(record):
-            raise StorageError(f"page {self.page_id} has no room for a {record_payload_size(record)}-byte record")
+    def insert(self, record: Record, size: int) -> int:
+        """Append ``record`` of payload ``size`` (its ``record_payload_size``,
+        measured by the caller); returns its slot id.  Raises when the page
+        is full.
+        """
+        if size + 4 > self.free_bytes:
+            raise StorageError(f"page {self.page_id} has no room for a {size}-byte record")
         self._slots.append(record)
-        self._used_bytes += record_payload_size(record) + 4
-        self._live_bytes += record_payload_size(record) + 4
+        self._sizes.append(size)
+        self._used_bytes += size + 4
+        self._live_bytes += size + 4
         return len(self._slots) - 1
 
     def read(self, slot_id: int) -> Record:
@@ -80,13 +91,14 @@ class Page:
             raise StorageError(f"slot {slot_id} of page {self.page_id} is deleted")
         return record
 
-    def update(self, slot_id: int, record: Record) -> None:
-        """Replace the record at ``slot_id`` in place."""
-        old = self.read(slot_id)
-        delta = record_payload_size(record) - record_payload_size(old)
+    def update(self, slot_id: int, record: Record, size: int) -> None:
+        """Replace the record at ``slot_id`` in place (``size`` as for
+        :meth:`insert`).  Raises, changing nothing, when it no longer fits."""
+        delta = size - self.size_of(slot_id)
         if delta > self.free_bytes:
             raise StorageError(f"updated record does not fit on page {self.page_id}")
         self._slots[slot_id] = record
+        self._sizes[slot_id] = size
         self._used_bytes += delta
         self._live_bytes += delta
 
@@ -98,10 +110,10 @@ class Page:
         ids — and therefore tuple pointers — never move; ``compact``
         reclaims trailing pointers.
         """
-        record = self.read(slot_id)
+        size = self.size_of(slot_id)
         self._slots[slot_id] = None
-        self._used_bytes -= record_payload_size(record)
-        self._live_bytes -= record_payload_size(record) + 4
+        self._used_bytes -= size
+        self._live_bytes -= size + 4
 
     def compact(self) -> int:
         """Reclaim the line pointers of *trailing* tombstones.
@@ -114,6 +126,7 @@ class Page:
         reclaimed = 0
         while self._slots and self._slots[-1] is None:
             self._slots.pop()
+            self._sizes.pop()
             self._used_bytes -= 4
             reclaimed += 4
         return reclaimed
@@ -127,6 +140,20 @@ class Page:
         for slot_id, record in enumerate(self._slots):
             if record is not None:
                 yield slot_id, record
+
+    def check_invariants(self) -> None:
+        """Validate the cached sizes and byte counters against a
+        from-scratch recount (used by tests)."""
+        if len(self._sizes) != len(self._slots):
+            raise AssertionError(f"page {self.page_id}: size cache and slots differ in length")
+        live = PAGE_HEADER_BYTES
+        for slot_id, record in self.records():
+            if self._sizes[slot_id] != record_payload_size(record):
+                raise AssertionError(f"page {self.page_id} slot {slot_id}: stale cached size")
+            live += self._sizes[slot_id] + 4
+        dead = 4 * (len(self._slots) - self.live_count)
+        if (self._live_bytes, self._used_bytes) != (live, live + dead):
+            raise AssertionError(f"page {self.page_id}: byte counters disagree with a recount")
 
     # ------------------------------------------------------------------ #
     def _slot(self, slot_id: int) -> Record | None:

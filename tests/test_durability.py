@@ -15,6 +15,8 @@ import pytest
 
 from repro.engine.dataspread import DataSpread
 from repro.errors import LinkTableError, RecoveryError, StorageError, WALError
+from repro.grid.range import RangeRef
+from repro.query import col, region as grid_region, select
 from repro.storage.recovery import recover, recovered_cells, replay_records
 from repro.storage.snapshot import (
     list_wal_generations,
@@ -257,6 +259,26 @@ class TestEngineWAL:
             pass
         records = committed_records(read_records(spread.storage_backend.log_path))
         assert records == [cell_record(1, 1, 1, None)]
+        spread.close()
+
+    def test_view_spill_inside_a_batch_commit_joins_its_bulk_write(self, tmp_path):
+        """The batch's writes are one group and everything its commit
+        recomputes — a view spill and the formula reading the spill — is
+        one more: the spill's own ingest must not end deferred mode early
+        and leave the formula to a write-through singleton."""
+        spread = self._spread(tmp_path)
+        backend = spread.storage_backend
+        spread.import_rows([[i, i * 10] for i in range(1, 11)], top=2)
+        source = grid_region(RangeRef(2, 1, 11, 2), header=False)
+        spread.create_live_view(select(source).where(col("A") >= 5), at="E1")
+        spread.set_formula(1, 10, "=SUM(F1:F20)")
+        before = backend.durable_commits
+        with spread.batch():
+            spread.set_value(2, 1, 7)
+            spread.set_value(3, 1, 8)
+        assert backend.durable_commits - before == 2
+        # Rows 2 and 3 now pass the filter beside rows 6..11 (A >= 5).
+        assert spread.get_value(1, 10) == 10 + 20 + sum(10 * i for i in range(5, 11))
         spread.close()
 
     def test_structural_edit_is_atomic_with_flush(self, tmp_path):

@@ -1,5 +1,7 @@
 """Tests for the row-store substrate: costs, pages, heaps, B+-tree, catalog, database."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from repro.storage.database import Database
 from repro.storage.heap import HeapFile
 from repro.storage.page import Page
 from repro.storage.tuples import TuplePointer, record_payload_size, value_size
+from tests.support.seeds import seed_set
 
 
 class TestCostParameters:
@@ -48,9 +51,9 @@ class TestCostParameters:
 class TestPageAndHeap:
     def test_page_insert_read_update_delete(self):
         page = Page(page_id=0)
-        slot = page.insert((1, "a"))
+        slot = page.insert((1, "a"), record_payload_size((1, "a")))
         assert page.read(slot) == (1, "a")
-        page.update(slot, (2, "b"))
+        page.update(slot, (2, "b"), record_payload_size((2, "b")))
         assert page.read(slot) == (2, "b")
         page.delete(slot)
         assert page.is_deleted(slot)
@@ -61,7 +64,7 @@ class TestPageAndHeap:
         page = Page(page_id=0, capacity_bytes=200)
         with pytest.raises(StorageError):
             for _ in range(100):
-                page.insert(("x" * 20,))
+                page.insert(("x" * 20,), record_payload_size(("x" * 20,)))
 
     def test_heap_pointers_stable_across_deletes(self):
         heap = HeapFile()
@@ -139,6 +142,119 @@ class TestHeapOverflowChains:
         heap = HeapFile(page_capacity_bytes=256)
         with pytest.raises(StorageError):
             heap.insert(("x" * 1_000,))
+
+
+class TestChainPointUpdates:
+    """An update of a chained record patches only the links it changes."""
+
+    @staticmethod
+    def _cell(rng: random.Random) -> tuple:
+        # A stored cell as a line-oriented grid store keeps it; every one
+        # has the same size.
+        return (rng.randint(1_000, 9_999), "=SUM(A1:A9)")
+
+    def _column(self, rng: random.Random) -> list:
+        return [self._cell(rng) for _ in range(1_000)]
+
+    def test_single_field_updates_never_cascade(self):
+        rng = random.Random(7)
+        model = self._column(rng)
+        heap = HeapFile()
+        pointer = heap.insert(tuple(model))
+        assert heap.page_count >= 3  # chained over several 8 KB pages
+        pages, dead = heap.page_count, heap.dead_bytes()
+        for step in range(1_000):
+            index = rng.randrange(len(model))
+            # Clears and same-size cells: no link outgrows its first size.
+            model[index] = None if rng.random() < 0.2 else self._cell(rng)
+            assert heap.update(pointer, tuple(model)) == pointer
+            assert heap.read(pointer) == tuple(model)
+            assert (heap.page_count, heap.dead_bytes()) == (pages, dead)
+            if step % 100 == 0:
+                heap.check_invariants()
+        heap.check_invariants()
+
+    def test_a_grown_field_count_re_stores_the_record(self):
+        model = self._column(random.Random(8))
+        heap = HeapFile()
+        pointer = heap.insert(tuple(model))
+        model.append((1, "=A1"))
+        pointer = heap.update(pointer, tuple(model))
+        assert heap.read(pointer) == tuple(model)
+        assert heap.record_count == 1
+        heap.check_invariants()
+
+    def test_a_field_outgrowing_its_link_re_stores_the_record(self):
+        model = self._column(random.Random(9))
+        heap = HeapFile()
+        first = pointer = heap.insert(tuple(model))
+        for width in range(50, 4_000, 50):
+            model[0] = ("x" * width, None)
+            pointer = heap.update(pointer, tuple(model))
+            assert heap.read(pointer) == tuple(model)
+            heap.check_invariants()
+            if pointer != first:
+                break
+        assert pointer != first  # the head link overflowed its page
+        assert heap.record_count == 1
+
+    def test_a_write_that_changes_only_a_value_type_lands(self):
+        # 1 == True == 1.0, so the chain must not skip these as unchanged.
+        model = [(1, None)] * 2_000
+        heap = HeapFile()
+        pointer = heap.insert(tuple(model))
+        assert heap.page_count >= 3
+        for index, value in ((0, True), (500, 1.0), (1_999, True)):
+            model[index] = (value, None)
+            assert heap.update(pointer, tuple(model)) == pointer
+            assert heap.read(pointer)[index][0] is value
+        model[500] = (1, None)
+        heap.update(pointer, tuple(model))
+        assert type(heap.read(pointer)[500][0]) is int
+        heap.check_invariants()
+
+    def test_check_invariants_catches_a_stale_cached_size(self):
+        heap = HeapFile(page_capacity_bytes=256)
+        heap.insert(tuple(range(100)))
+        heap._pages[0]._sizes[0] += 1
+        with pytest.raises(AssertionError):
+            heap.check_invariants()
+
+
+@pytest.mark.parametrize("seed", seed_set("REPRO_FUZZ_SEEDS", range(1, 6)))
+def test_heap_invariants_under_random_operations(seed):
+    """Inserts, in-chain and relocating updates, deletes and vacuums keep
+    every cached size, byte counter and chain consistent with the model."""
+    rng = random.Random(seed)
+    heap = HeapFile(page_capacity_bytes=512)
+    model: dict = {}
+
+    def record() -> tuple:
+        return tuple(rng.choice([None, rng.randint(0, 99), "v" * rng.randint(1, 30)])
+                     for _ in range(rng.choice([1, 5, 40, 120])))
+
+    for _ in range(300):
+        op = rng.random()
+        if op < 0.25 or not model:
+            new = record()
+            model[heap.insert(new)] = new
+        elif op < 0.65:
+            pointer = rng.choice(list(model))
+            fields = list(model.pop(pointer))
+            if rng.random() < 0.7:
+                fields[rng.randrange(len(fields))] = rng.choice([None, 7, "w" * rng.randint(1, 60)])
+            else:
+                fields = list(record())
+            model[heap.update(pointer, tuple(fields))] = tuple(fields)
+        elif op < 0.9:
+            pointer = rng.choice(list(model))
+            heap.delete(pointer)
+            del model[pointer]
+        else:
+            heap.vacuum()
+        heap.check_invariants()
+        assert heap.record_count == len(model)
+        assert all(heap.read(pointer) == fields for pointer, fields in model.items())
 
 
 class TestBPlusTree:
@@ -327,9 +443,9 @@ class TestVacuum:
         page = Page(page_id=0)
         baseline = page.used_bytes
         assert page.live_bytes == baseline and page.dead_bytes == 0
-        slots = [page.insert(("x" * 10,)) for _ in range(4)]
-        assert page.live_bytes == page.used_bytes
         payload = record_payload_size(("x" * 10,))
+        slots = [page.insert(("x" * 10,), payload) for _ in range(4)]
+        assert page.live_bytes == page.used_bytes
         page.delete(slots[1])
         # Historical semantics: the tombstone keeps its 4-byte line pointer
         # in used_bytes; live_bytes drops by payload + pointer.
@@ -339,13 +455,13 @@ class TestVacuum:
 
     def test_update_keeps_live_in_step(self):
         page = Page(page_id=0)
-        slot = page.insert(("ab",))
-        page.update(slot, ("abcdef",))
+        slot = page.insert(("ab",), record_payload_size(("ab",)))
+        page.update(slot, ("abcdef",), record_payload_size(("abcdef",)))
         assert page.live_bytes == page.used_bytes
 
     def test_compact_reclaims_only_trailing_tombstones(self):
         page = Page(page_id=0)
-        slots = [page.insert((i,)) for i in range(5)]
+        slots = [page.insert((i,), record_payload_size((i,))) for i in range(5)]
         page.delete(slots[1])  # interior: must keep its pointer
         page.delete(slots[3])
         page.delete(slots[4])  # trailing run of two
