@@ -390,10 +390,12 @@ class ComputeScheduler:
         """Rewrite queued work across a row/column insert or delete.
 
         Queued addresses are remapped through the same coordinate arithmetic
-        the graph re-keying uses; queued cells whose line was deleted are
-        cancelled.  The dependency edges are rediscovered from the re-keyed
-        graph at the next rebuild, so ordering stays consistent with the
-        rewritten formulas.
+        the graph re-keying uses (the graph is re-keyed first); queued cells
+        whose line was deleted, or that the re-keyed graph does not hold —
+        a live view's sentinel anchor, which the engine re-queues at its own
+        address — are cancelled.  The dependency edges are rediscovered from
+        the re-keyed graph at the next rebuild, so ordering stays consistent
+        with the rewritten formulas.
         """
         self._quarantined = {
             moved: message
@@ -415,7 +417,7 @@ class ComputeScheduler:
         remapped: set[CellAddress] = set()
         for address in self._stale:
             moved = edit.map_address(address)
-            if moved is None:
+            if moved is None or moved not in self._graph:
                 self.stats.cancelled += 1
             else:
                 remapped.add(moved)

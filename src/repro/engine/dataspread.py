@@ -237,7 +237,6 @@ class DataSpread:
         self.mapping_scheme = mapping_scheme
         self.database = database if database is not None else Database(costs)
         self._model = HybridDataModel(mapping_scheme=mapping_scheme)
-        self._backend = self._make_backend(durability, storage_dir, wal_options)
         self._dependencies = DependencyGraph()
         self._aggregates = AggregateStore(self._dependencies)
         self._cache = LRUCellCache(
@@ -297,6 +296,9 @@ class DataSpread:
         #: (0 disables).  The time budget bounds read latency directly.
         self.idle_drain_ms = idle_drain_ms
         self._idle_draining = False
+        # Built last: a WAL backend opens its log, so every option above is
+        # validated first and a refused constructor leaves no open handle.
+        self._backend = self._make_backend(durability, storage_dir, wal_options)
 
     # ------------------------------------------------------------------ #
     # durability

@@ -375,13 +375,18 @@ class TransactionStack:
 
     def _restore_records(self, frame: _UndoFrame) -> None:
         """Undo everything a frame recorded (records are consumed)."""
+        requeue = frame.requeue
+        queued = self._scheduler.pending_count
         for address, preimage in frame.preimages.items():
             registration, pending, provisional = preimage
             row, column = address.row, address.column
+            if registration is None and queued and not self._scheduler.is_fresh(address):
+                # A formula of the frame's that an autonomous commit queued:
+                # leaving the graph, it leaves the queue too.
+                requeue[address] = None
             self._dependencies.restore_registration(address, registration)
             self._cache.restore_pending((row, column), pending)
             self._cache.restore_provisional(row, column, provisional)
-        requeue = frame.requeue
         frame.clear_records()
         if requeue:
             # Values the scheduler computed inside the frame sat in the

@@ -364,8 +364,11 @@ class AggregateStore:
 
     ``targets_for`` scans the distinct ranges for containment: with state
     shared per range, the number of distinct states is the number of
-    distinct rectangles under aggregation — typically a handful — and the
-    scan cost is independent of how many formulas subscribe to each.
+    distinct rectangles under aggregation, and the scan cost is
+    independent of how many formulas subscribe to each.  It is not small
+    on sliding windows: a 3 000-row sheet with a 500-row window every 25
+    rows holds 103 states, and one synchronous ``set_value`` then runs 13
+    scans, about 1 340 containment tests (ROADMAP item 9(d)).
     """
 
     def __init__(self, graph) -> None:
@@ -485,11 +488,13 @@ class AggregateStore:
     def targets_for(self, address: CellAddress) -> list[DeltaTarget]:
         """The states whose range contains ``address`` (pre-edit phase).
 
-        One containment scan over the *distinct* ranges: the cost is
-        O(states held), independent of how many formulas subscribe to
-        each.  A state over a range containing its only reader's own cell
-        is never cached (see :meth:`install`), so no self-exclusion filter
-        is needed here.
+        One linear containment scan over the *distinct* ranges: the cost
+        is O(states held) per call — independent of how many formulas
+        subscribe to each, but paid once per cell the edit's recompute
+        lands, so a sheet of many overlapping windows pays it many times.
+        A state over a range containing its only reader's own cell is
+        never cached (see :meth:`install`), so no self-exclusion filter is
+        needed here.
         """
         if not self._states:
             return []

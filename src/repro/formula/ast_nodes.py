@@ -23,6 +23,19 @@ class FormulaNode:
             yield from child.walk()
 
 
+def node_depth(node: FormulaNode) -> int:
+    """Operator levels on the longest root-to-leaf path (a leaf is 0).
+
+    Iterative, so it measures ASTs too deep for the recursive walkers."""
+    deepest = 0
+    stack = [(node, 0)]
+    while stack:
+        current, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((child, depth + 1) for child in current.children())
+    return deepest
+
+
 @dataclass(frozen=True, slots=True)
 class NumberNode(FormulaNode):
     """A numeric literal."""

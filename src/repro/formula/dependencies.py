@@ -452,8 +452,8 @@ class DependencyGraph:
         ``formula`` may be source text or a pre-parsed AST; passing the AST
         lets the engine parse each formula exactly once.
         """
+        cells, ranges = extract_references(formula)  # may raise: nothing changed yet
         self.unregister(address)
-        cells, ranges = extract_references(formula)
         self._install(address, frozenset(cells), tuple(ranges))
 
     def register_ranges(self, address: CellAddress,

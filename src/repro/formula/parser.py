@@ -14,6 +14,7 @@ from repro.formula.ast_nodes import (
     RangeRefNode,
     StringNode,
     UnaryOpNode,
+    node_depth,
 )
 from repro.formula.tokenizer import Token, TokenType, tokenize
 from repro.grid.address import CellAddress
@@ -37,6 +38,11 @@ _BINARY_PRECEDENCE = {
 }
 
 _RIGHT_ASSOCIATIVE = {"^"}
+
+#: Deepest operator nesting a formula may have.  Evaluation, reference
+#: extraction, rewriting and serialization all recurse once per level, so
+#: deeper input is refused as a syntax error before anything stores it.
+MAX_FORMULA_DEPTH = 400
 
 
 def _absolute_flags(reference: str) -> tuple[bool, bool]:
@@ -187,6 +193,11 @@ class _Parser:
 def parse_formula(formula: str) -> FormulaNode:
     """Parse a formula body (text after the leading ``=``) into an AST.
 
+    Raises :class:`~repro.errors.FormulaSyntaxError` for a formula nesting
+    deeper than :data:`MAX_FORMULA_DEPTH` operator levels.  Every level
+    takes at least one character, so only text longer than the bound is
+    measured.
+
     >>> parse_formula("SUM(B2:C2)+D2")  # doctest: +ELLIPSIS
     BinaryOpNode(...)
     """
@@ -195,4 +206,10 @@ def parse_formula(formula: str) -> FormulaNode:
         text = text[1:]
     if not text:
         raise FormulaSyntaxError("empty formula")
-    return _Parser(tokenize(text), text).parse()
+    try:
+        node = _Parser(tokenize(text), text).parse()
+    except RecursionError:
+        raise FormulaSyntaxError("formula nests too deeply to parse") from None
+    if len(text) > MAX_FORMULA_DEPTH and node_depth(node) > MAX_FORMULA_DEPTH:
+        raise FormulaSyntaxError(f"formula nests deeper than {MAX_FORMULA_DEPTH} levels")
+    return node

@@ -150,7 +150,9 @@ def generate_corpus(
     """Generate a corpus of sheets for one profile (seeded, reproducible)."""
     resolved = CORPUS_PROFILES[profile] if isinstance(profile, str) else profile
     count = sheets if sheets is not None else resolved.default_sheet_count
-    rng = random.Random((seed, resolved.name).__hash__())
+    # A string seed hashes the same in every process (``hash()`` of a str is
+    # salted per process, which made the corpus differ from run to run).
+    rng = random.Random(f"{seed}:{resolved.name}")
     return [
         generate_sheet(resolved, rng, name=f"{resolved.name}-{index:03d}")
         for index in range(count)

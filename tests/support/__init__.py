@@ -1,4 +1,5 @@
-"""Shared test support machinery (randomized-equivalence harness)."""
+"""Shared test support: the seeded fuzz harness, its invariant checker and
+fault injection."""
 
 from tests.support.faults import (  # noqa: F401
     FaultPlan,
@@ -6,26 +7,29 @@ from tests.support.faults import (  # noqa: F401
     SimulatedCrash,
 )
 from tests.support.harness import (  # noqa: F401
+    ASYNC_CRASH,
     COMPARE_WINDOW,
+    COMPOSED,
+    CRASH,
     DATA_COLUMNS,
     DATA_ROWS,
+    EQUIVALENCE,
     FORMULA_COLUMNS,
+    MID_BATCH,
+    OVERLOAD,
+    REFCOUNT_CHURN,
+    SESSIONS,
+    Axes,
     Boom,
     apply_edit,
     apply_op,
     apply_structural,
-    assert_engines_agree,
     assert_matches_replay,
     assert_oracle_agrees,
     full_read_engine,
     random_edit,
     random_formula,
     random_structural,
-    run_async_crash_recovery,
-    run_crash_recovery,
-    run_equivalence,
-    run_mid_batch_equivalence,
-    run_refcount_churn,
-    run_session_interleaving,
-    scan_dependents,
+    run,
 )
+from tests.support.invariants import check_engine, scan_dependents  # noqa: F401

@@ -15,6 +15,7 @@ scalable seed sweep is ``tests/test_equivalence_fuzz.py`` / ``make fuzz``).
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -30,7 +31,7 @@ from repro.grid.cell import Cell
 from repro.grid.range import RangeRef
 from repro.models.hybrid import HybridDataModel, HybridRegion
 from repro.models.rcv import RowColumnValueModel
-from tests.support import run_equivalence, run_mid_batch_equivalence
+from tests.support import EQUIVALENCE, MID_BATCH, run
 
 
 def addr(reference: str) -> CellAddress:
@@ -342,6 +343,21 @@ class TestAsyncEngine:
         assert spread.get_value(2, 1) == 4
 
 
+class TestQueuedViewAnchors:
+    def test_structural_edit_leaves_no_phantom_anchor_in_the_queue(self):
+        from repro.query import col, region, select
+        spread = DataSpread(async_recompute=True)
+        spread.set_value(1, 1, 50)
+        view = spread.create_live_view(
+            select(region(RangeRef(1, 1, 10, 2), header=False)).where(col("A") > 40))
+        spread.set_value(2, 1, 60)
+        assert spread.compute_pending == 1  # the view's anchor
+        spread.insert_row_after(1, 1)
+        assert spread.compute_scheduler.pending() == {view.anchor}
+        spread.flush_compute()
+        assert view.value().rows == ((50, None), (60, None))
+
+
 class TestCacheOverlay:
     def test_probe_and_scan_branches_agree(self):
         """overlay_values has a per-coordinate probe path for small regions
@@ -598,19 +614,21 @@ class TestEvaluatorPrimeAndStats:
 # ---------------------------------------------------------------------- #
 # randomized equivalence: async == sync == Sheet oracle
 # ---------------------------------------------------------------------- #
-# The generators and the drain-and-compare loop live in tests/support/
-# (shared with the scalable fuzz suite, tests/test_equivalence_fuzz.py).
+# The one fuzz harness lives in tests/support/harness.py (shared with the
+# scalable fuzz suite, tests/test_equivalence_fuzz.py).
 # Structural edits are sampled *unbounded* — beyond the stored extent,
 # above the catch-all RCV anchor, and at the MAX_ROWS/MAX_COLUMNS sheet
 # boundary — because extent-free structural edits are part of the contract.
 class TestRandomizedEquivalence:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_interleavings_converge_to_sync_and_oracle(self, seed):
-        run_equivalence(seed)
+        for recompute in ("sync", "async"):
+            run(seed, replace(EQUIVALENCE, recompute=recompute))
 
     @pytest.mark.parametrize("seed", [11, 12])
     def test_interleavings_with_mid_batch_structural_edits(self, seed):
-        run_mid_batch_equivalence(seed)
+        for recompute in ("sync", "async"):
+            run(seed, replace(MID_BATCH, recompute=recompute))
 
 
 # ---------------------------------------------------------------------- #

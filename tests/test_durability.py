@@ -6,10 +6,13 @@ generations and checkpoint rotation, the engine's commit-point mapping
 (synchronous singletons, batch groups, structural atomic groups, async
 provisional placeholders), redo-replay recovery, the compute scheduler's
 poisoned-formula quarantine, and the seeded crash-recovery fuzz
-(``make crash-fuzz`` widens the seed set via ``REPRO_CRASH_SEEDS``).
+(``make fuzz`` widens the seed set via ``REPRO_FUZZ_SEEDS``).
 """
 
+import gc
 import os
+import sys
+import warnings
 
 import pytest
 
@@ -35,24 +38,20 @@ from repro.storage.wal import (
 )
 
 from tests.support import (
+    ASYNC_CRASH,
+    CRASH,
     Boom,
     FaultPlan,
     SimulatedCrash,
     apply_op,
     assert_matches_replay,
-    run_async_crash_recovery,
-    run_crash_recovery,
+    run,
 )
 from tests.support.seeds import seed_set
 
-#: Fast deterministic crash-fuzz seeds for tier-1; ``make crash-fuzz``
-#: widens via REPRO_CRASH_SEEDS (disjoint async offset, as in the
-#: equivalence fuzz).
+#: Fast deterministic crash-fuzz seeds for tier-1; ``make fuzz`` widens via
+#: REPRO_FUZZ_SEEDS (disjoint async offset, as in the equivalence fuzz).
 _FAST_CRASH_SEEDS = range(31, 37)
-
-
-def _crash_seed_set() -> list[int]:
-    return seed_set("REPRO_CRASH_SEEDS", _FAST_CRASH_SEEDS)
 
 
 # ---------------------------------------------------------------------- #
@@ -592,14 +591,32 @@ class TestQuarantineIntegration:
         assert [(a.row, a.column) for a in quarantined] == [(13, 2)]
 
 
+class TestRefusedConstructor:
+    @pytest.mark.parametrize("option", [
+        {"idle_drain_ms": -1}, {"cache_capacity": 0}, {"parse_cache_capacity": 0}])
+    def test_refused_options_leave_no_open_log(self, tmp_path, monkeypatch, option):
+        # A leaked file handle surfaces as a ResourceWarning when it is
+        # collected; made an error, it reaches the unraisable hook.  Earlier
+        # tests' garbage is collected first, outside the hook.
+        gc.collect()
+        leaks = []
+        monkeypatch.setattr(sys, "unraisablehook", leaks.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            with pytest.raises(ValueError):
+                DataSpread(durability="wal", storage_dir=str(tmp_path), **option)
+            gc.collect()
+        assert not leaks
+
+
 # ---------------------------------------------------------------------- #
-# crash-recovery fuzz (seeded; widened by ``make crash-fuzz``)
+# crash-recovery fuzz (seeded; widened by ``make fuzz``)
 # ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("seed", _crash_seed_set())
+@pytest.mark.parametrize("seed", seed_set(_FAST_CRASH_SEEDS))
 def test_sync_crash_recovery(seed):
-    run_crash_recovery(seed)
+    run(seed, CRASH)
 
 
-@pytest.mark.parametrize("seed", [1000 + seed for seed in _crash_seed_set()])
+@pytest.mark.parametrize("seed", [1000 + seed for seed in seed_set(_FAST_CRASH_SEEDS)])
 def test_async_crash_recovery(seed):
-    run_async_crash_recovery(seed)
+    run(seed, ASYNC_CRASH)

@@ -7,7 +7,7 @@ from repro.errors import CircularDependencyError, FormulaEvaluationError, Formul
 from repro.formula.ast_nodes import BinaryOpNode, CellRefNode, FunctionCallNode, RangeRefNode
 from repro.formula.dependencies import DependencyGraph
 from repro.formula.evaluator import Evaluator, access_footprint, extract_references, referenced_coordinates
-from repro.formula.parser import parse_formula
+from repro.formula.parser import MAX_FORMULA_DEPTH, parse_formula
 from repro.formula.tokenizer import TokenType, tokenize
 from repro.grid.address import CellAddress
 from repro.grid.sheet import Sheet
@@ -267,3 +267,61 @@ class TestDependencyGraph:
         order = [a.to_a1() for a in graph.dependents_of(CellAddress.from_a1("A1"))]
         assert order.index("C1") > order.index("B1")
         assert order.index("C1") > order.index("B2")
+
+
+class TestFormulaDepthBound:
+    """Input nesting past ``MAX_FORMULA_DEPTH`` is a syntax error raised
+    before anything is stored — never a ``RecursionError`` escaping from
+    half-way through a write."""
+
+    CHAIN = "=" + "+".join(["B1"] * 3000)
+    NESTED = "=" + "(" * 300 + "B1" + ")" * 300
+    UNARY = "=" + "-" * 1000 + "B1"
+
+    @pytest.mark.parametrize("text", [CHAIN, NESTED, UNARY],
+                             ids=["chain", "nested", "unary"])
+    def test_too_deep_replacement_is_refused_and_the_old_formula_lives(self, text):
+        from repro.engine.dataspread import DataSpread
+        spread = DataSpread()
+        spread.set_value(1, 2, 7)
+        spread.set_formula(1, 1, "=B1*2")
+        with pytest.raises(FormulaSyntaxError):
+            spread.set_formula(1, 1, text)
+        assert spread.get_cell(1, 1).formula == "B1*2"
+        assert spread.get_value(1, 1) == 14
+        spread.set_value(1, 2, 100)
+        assert spread.get_value(1, 1) == 200  # still registered, still live
+
+    def test_formulas_at_the_bound_still_work(self):
+        from repro.engine.dataspread import DataSpread
+        spread = DataSpread()
+        spread.set_value(1, 2, 1)
+        spread.set_formula(1, 1, "=" + "+".join(["B1"] * MAX_FORMULA_DEPTH))
+        spread.set_formula(2, 1, "=" + "-" * MAX_FORMULA_DEPTH + "B1")
+        spread.set_value(1, 2, 2)
+        assert spread.get_value(1, 1) == 2 * MAX_FORMULA_DEPTH
+        assert spread.get_value(2, 1) == 2
+
+    def test_import_csv_keeps_too_deep_text_raw(self, tmp_path):
+        from repro.engine.dataspread import DataSpread
+        path = tmp_path / "deep.csv"
+        path.write_text(f"1,{self.CHAIN.replace('B1', 'A1')}\n")
+        spread = DataSpread()
+        spread.import_csv(path)
+        assert spread.get_cell(1, 2).formula is None
+        assert spread.get_value(1, 2).startswith("=A1+A1")
+
+    @pytest.mark.parametrize("text", [CHAIN, NESTED, UNARY],
+                             ids=["chain", "nested", "unary"])
+    def test_every_parse_path_refuses_with_a_syntax_error(self, text):
+        with pytest.raises(FormulaSyntaxError):
+            parse_formula(text)
+        with pytest.raises(FormulaSyntaxError):
+            extract_references(text)
+
+    def test_register_refuses_before_unregistering(self):
+        graph = DependencyGraph()
+        graph.register(CellAddress(1, 1), "B1*2")
+        with pytest.raises(FormulaSyntaxError):
+            graph.register(CellAddress(1, 1), self.CHAIN)
+        assert graph.precedents_of(CellAddress(1, 1))[0] == {CellAddress(1, 2)}

@@ -36,7 +36,7 @@ from repro.storage.database import Database
 from repro.storage.heap import HeapFile
 from tests.support.seeds import seed_set
 
-SEEDS = seed_set("REPRO_FUZZ_SEEDS", range(1, 7))
+SEEDS = seed_set(range(1, 7))
 TOP, LEFT = 5, 4  # where the primitive models anchor
 
 

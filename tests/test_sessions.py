@@ -5,9 +5,11 @@ rollback (exact boundary restore, outer work preserved), single-writer
 transactions with autonomous foreign edits, read-committed visibility,
 snapshot isolation and invalidation, per-session viewport fairness, WAL
 transaction annotations — plus a deterministic slice of the randomized
-multi-session interleaving harness (``make fuzz-sessions`` widens it via
-``REPRO_SESSION_SEEDS``).
+multi-session preset of the fuzz harness (``make fuzz`` widens it via
+``REPRO_FUZZ_SEEDS``).
 """
+
+import re
 
 import pytest
 
@@ -23,18 +25,12 @@ from repro.service import Workspace
 from repro.storage.recovery import recover
 from repro.storage.snapshot import wal_path
 from repro.storage.wal import read_records
-from tests.support import Boom, run_session_interleaving
+from tests.support import SESSIONS, Boom, run
 from tests.support.seeds import seed_set
 
-#: Fast deterministic session-fuzz seeds for tier-1; ``make fuzz-sessions``
-#: widens via REPRO_SESSION_SEEDS (disjoint from the other harness slices).
-#: Seed 239 is pinned: it aborts a transaction that overwrote a queued
-#: formula and drained, which used to restore the formula fresh and stale.
+#: Fast deterministic session-fuzz seeds for tier-1; ``make fuzz`` widens
+#: via REPRO_FUZZ_SEEDS (disjoint from the other harness slices).
 _FAST_SESSION_SEEDS = (*range(41, 47), 239)
-
-
-def _session_seed_set() -> list[int]:
-    return seed_set("REPRO_SESSION_SEEDS", _FAST_SESSION_SEEDS)
 
 
 # ---------------------------------------------------------------------- #
@@ -344,6 +340,35 @@ class TestWorkspaceSessions:
 # ---------------------------------------------------------------------- #
 # snapshot isolation
 # ---------------------------------------------------------------------- #
+class TestQueueAcrossAborts:
+    def test_abort_after_draining_an_overwritten_queued_formula_requeues_it(self):
+        ws = Workspace()
+        alice = ws.open_session("alice")
+        alice.set_value(1, 1, 3)
+        alice.set_formula(1, 2, "A1*2")  # queued
+        with pytest.raises(Boom):
+            with alice.batch():
+                alice.set_value(1, 2, 99)  # overwrites the queued formula
+                ws.drain()
+                raise Boom()
+        assert not ws.engine.is_fresh(1, 2)  # restored, and stale again
+        ws.flush()
+        assert ws.engine.get_cell(1, 2).formula == "A1*2"
+        assert ws.engine.get_value(1, 2) == 6
+
+    def test_aborted_formula_queued_by_an_autonomous_edit_leaves_the_queue(self):
+        ws = Workspace()
+        alice, bob = ws.open_session("alice"), ws.open_session("bob")
+        with pytest.raises(Boom):
+            with alice.batch():
+                alice.set_formula(1, 3, "B1*2")
+                bob.set_value(1, 2, 5)  # autonomous: queues alice's formula
+                assert CellAddress(1, 3) in ws.engine.compute_scheduler.pending()
+                raise Boom()
+        assert ws.engine.compute_pending == 0
+        assert ws.engine.get_cell(1, 3).formula is None
+
+
 class TestReadSnapshots:
     def test_snapshot_pins_values_against_commits(self):
         ws = Workspace()
@@ -496,26 +521,24 @@ class TestDurableSessions:
 class TestSeedScheme:
     def test_primary_env_selects_seed_range(self, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_SEEDS", "4")
-        assert seed_set("REPRO_TEST_SEEDS", [9]) == [1, 2, 3, 4]
+        assert seed_set([9], env="REPRO_TEST_SEEDS") == [1, 2, 3, 4]
 
     def test_unset_falls_back_to_fast_slice(self, monkeypatch):
         monkeypatch.delenv("REPRO_TEST_SEEDS", raising=False)
-        assert seed_set("REPRO_TEST_SEEDS", range(3, 5)) == [3, 4]
+        assert seed_set(range(3, 5), env="REPRO_TEST_SEEDS") == [3, 4]
 
     def test_makefile_targets_use_the_unified_scheme(self):
-        # The Makefile must propagate the same REPRO_* variables the test
-        # modules read — this is the drift that motivated the scheme.
+        # The Makefile must propagate the one REPRO_* variable every sweep
+        # reads — drift between the two is what motivated the scheme.
         import pathlib
         text = pathlib.Path(__file__).resolve().parent.parent.joinpath("Makefile").read_text()
         assert "REPRO_FUZZ_SEEDS=$(REPRO_FUZZ_SEEDS)" in text
-        assert "REPRO_CRASH_SEEDS=$(REPRO_CRASH_SEEDS)" in text
-        assert "REPRO_SESSION_SEEDS=$(REPRO_SESSION_SEEDS)" in text
-        assert "REPRO_CHAOS_SEEDS=$(REPRO_CHAOS_SEEDS)" in text
+        assert set(re.findall(r"REPRO_\w+_SEEDS", text)) == {"REPRO_FUZZ_SEEDS"}
 
 
 # ---------------------------------------------------------------------- #
 # randomized multi-session interleavings
 # ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("seed", _session_seed_set())
+@pytest.mark.parametrize("seed", seed_set(_FAST_SESSION_SEEDS))
 def test_session_interleavings_converge(seed):
-    run_session_interleaving(seed)
+    run(seed, SESSIONS)

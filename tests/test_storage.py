@@ -221,7 +221,7 @@ class TestChainPointUpdates:
             heap.check_invariants()
 
 
-@pytest.mark.parametrize("seed", seed_set("REPRO_FUZZ_SEEDS", range(1, 6)))
+@pytest.mark.parametrize("seed", seed_set(range(1, 6)))
 def test_heap_invariants_under_random_operations(seed):
     """Inserts, in-chain and relocating updates, deletes and vacuums keep
     every cached size, byte counter and chain consistent with the model."""

@@ -38,6 +38,27 @@ class TestCorpusGenerator:
         second = generate_corpus("enron", sheets=4, seed=1)
         assert [s.sheet.coordinates() for s in first] == [s.sheet.coordinates() for s in second]
 
+    def test_same_corpus_in_every_process(self):
+        # ``hash()`` of a string is salted per process: a corpus seeded from
+        # one differed between runs (and so did table1's assertions).
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        import repro
+        source = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        script = ("from repro.workloads.corpus import generate_corpus; "
+                  "print([sorted(s.sheet.coordinates()) for s in "
+                  "generate_corpus('enron', sheets=2, seed=1)])")
+        outputs = {
+            subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           check=True, env={**os.environ, "PYTHONHASHSEED": salt,
+                                            "PYTHONPATH": source}).stdout
+            for salt in ("1", "2")
+        }
+        assert len(outputs) == 1
+
     def test_sheet_has_tables_and_metadata(self):
         spec = generate_sheet(CORPUS_PROFILES["internet"], random.Random(0), name="x")
         assert spec.sheet.cell_count() > 0

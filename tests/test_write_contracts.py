@@ -51,7 +51,7 @@ from repro.storage.recovery import recover
 from tests.support.seeds import seed_set
 from tests.test_read_contracts import random_edit
 
-SEEDS = seed_set("REPRO_FUZZ_SEEDS", range(1, 7))
+SEEDS = seed_set(range(1, 7))
 ORDERS = ["row-major", "column-major", "shuffled"]
 PRIMITIVES = [RowOrientedModel, ColumnOrientedModel, RowColumnValueModel]
 OPTIMIZERS = {"dp": decompose_dp, "greedy": decompose_greedy, "aggressive": decompose_aggressive}
