@@ -56,11 +56,12 @@ loc:
 bench-pairs:
 	$(PYTHON) scripts/bench_pairs.py $(PARENT) $(if $(WORKLOADS),--workloads $(WORKLOADS)) --pairs $(or $(PAIRS),10) $(if $(SUMMARY),--summary $(SUMMARY))
 
-## Run the example walkthroughs end to end.
+## Run the example walkthroughs end to end (tier-1 does not collect them;
+## `make all` runs them).
 examples:
 	$(PYTHON) examples/quickstart.py
 	$(PYTHON) examples/customer_management.py
 	$(PYTHON) examples/genomics_vcf.py
 	$(PYTHON) examples/storage_tuning.py
 
-all: test docs-check
+all: test docs-check examples

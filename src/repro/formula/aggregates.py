@@ -23,8 +23,9 @@ Architecture
   hook; the state is dropped when its last subscriber unregisters.  The
   engine routes every committed cell-value change through
   :meth:`AggregateStore.apply_edit` (or the two-phase ``targets_for`` /
-  ``apply_delta`` pair), which scans the *distinct ranges* for
-  containment — O(distinct states), independent of subscriber count.
+  ``apply_delta`` pair), which stabs a column-stripe interval index over
+  the *distinct ranges* — O(log states + hits), independent of subscriber
+  count.
 
 Exactness contract
 ------------------
@@ -86,6 +87,14 @@ from dataclasses import dataclass
 from repro.errors import FormulaEvaluationError
 from repro.formula.functions import RangeValue, _normalized_number
 from repro.formula.rewrite import StructuralEdit
+from repro.formula.stripes import (
+    REBUILD_CHURN_FACTOR,
+    REBUILD_CHURN_MIN,
+    DependencyGraphStats,
+    StripeIndex,
+    index_add,
+    index_stab,
+)
 from repro.grid.address import CellAddress
 from repro.grid.range import RangeRef
 
@@ -337,12 +346,17 @@ DeltaTarget = tuple[RangeRef, RangeAggregateState]
 
 
 class _SharedState:
-    """One distinct range's running state plus its subscribing formulas."""
+    """One distinct range's running state plus its subscribing formulas.
 
-    __slots__ = ("state", "subscribers")
+    It is also the range's owner in the store's stripe index: a lookup
+    collects entries, which hash by identity, rather than ranges.
+    """
 
-    def __init__(self, state: RangeAggregateState,
+    __slots__ = ("region", "state", "subscribers")
+
+    def __init__(self, region: RangeRef, state: RangeAggregateState,
                  subscribers: set[CellAddress]) -> None:
+        self.region = region
         self.state = state
         self.subscribers = subscribers
 
@@ -362,19 +376,27 @@ class AggregateStore:
     range, so the state lives exactly as long as at least one registered
     formula still reads it.
 
-    ``targets_for`` scans the distinct ranges for containment: with state
-    shared per range, the number of distinct states is the number of
-    distinct rectangles under aggregation, and the scan cost is
-    independent of how many formulas subscribe to each.  It is not small
-    on sliding windows: a 3 000-row sheet with a 500-row window every 25
-    rows holds 103 states, and one synchronous ``set_value`` then runs 13
-    scans, about 1 340 containment tests (ROADMAP item 9(d)).
+    ``targets_for`` runs once per cell an edit's recompute lands on (13
+    times per ``set_value`` on a sheet of sliding windows), so it stabs
+    the dependency graph's column-stripe interval index
+    (:mod:`repro.formula.stripes`) over the held ranges, each owned by
+    its ``_SharedState``: O(log states + hits), not a scan of every state.
+    ``install`` adds a new range; a dropped state stays in the index, dead,
+    until ``install`` revives it (see :meth:`_drop_entry`); the index is
+    rebuilt from ``_states`` after a splice, a savepoint restore, a clear,
+    or once the dead entries pass the buckets' churn bound.
     """
 
     def __init__(self, graph) -> None:
         self._graph = graph
         self._states: dict[RangeRef, _SharedState] = {}
         self._subscriptions: dict[CellAddress, set[RangeRef]] = {}
+        #: The held ranges, each owned by its entry, and every entry the
+        #: index holds by range: the live ones plus the dropped ones kept
+        #: for reuse (see :meth:`_drop_entry`).
+        self._index: StripeIndex = {}
+        self._indexed: dict[RangeRef, _SharedState] = {}
+        self.index_stats = DependencyGraphStats()
         #: Small ranges (below the area floor) and the distinct formulas
         #: that evaluated an aggregate over them — the promotion ledger.
         self._interest: dict[RangeRef, set[CellAddress]] = {}
@@ -467,9 +489,13 @@ class AggregateStore:
             return state
         entry = self._states.get(region)
         if entry is None:
-            entry = self._states[region] = _SharedState(state, set())
-        else:
-            entry.state = state
+            entry = self._indexed.get(region)
+            if entry is None:
+                entry = self._indexed[region] = _SharedState(region, state, set())
+                index_add(self._index, entry, region, self.index_stats)
+            entry.subscribers = set()
+            self._states[region] = entry
+        entry.state = state
         self._subscribe(address, region, entry)
         self._interest.pop(region, None)
         self.stats.builds += 1
@@ -488,22 +514,16 @@ class AggregateStore:
     def targets_for(self, address: CellAddress) -> list[DeltaTarget]:
         """The states whose range contains ``address`` (pre-edit phase).
 
-        One linear containment scan over the *distinct* ranges: the cost
-        is O(states held) per call — independent of how many formulas
-        subscribe to each, but paid once per cell the edit's recompute
-        lands, so a sheet of many overlapping windows pays it many times.
-        A state over a range containing its only reader's own cell is
-        never cached (see :meth:`install`), so no self-exclusion filter is
-        needed here.
+        One stab of the stripe index: O(log states + hits), independent
+        of how many formulas subscribe to each range.  A state over a
+        range containing its only reader's own cell is never cached (see
+        :meth:`install`), so no self-exclusion filter is needed here.
         """
         if not self._states:
             return []
-        row, column = address.row, address.column
-        return [
-            (region, entry.state)
-            for region, entry in self._states.items()
-            if region.contains_coordinates(row, column)
-        ]
+        hits: set[_SharedState] = set()
+        index_stab(self._index, address.row, address.column, hits, self.index_stats)
+        return [(entry.region, entry.state) for entry in hits if entry.state is not None]
 
     def apply_delta(self, targets: list[DeltaTarget], old: object, new: object) -> None:
         """Fold an old→new value change into the captured targets."""
@@ -548,7 +568,7 @@ class AggregateStore:
                 continue
             entry.subscribers.discard(address)
             if not entry.subscribers:
-                del self._states[region]
+                self._drop_entry(region, entry)
                 self.stats.invalidations += 1
 
     def invalidate_region(self, region: RangeRef) -> None:
@@ -596,6 +616,7 @@ class AggregateStore:
                 continue
             survivor = spliced.get(mapped)
             if survivor is None:
+                entry.region = mapped
                 entry.subscribers = subscribers
                 spliced[mapped] = entry
             else:
@@ -605,10 +626,7 @@ class AggregateStore:
                 survivor.subscribers |= subscribers
             self.stats.splices += 1
         self._states = spliced
-        self._subscriptions = {}
-        for region, entry in spliced.items():
-            for address in entry.subscribers:
-                self._subscriptions.setdefault(address, set()).add(region)
+        self._reindex()
         self._interest.clear()
 
     @staticmethod
@@ -648,18 +666,28 @@ class AggregateStore:
         """Clear the whole store (abort past a commit point, recovery, ...)."""
         if self._states:
             self._states.clear()
-            self._subscriptions.clear()
+            self._reindex()
             self.stats.full_invalidations += 1
         self._interest.clear()
 
     def _drop_entry(self, region: RangeRef, entry: _SharedState) -> None:
+        """Drop ``region``'s state.  Its entry stays in the index, dead
+        (``state`` is ``None``), for ``install`` to revive: a state dropped
+        over a cold cell is rebuilt by the next drain, over the same range.
+        The index is rebuilt once the dead entries pass the buckets' churn
+        bound (``REBUILD_CHURN_FACTOR`` times the live ones, at least
+        ``REBUILD_CHURN_MIN``)."""
         del self._states[region]
+        entry.state = None
         for address in entry.subscribers:
             regions = self._subscriptions.get(address)
             if regions is not None:
                 regions.discard(region)
                 if not regions:
                     del self._subscriptions[address]
+        live = len(self._states)
+        if len(self._indexed) - live > max(REBUILD_CHURN_MIN, REBUILD_CHURN_FACTOR * live):
+            self._reindex()
 
     # ------------------------------------------------------------------ #
     # savepoint snapshot / restore
@@ -698,10 +726,17 @@ class AggregateStore:
         also retracts are exactly what the snapshot predates.
         """
         self._states = {
-            region: _SharedState(self._copy_state(state), set(subscribers))
+            region: _SharedState(region, self._copy_state(state), set(subscribers))
             for region, (state, subscribers) in snapshot.items()
         }
+        self._reindex()
+
+    def _reindex(self) -> None:
+        """Rebuild the subscriptions and the stripe index from ``_states``."""
         self._subscriptions = {}
+        self._index = {}
+        self._indexed = dict(self._states)
         for region, entry in self._states.items():
+            index_add(self._index, entry, region, self.index_stats)
             for address in entry.subscribers:
                 self._subscriptions.setdefault(address, set()).add(region)

@@ -9,30 +9,14 @@ not a thousand.
 Recompute architecture
 ----------------------
 Finding the formulas that read a changed cell is the hot operation: it runs
-once per BFS node on every edit.  Range precedents are therefore held in a
-*spatial interval index* instead of being scanned linearly:
-
-* Ranges spanning at most :data:`WIDE_COLUMN_SPAN` columns are bucketed per
-  spanned column (*column stripes*).  A lookup for a changed cell touches
-  only the bucket of the cell's column.
-* Wider ranges (whole-row style references) share a single *wide* bucket and
-  are filtered by column span after row stabbing.
-
-Each bucket keeps a centered interval tree over the row spans of its
-ranges.  Maintenance is *incremental*: registering or unregistering a
-single formula inserts into / removes from the already-built tree in
-O(log n) (``stats.incremental_inserts`` / ``stats.incremental_removes``;
-each mutation absorbed by a built tree counts one ``rebuilds_avoided``)
-instead of invalidating the bucket, so a steady stream of formula edits
-performs **zero** lazy rebuilds.  A full rebuild survives only as a
-thresholded fallback: heavy churn on one bucket (more mutations than
-:data:`REBUILD_CHURN_FACTOR` times its size), or an insert whose descent
-runs ~3x deeper than a balanced tree (a monotone span sequence growing a
-spine), re-marks it stale so the next stab rebuilds a balanced tree,
-bounding the degradation incremental insertion can cause.  ``direct_dependents`` costs O(log n + matches)
-rather than a scan of every registered formula.
-:attr:`DependencyGraph.stats` counts interval entries probed, which tests
-use to assert sub-linear behaviour.
+once per BFS node on every edit.  Range precedents are therefore held in
+the column-stripe interval index of :mod:`repro.formula.stripes`, keyed by
+the formula cell that owns each range, instead of being scanned linearly:
+``direct_dependents`` costs O(log n + matches) rather than a scan of every
+registered formula, and single (un)registrations maintain the index
+incrementally, so a steady stream of formula edits performs **zero** lazy
+rebuilds.  :attr:`DependencyGraph.stats` counts interval entries probed,
+which tests use to assert sub-linear behaviour.
 
 ``register`` accepts either formula source text or an already-parsed
 :class:`~repro.formula.ast_nodes.FormulaNode`, so the engine can parse each
@@ -44,22 +28,10 @@ themselves plus every transitive dependent of the dirty set.
 Interval-index contract
 -----------------------
 The index answers exactly one question — *which formula cells read
-coordinate (row, column)?* — and maintains these invariants:
-
-* Every registered range appears in one bucket per spanned column (or the
-  single wide bucket when it spans more than :data:`WIDE_COLUMN_SPAN`
-  columns), keyed by the formula cell that owns it.
-* A bucket's interval tree tracks its entries *incrementally*: a register
-  inserts into the built tree, an unregister removes from it, both in
-  O(log n), and the tree answers stabs correctly throughout.  A bucket is
-  marked *stale* (rebuilt lazily on the next stab) only when no tree is
-  built yet, when churn exceeds the rebuild threshold, or when a
-  structural re-key re-assembled it and could not splice the old tree
-  across.  Buckets never
-  share trees.
-* Lookup results are exact, not conservative: ``direct_dependents`` agrees
-  with a brute-force scan of every registration's precedents on every input
-  (``tests/support``'s ``scan_dependents``).
+coordinate (row, column)?* — and its lookups are exact, not conservative:
+``direct_dependents`` agrees with a brute-force scan of every
+registration's precedents on every input (``tests/support``'s
+``scan_dependents``).
 
 Structural-edit rewrite hook
 ----------------------------
@@ -90,25 +62,27 @@ can seed its topological recompute with those alone.
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from repro.errors import CircularDependencyError
 from repro.formula.ast_nodes import FormulaNode
 from repro.formula.evaluator import extract_references
 from repro.formula.rewrite import StructuralEdit
+from repro.formula.stripes import (
+    WIDE_BUCKET,
+    DependencyGraphStats,
+    StripeBucket,
+    StripeIndex,
+    bucket_keys,
+    index_add,
+    index_remove,
+    index_stab,
+)
 from repro.grid.address import CellAddress
 from repro.grid.range import RangeRef
-
-#: Ranges spanning more columns than this go to the shared wide bucket
-#: instead of one entry per column stripe.
-WIDE_COLUMN_SPAN = 64
-
-#: Bucket key for ranges too wide for per-column stripes.
-_WIDE_BUCKET = None
 
 #: One registration: the (precedent cells, precedent ranges) of a formula cell.
 _Registration = tuple[frozenset[CellAddress], tuple[RangeRef, ...]]
@@ -119,293 +93,6 @@ _AXIS_GETTERS = {
     "column": (attrgetter("column"), attrgetter("right")),
 }
 
-#: A bucket whose built tree has absorbed more than this many incremental
-#: mutations per current entry falls back to one full rebuild on its next
-#: stab.  Incremental inserts extend the tree without rebalancing (and
-#: removals leave empty tombstone nodes), so unbounded churn would slowly
-#: degrade stab cost; the threshold keeps the tree within a constant factor
-#: of balanced while still making steady-state maintenance rebuild-free.
-REBUILD_CHURN_FACTOR = 2
-
-#: Churn floor so tiny buckets are not rebuilt after a handful of edits.
-REBUILD_CHURN_MIN = 64
-
-
-@dataclass
-class DependencyGraphStats:
-    """Instrumentation counters for the range index (exposed for tests)."""
-
-    lookups: int = 0             # direct_dependents calls
-    range_probes: int = 0        # interval entries examined while stabbing
-    index_rebuilds: int = 0      # lazy interval-tree rebuilds
-    stripes_reused: int = 0      # built trees carried across a structural edit
-    stripes_shifted: int = 0     # built trees spliced to a translated stripe
-    incremental_inserts: int = 0  # spans inserted into a built tree (O(log n))
-    incremental_removes: int = 0  # spans removed from a built tree (O(log n))
-    rebuilds_avoided: int = 0    # bucket mutations absorbed without invalidating
-
-    def reset(self) -> None:
-        self.lookups = 0
-        self.range_probes = 0
-        self.index_rebuilds = 0
-        self.stripes_reused = 0
-        self.stripes_shifted = 0
-        self.incremental_inserts = 0
-        self.incremental_removes = 0
-        self.rebuilds_avoided = 0
-
-
-class _IntervalTree:
-    """Centered interval tree over inclusive [top, bottom] row spans.
-
-    Every interval stored at a node contains the node's center row, kept in
-    two orders: ascending by top (for stabs left of center) and descending
-    by bottom (for stabs right of center).  A stab visits O(log n) nodes and
-    examines only entries that match plus one terminator per node.
-
-    The bulk constructor builds a balanced tree; :meth:`insert` and
-    :meth:`remove` then maintain it incrementally.  Node centers are
-    immutable, so the descent an interval takes is deterministic — a
-    removal always finds its entry at the node the insert (or the builder)
-    placed it.  Removal may leave a node's entry lists empty; such
-    tombstone nodes answer stabs correctly (nothing matches) and are
-    compacted away by the bucket's thresholded full rebuild.
-    """
-
-    __slots__ = ("center", "left", "right", "by_top", "by_bottom")
-
-    def __init__(self, entries: Sequence[tuple[int, int, object]]) -> None:
-        # entries: (top, bottom, payload); callers guarantee non-empty.
-        endpoints = sorted(top for top, _bottom, _payload in entries)
-        self.center = endpoints[len(endpoints) // 2]
-        here: list[tuple[int, int, object]] = []
-        lower: list[tuple[int, int, object]] = []
-        upper: list[tuple[int, int, object]] = []
-        for entry in entries:
-            top, bottom, _payload = entry
-            if bottom < self.center:
-                lower.append(entry)
-            elif top > self.center:
-                upper.append(entry)
-            else:
-                here.append(entry)
-        self.by_top = sorted(here, key=lambda entry: entry[0])
-        self.by_bottom = sorted(here, key=lambda entry: -entry[1])
-        self.left = _IntervalTree(lower) if lower else None
-        self.right = _IntervalTree(upper) if upper else None
-
-    def stab(self, row: int, out: list, stats: DependencyGraphStats) -> None:
-        """Append the payloads of all intervals containing ``row`` to ``out``."""
-        node: _IntervalTree | None = self
-        while node is not None:
-            if row < node.center:
-                for top, _bottom, payload in node.by_top:
-                    stats.range_probes += 1
-                    if top > row:
-                        break
-                    out.append(payload)
-                node = node.left
-            elif row > node.center:
-                for _top, bottom, payload in node.by_bottom:
-                    stats.range_probes += 1
-                    if bottom < row:
-                        break
-                    out.append(payload)
-                node = node.right
-            else:
-                stats.range_probes += len(node.by_top)
-                out.extend(payload for _top, _bottom, payload in node.by_top)
-                return
-
-    def insert(self, top: int, bottom: int, payload: object) -> int:
-        """Insert one interval without rebuilding; returns the descent depth.
-
-        Descends by the centered-tree rule (entirely-below goes left,
-        entirely-above goes right, containing-the-center stays here) and
-        splices the entry into the node's two sorted orders; a descent off
-        the edge of the tree grows a new leaf.  Node centers are fixed at
-        creation, so adversarial (e.g. monotone) span sequences can grow a
-        spine instead of a balanced tree — the returned depth lets the
-        bucket detect that and schedule a compacting rebuild.
-        """
-        depth = 1
-        node = self
-        while True:
-            if bottom < node.center:
-                if node.left is None:
-                    node.left = _IntervalTree(((top, bottom, payload),))
-                    return depth + 1
-                node = node.left
-            elif top > node.center:
-                if node.right is None:
-                    node.right = _IntervalTree(((top, bottom, payload),))
-                    return depth + 1
-                node = node.right
-            else:
-                entry = (top, bottom, payload)
-                insort(node.by_top, entry, key=lambda item: item[0])
-                insort(node.by_bottom, entry, key=lambda item: -item[1])
-                return depth
-            depth += 1
-
-    def remove(self, top: int, bottom: int, payload: object) -> bool:
-        """Remove one matching interval in O(log n + entries at its node).
-
-        The descent is deterministic (centers never change), so the entry
-        is found at exactly the node that holds it.  Returns ``False`` when
-        no such entry exists — the caller falls back to a full rebuild.
-        """
-        entry = (top, bottom, payload)
-        node: _IntervalTree | None = self
-        while node is not None:
-            if bottom < node.center:
-                node = node.left
-            elif top > node.center:
-                node = node.right
-            else:
-                try:
-                    node.by_top.remove(entry)
-                    node.by_bottom.remove(entry)
-                except ValueError:
-                    return False
-                return True
-        return False
-
-    def translate(self, row_delta: int, mapper) -> "_IntervalTree":
-        """A structurally identical tree, row spans shifted by ``row_delta``
-        and every payload passed through ``mapper``.
-
-        Valid only when the edit moved *every* span in the bucket by the
-        same row delta (a column edit never touches row spans at all, so it
-        translates with delta 0): the centers shift with the spans and the
-        by-top/by-bottom orders carry over verbatim, so the copy costs O(n)
-        with no sorting.
-        """
-        clone = _IntervalTree.__new__(_IntervalTree)
-        clone.center = self.center + row_delta
-        clone.by_top = [
-            (top + row_delta, bottom + row_delta, mapper(payload))
-            for top, bottom, payload in self.by_top
-        ]
-        clone.by_bottom = [
-            (top + row_delta, bottom + row_delta, mapper(payload))
-            for top, bottom, payload in self.by_bottom
-        ]
-        clone.left = self.left.translate(row_delta, mapper) if self.left is not None else None
-        clone.right = self.right.translate(row_delta, mapper) if self.right is not None else None
-        return clone
-
-
-class _StripeBucket:
-    """The ranges assigned to one column stripe (or the wide bucket).
-
-    Entries are kept per formula cell so unregister is O(ranges of that
-    formula).  A built interval tree is maintained *incrementally*: adds
-    insert into it and removes delete from it in O(log n), so single
-    (un)registrations never invalidate the bucket.  The tree is rebuilt
-    lazily only when none is built yet, when accumulated churn exceeds
-    ``REBUILD_CHURN_FACTOR`` times the bucket's current size, or when an
-    insert descends past ``_depth_limit`` (incremental maintenance does
-    not rebalance, so heavy churn — or an adversarial monotone span
-    sequence growing a spine — eventually warrants one compacting
-    rebuild).
-    """
-
-    __slots__ = ("entries", "tree", "stale", "size", "churn")
-
-    def __init__(
-        self, entries: dict[CellAddress, list[tuple[int, int, int, int]]] | None = None
-    ) -> None:
-        # formula cell -> list of (top, bottom, left, right) spans
-        self.entries = entries if entries is not None else {}
-        self.tree: _IntervalTree | None = None
-        # Entries without a tree: the first stab builds it.
-        self.stale = bool(self.entries)
-        #: Total spans across all entries (the tree's live entry count).
-        self.size = sum(map(len, self.entries.values()))
-        #: Incremental mutations absorbed since the tree was last (re)built.
-        self.churn = 0
-
-    def add(self, address: CellAddress, region: RangeRef,
-            stats: DependencyGraphStats) -> None:
-        self.entries.setdefault(address, []).append(
-            (region.top, region.bottom, region.left, region.right)
-        )
-        self.size += 1
-        if self.tree is not None and not self.stale:
-            depth = self.tree.insert(region.top, region.bottom,
-                                     (region.left, region.right, address))
-            stats.incremental_inserts += 1
-            self._absorb_churn(1)
-            if depth > self._depth_limit():
-                # Monotone span sequences grow a spine the churn counter
-                # never notices (churn and size grow in lockstep); the
-                # depth of the insert descent catches it directly.  A
-                # deep tree also keeps stabs O(depth) and would overflow
-                # the recursive structural-edit splice.
-                self.stale = True
-            if not self.stale:
-                stats.rebuilds_avoided += 1
-        else:
-            self.stale = True
-
-    def remove(self, address: CellAddress, stats: DependencyGraphStats) -> bool:
-        """Drop every span of ``address``; returns True when the bucket empties."""
-        spans = self.entries.pop(address, None)
-        if spans is not None:
-            self.size -= len(spans)
-            if self.tree is not None and not self.stale:
-                for top, bottom, left, right in spans:
-                    if not self.tree.remove(top, bottom, (left, right, address)):
-                        # The tree and the entry map disagree; rebuild.
-                        self.stale = True
-                        break
-                    stats.incremental_removes += 1
-                else:
-                    self._absorb_churn(len(spans))
-                    if not self.stale:
-                        stats.rebuilds_avoided += 1
-            else:
-                self.stale = True
-        return not self.entries
-
-    def _absorb_churn(self, mutations: int) -> None:
-        """Count incremental mutations; fall back to a rebuild past the cap."""
-        self.churn += mutations
-        if self.churn > max(REBUILD_CHURN_MIN, REBUILD_CHURN_FACTOR * self.size):
-            self.stale = True
-
-    def _depth_limit(self) -> int:
-        """Deepest acceptable insert descent: ~3x the balanced depth.
-
-        A fresh build of ``size`` entries has depth about log2(size); past
-        three times that (plus slack for tiny buckets) the incremental
-        inserts have degenerated the shape and one compacting rebuild is
-        cheaper than serving O(depth) stabs.
-        """
-        return 3 * max(self.size.bit_length(), 2) + 4
-
-    def stab(self, row: int, column: int, out: set[CellAddress],
-             stats: DependencyGraphStats) -> None:
-        """Add the formula cells whose spans contain (row, column) to ``out``."""
-        if self.tree is None or self.stale:
-            flat = [
-                (top, bottom, (left, right, address))
-                for address, spans in self.entries.items()
-                for top, bottom, left, right in spans
-            ]
-            self.tree = _IntervalTree(flat) if flat else None
-            self.stale = False
-            self.size = len(flat)
-            self.churn = 0
-            stats.index_rebuilds += 1
-        if self.tree is None:
-            return
-        hits: list[tuple[int, int, CellAddress]] = []
-        self.tree.stab(row, hits, stats)
-        for left, right, address in hits:
-            if left <= column <= right:
-                out.add(address)
 
 
 @dataclass
@@ -435,8 +122,8 @@ class DependencyGraph:
         self._precedents: dict[CellAddress, _Registration] = {}
         # precedent cell -> set of formula cells reading it directly
         self._cell_dependents: dict[CellAddress, set[CellAddress]] = {}
-        # column stripe (or _WIDE_BUCKET) -> ranges whose spans cross it
-        self._range_buckets: dict[int | None, _StripeBucket] = {}
+        # column stripe (or WIDE_BUCKET) -> ranges whose spans cross it
+        self._range_buckets: StripeIndex = {}
         #: Fired with the address whenever a *registered* formula leaves the
         #: graph (re-registration, clearing, overwriting).  The aggregate
         #: store hangs its refcount lifecycle here: the graph is the single
@@ -478,11 +165,7 @@ class DependencyGraph:
         for precedent in cells:
             self._cell_dependents.setdefault(precedent, set()).add(address)
         for region in ranges:
-            for key in self._bucket_keys(region):
-                bucket = self._range_buckets.get(key)
-                if bucket is None:
-                    bucket = self._range_buckets[key] = _StripeBucket()
-                bucket.add(address, region, self.stats)
+            index_add(self._range_buckets, address, region, self.stats)
 
     def snapshot_registration(
         self, address: CellAddress
@@ -519,23 +202,9 @@ class DependencyGraph:
                 dependents.discard(address)
                 if not dependents:
                     del self._cell_dependents[precedent]
-        seen_keys: set[int | None] = set()
-        for region in ranges:
-            for key in self._bucket_keys(region):
-                if key in seen_keys:
-                    continue
-                seen_keys.add(key)
-                bucket = self._range_buckets.get(key)
-                if bucket is not None and bucket.remove(address, self.stats):
-                    del self._range_buckets[key]
+        index_remove(self._range_buckets, address, ranges, self.stats)
         if self.on_unregister is not None:
             self.on_unregister(address)
-
-    @staticmethod
-    def _bucket_keys(region: RangeRef) -> Iterable[int | None]:
-        if region.columns > WIDE_COLUMN_SPAN:
-            return (_WIDE_BUCKET,)
-        return range(region.left, region.right + 1)
 
     # ------------------------------------------------------------------ #
     def apply_structural_edit(self, edit: StructuralEdit) -> StructuralRewrite:
@@ -630,21 +299,21 @@ class DependencyGraph:
         detached = {
             key: self._range_buckets.pop(key)
             for key in {key for ranges in removed.values()
-                        for region in ranges for key in self._bucket_keys(region)}
+                        for region in ranges for key in bucket_keys(region)}
         }
         self.stats.stripes_reused += sum(
             1 for bucket in self._range_buckets.values()
             if bucket.tree is not None and not bucket.stale
         )
-        fresh: dict[int | None, _StripeBucket] = {}
+        fresh: StripeIndex = {}
         for key, old in detached.items():
             kept = {address: spans for address, spans in old.entries.items()
                     if address not in removed}
             if kept:
-                fresh[key] = _StripeBucket(kept)
+                fresh[key] = StripeBucket(kept)
         for address, ranges in installed:
             for region in ranges:
-                for key in self._bucket_keys(region):
+                for key in bucket_keys(region):
                     bucket = fresh.get(key)
                     if bucket is None:
                         # A stripe none of the old ranges sat in: a range
@@ -652,7 +321,7 @@ class DependencyGraph:
                         # wide bucket and the column stripes.
                         bucket = self._range_buckets.get(key)
                     if bucket is None:
-                        bucket = fresh[key] = _StripeBucket()
+                        bucket = fresh[key] = StripeBucket()
                     bucket.add(address, region, self.stats)
         for key, bucket in fresh.items():
             old = detached.get(key)
@@ -665,8 +334,8 @@ class DependencyGraph:
         self._range_buckets.update(fresh)
 
     def _try_splice_reuse(self, edit: StructuralEdit, key: int | None,
-                          bucket: _StripeBucket,
-                          detached: dict[int | None, _StripeBucket]) -> None:
+                          bucket: StripeBucket,
+                          detached: StripeIndex) -> None:
         """Splice a built interval tree across a structural edit.
 
         Two translations are exact and cost O(n) with no re-sorting:
@@ -689,7 +358,7 @@ class DependencyGraph:
         span that did not survive intact, disqualifies the stripe).
         """
         if edit.axis == "column":
-            if key is _WIDE_BUCKET:
+            if key is WIDE_BUCKET:
                 return
             if edit.kind == "insert":
                 # New stripes at or left of the insert kept their key
@@ -767,14 +436,8 @@ class DependencyGraph:
     # ------------------------------------------------------------------ #
     def direct_dependents(self, changed: CellAddress) -> set[CellAddress]:
         """Formula cells that directly read ``changed`` (via a cell or range ref)."""
-        self.stats.lookups += 1
         dependents = set(self._cell_dependents.get(changed, ()))
-        bucket = self._range_buckets.get(changed.column)
-        if bucket is not None:
-            bucket.stab(changed.row, changed.column, dependents, self.stats)
-        wide = self._range_buckets.get(_WIDE_BUCKET)
-        if wide is not None:
-            wide.stab(changed.row, changed.column, dependents, self.stats)
+        index_stab(self._range_buckets, changed.row, changed.column, dependents, self.stats)
         return dependents
 
     def dependents_of(self, changed: CellAddress | Iterable[CellAddress]) -> list[CellAddress]:

@@ -30,7 +30,7 @@ from repro.formula.ast_nodes import (
     StringNode,
     UnaryOpNode,
 )
-from repro.formula.functions import FUNCTION_REGISTRY, RangeValue, to_number, to_text
+from repro.formula.functions import FUNCTION_REGISTRY, RangeValue, power, to_number, to_text
 from repro.formula.parser import parse_formula
 from repro.grid.address import CellAddress
 from repro.grid.cell import CellValue
@@ -261,7 +261,7 @@ class Evaluator:
                 raise FormulaEvaluationError("#DIV/0!", "division by zero")
             result = left_number / right_number
         elif operator == "^":
-            result = left_number ** right_number
+            result = power(left_number, right_number)
         else:
             raise FormulaEvaluationError("#VALUE!", f"unknown operator {operator!r}")
         return int(result) if isinstance(result, float) and result.is_integer() else result

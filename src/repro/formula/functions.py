@@ -136,6 +136,21 @@ def to_text(value: ArgValue) -> str:
     return str(value)
 
 
+def power(base: float, exponent: float) -> float:
+    """``base ** exponent`` with the domain errors as error values: zero to
+    a negative power is ``#DIV/0!``; overflow, and a negative base with a
+    fractional exponent (a complex root), are ``#NUM!``."""
+    if base == 0 and exponent < 0:
+        raise FormulaEvaluationError("#DIV/0!", "zero raised to a negative power")
+    try:
+        result = base ** exponent
+    except OverflowError:
+        raise FormulaEvaluationError("#NUM!", "power out of range") from None
+    if isinstance(result, complex):
+        raise FormulaEvaluationError("#NUM!", "fractional power of a negative number")
+    return result
+
+
 def _normalized_number(value: float) -> CellValue:
     """Return ints for integral results to keep sheets tidy."""
     if math.isfinite(value) and float(value).is_integer():
@@ -421,7 +436,10 @@ def fn_log(value: ArgValue, base: ArgValue = 10) -> CellValue:
 @register_function("EXP")
 def fn_exp(value: ArgValue) -> CellValue:
     """e raised to the argument."""
-    return math.exp(to_number(value))
+    try:
+        return math.exp(to_number(value))
+    except OverflowError:
+        raise FormulaEvaluationError("#NUM!", "EXP out of range") from None
 
 
 @register_function("ROUND")
@@ -469,7 +487,7 @@ def fn_mod(value: ArgValue, divisor: ArgValue) -> CellValue:
 @register_function("POWER")
 def fn_power(base: ArgValue, exponent: ArgValue) -> CellValue:
     """``base`` raised to ``exponent``."""
-    return _normalized_number(to_number(base) ** to_number(exponent))
+    return _normalized_number(power(to_number(base), to_number(exponent)))
 
 
 # ---------------------------------------------------------------------- #

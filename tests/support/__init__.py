@@ -32,4 +32,4 @@ from tests.support.harness import (  # noqa: F401
     random_structural,
     run,
 )
-from tests.support.invariants import check_engine, scan_dependents  # noqa: F401
+from tests.support.invariants import check_engine, scan_dependents, scan_targets  # noqa: F401

@@ -10,8 +10,10 @@ the name of the invariant that broke:
   the reverse index and the range stripes, and nothing else is;
 * ``index`` — ``direct_dependents`` equals :func:`scan_dependents` on a
   sample of the data and formula columns;
-* ``aggregates`` — the refcount bookkeeping holds, and outside a batch a
-  sample of the running states equals states built from fresh reads;
+* ``aggregates`` — the refcount bookkeeping holds, ``targets_for`` equals
+  :func:`scan_targets` on cells sampled inside and just outside the held
+  regions, and outside a batch a sample of the running states equals
+  states built from fresh reads;
 * ``scheduler`` — nothing is queued on the sync engine; outside a
   transaction only registered cells are, every placeholder among them;
 * ``buffer`` — each buffered write is what ``get`` returns to its owner;
@@ -38,7 +40,8 @@ from repro.errors import FormulaSyntaxError
 from repro.formula.aggregates import RangeAggregateState
 from repro.formula.evaluator import extract_references
 from repro.formula.functions import RangeValue
-from repro.grid.address import CellAddress
+from repro.formula.stripes import bucket_keys
+from repro.grid.address import MAX_COLUMNS, MAX_ROWS, CellAddress
 from repro.grid.range import RangeRef
 from repro.storage.recovery import recovered_cells
 
@@ -60,6 +63,12 @@ def scan_dependents(graph, cell: CellAddress) -> set[CellAddress]:
         if cell in cells or any(region.contains(cell) for region in ranges):
             dependents.add(formula_cell)
     return dependents
+
+
+def scan_targets(store, cell: CellAddress) -> set[RangeRef]:
+    """Brute-force reference for ``AggregateStore.targets_for``: every held
+    region containing ``cell``, found without the stripe index."""
+    return {region for region in store._states if region.contains(cell)}
 
 
 def _require(condition, invariant: str, *detail) -> None:
@@ -140,7 +149,7 @@ def _check_graph(spread) -> None:
         for precedent in cells:
             reverse.setdefault(precedent, set()).add(address)
         for span in spans:
-            for key in graph._bucket_keys(RangeRef(span[0], span[2], span[1], span[3])):
+            for key in bucket_keys(RangeRef(span[0], span[2], span[1], span[3])):
                 stripes.setdefault(key, {}).setdefault(address, []).append(span)
     _require(graph._cell_dependents == reverse, "registration", "reverse index")
     held = {key: {address: sorted(spans) for address, spans in bucket.entries.items()}
@@ -174,9 +183,23 @@ def _check_aggregates(spread) -> None:
             entry = store._states.get(region)
             _require(entry is not None and address in entry.subscribers, "aggregates",
                      "dangling subscription", address, region)
+    states = list(store._states.items())
+    sampler = random.Random(len(states))
+    probes = sampler.sample(_INDEX_CELLS, INDEX_SAMPLE)
+    for region, _entry in sampler.sample(states, min(len(states), INDEX_SAMPLE)):
+        probes += [CellAddress(sampler.randint(region.top, region.bottom),
+                               sampler.randint(region.left, region.right)),
+                   CellAddress(min(region.bottom + 1, MAX_ROWS), region.left),
+                   CellAddress(region.top, min(region.right + 1, MAX_COLUMNS))]
+    for probe in probes:
+        found = {region: state for region, state in store.targets_for(probe)}
+        expected = scan_targets(store, probe)
+        _require(found.keys() == expected, "aggregates", "index differs from a scan", probe,
+                 sorted(found.keys() ^ expected, key=str)[:4])
+        _require(all(store._states[region].state is state for region, state in found.items()),
+                 "aggregates", "index serves a stale state", probe)
     if spread._txn.frames:
         return  # an open batch folds writes only its owner can read
-    states = list(store._states.items())
     for region, entry in random.Random(len(states)).sample(states, min(len(states), STATE_SAMPLE)):
         values = spread.grid_values(region)
         width = region.columns

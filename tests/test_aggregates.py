@@ -8,6 +8,7 @@ full-range-read fallback matrix — always asserting agreement with a
 from-scratch evaluation.
 """
 
+import math
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from repro.formula.aggregates import (
     combine_aggregate,
 )
 from repro.formula.functions import RangeValue, fn_average, fn_count, fn_max, fn_min, fn_sum
+from repro.formula.stripes import REBUILD_CHURN_MIN
 from repro.errors import FormulaEvaluationError
 from repro.grid.address import CellAddress
 from repro.grid.range import RangeRef
@@ -338,6 +340,57 @@ class TestAggregateStoreUnit:
                             _range_value([1, 2]))
         assert state is not None
         assert store.targets_for(addr("A1")) == []
+
+
+class TestTargetIndex:
+    """``targets_for`` stabs the stripe index: with N disjoint states held,
+    a one-hit lookup examines O(log N + hits) index entries, not N."""
+
+    STATES = 1000
+
+    def _store(self) -> AggregateStore:
+        store = AggregateStore(None)
+        reader = addr("Z1")
+        for index in range(self.STATES):
+            region = RangeRef(3 * index + 1, 1, 3 * index + 2, 1)  # A1:A2, A4:A5, ...
+            store.install(reader, region, RangeAggregateState())
+        return store
+
+    def test_one_hit_probes_logarithmically(self):
+        store = self._store()
+        store.targets_for(addr("A1"))  # the first stab builds the stripe's tree
+        bound = 2 * math.log2(self.STATES) + 1 + 4
+        for row in (2, 1501, 2999):
+            store.index_stats.range_probes = 0
+            targets = store.targets_for(CellAddress(row, 1))
+            top = row - (row - 1) % 3
+            assert [region for region, _state in targets] == [RangeRef(top, 1, top + 1, 1)]
+            assert len(targets) <= store.index_stats.range_probes <= bound
+
+    def test_misses_cost_no_probes_beyond_their_column(self):
+        store = self._store()
+        store.targets_for(addr("A1"))
+        store.index_stats.range_probes = 0
+        assert store.targets_for(CellAddress(3, 1)) == []  # the gap between two states
+        assert store.index_stats.range_probes <= 2 * math.log2(self.STATES) + 4
+        store.index_stats.range_probes = 0
+        assert store.targets_for(addr("B2")) == []  # a column no state covers
+        assert store.index_stats.range_probes == 0
+
+    def test_a_dropped_state_is_revived_in_place_and_dead_entries_compact(self):
+        store = self._store()
+        region = RangeRef(1, 1, 2, 1)
+        store.invalidate_targets(store.targets_for(addr("A1")))
+        assert store.targets_for(addr("A1")) == []
+        before = (store.index_stats.incremental_inserts, store.index_stats.index_rebuilds)
+        store.install(addr("Z1"), region, RangeAggregateState())
+        assert [found for found, _state in store.targets_for(addr("A1"))] == [region]
+        assert store.subscribers_of(region) == {addr("Z1")}
+        assert (store.index_stats.incremental_inserts, store.index_stats.index_rebuilds) == before
+        for row in range(1, 3 * self.STATES, 3):
+            store.invalidate_targets(store.targets_for(CellAddress(row, 1)))
+        assert store.state_count == 0
+        assert len(store._indexed) <= REBUILD_CHURN_MIN
 
 
 class TestFallbackEfficiency:

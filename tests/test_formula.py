@@ -207,6 +207,49 @@ class TestEvaluator:
         assert evaluator.evaluate(f"{a}+{b}") == a + b
 
 
+class TestArithmeticDomainErrors:
+    """Overflow, zero to a negative power and complex roots are error
+    values, never a Python exception or a complex number."""
+
+    @pytest.mark.parametrize("text, code", [
+        ("10^400", "#NUM!"),
+        ("POWER(10,400)", "#NUM!"),
+        ("EXP(1000)", "#NUM!"),
+        ("7^7^7^7", "#NUM!"),
+        ("0^-1", "#DIV/0!"),
+        ("POWER(0,-1)", "#DIV/0!"),
+        ("POWER(-8,1/3)", "#NUM!"),
+        ("(-8)^0.5", "#NUM!"),
+    ])
+    def test_evaluator_raises_the_error_value(self, text, code):
+        evaluator = Evaluator(lambda r, c: None)
+        with pytest.raises(FormulaEvaluationError) as excinfo:
+            evaluator.evaluate(text)
+        assert excinfo.value.code == code
+
+    def test_valid_powers_are_unchanged(self):
+        evaluator = Evaluator(lambda r, c: None)
+        assert evaluator.evaluate("(-2)^3") == -8
+        assert evaluator.evaluate("(-8)^2") == 64
+        assert evaluator.evaluate("0^0") == 1
+        assert evaluator.evaluate("POWER(4,0.5)") == 2
+        assert evaluator.evaluate("2^-1") == 0.5
+
+    def test_set_formula_stores_the_error_and_the_engine_stays_whole(self):
+        from repro.engine.dataspread import DataSpread
+        from tests.support import check_engine
+        spread = DataSpread()
+        spread.set_value(1, 2, 400)
+        spread.set_formula(1, 1, "=10^B1")
+        spread.set_formula(2, 1, "=(-8)^(1/B1)")
+        spread.set_formula(3, 1, "=0^-B1")
+        assert [spread.get_value(row, 1) for row in (1, 2, 3)] == ["#NUM!", "#NUM!", "#DIV/0!"]
+        check_engine(spread)
+        spread.set_value(1, 2, 3)
+        assert [spread.get_value(row, 1) for row in (1, 2, 3)] == [1000, "#NUM!", "#DIV/0!"]
+        check_engine(spread)
+
+
 class TestReferenceExtraction:
     def test_extract_cells_and_ranges(self):
         cells, ranges = extract_references("A1 + SUM(B2:C4) * D5")

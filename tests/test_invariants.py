@@ -8,7 +8,7 @@ fails proves nothing.
 import pytest
 
 from repro.engine.dataspread import DataSpread
-from repro.formula.dependencies import _IntervalTree
+from repro.formula.stripes import IntervalTree, index_remove
 from repro.grid.address import CellAddress
 from repro.grid.cell import Cell
 from repro.query import TableValue
@@ -88,13 +88,20 @@ class TestEachInvariantFails:
         spread.set_formula(1, 8, "SUM(A1:F40)")
         graph = spread.dependency_graph
         for bucket in graph._range_buckets.values():
-            bucket.tree, bucket.stale = _IntervalTree([(1, 1, (1, 1, CellAddress(1, 8)))]), False
+            bucket.tree, bucket.stale = IntervalTree([(1, 1, (1, 1, CellAddress(1, 8)))]), False
         _fails(spread, "index")
 
     def test_aggregates_skewed_total(self):
         spread = _engine()
         region = next(iter(spread.aggregate_store._states))
         spread.aggregate_store._states[region].state.total += 1
+        _fails(spread, "aggregates")
+
+    def test_aggregates_region_missing_from_the_index(self):
+        spread = _engine()
+        store = spread.aggregate_store
+        region, entry = next(iter(store._states.items()))
+        index_remove(store._index, entry, (region,), store.index_stats)
         _fails(spread, "aggregates")
 
     def test_aggregates_orphan_state(self):

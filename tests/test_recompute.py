@@ -17,11 +17,12 @@ import pytest
 
 from repro.engine.dataspread import DataSpread
 from repro.errors import CircularDependencyError
-from repro.formula.dependencies import DependencyGraph, WIDE_COLUMN_SPAN
+from repro.formula.dependencies import DependencyGraph
 from repro.formula.evaluator import Evaluator, extract_references
 from repro.formula.parser import parse_formula
 from repro.formula.rewrite import StructuralEdit, rewrite_formula
 from repro.formula.serializer import to_formula
+from repro.formula.stripes import REBUILD_CHURN_MIN, WIDE_COLUMN_SPAN
 from repro.grid.address import MAX_ROWS, CellAddress
 from repro.grid.range import RangeRef
 from repro.grid.sheet import Sheet
@@ -982,8 +983,6 @@ class TestIncrementalIndexMaintenance:
         assert graph.stats.incremental_removes > 0
 
     def test_heavy_churn_falls_back_to_one_compacting_rebuild(self):
-        from repro.formula.dependencies import REBUILD_CHURN_MIN
-
         graph = DependencyGraph()
         graph.register(addr("Z1"), "SUM(A1:A10)")
         graph.direct_dependents(addr("A1"))  # build (1 entry)
