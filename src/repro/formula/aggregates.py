@@ -88,10 +88,11 @@ from repro.errors import FormulaEvaluationError
 from repro.formula.functions import RangeValue, _normalized_number
 from repro.formula.rewrite import StructuralEdit
 from repro.formula.stripes import (
+    REBUILD_CHURN_FACTOR,
+    REBUILD_CHURN_MIN,
     DependencyGraphStats,
     StripeIndex,
     index_add,
-    index_remove,
     index_stab,
 )
 from repro.grid.address import CellAddress
@@ -380,17 +381,21 @@ class AggregateStore:
     the dependency graph's column-stripe interval index
     (:mod:`repro.formula.stripes`) over the held ranges, each owned by
     its ``_SharedState``: O(log states + hits), not a scan of every state.
-    ``install`` of a new range adds it and :meth:`_drop_entry` removes it;
-    the index is rebuilt from ``_states`` after a splice, a savepoint
-    restore or a clear.
+    ``install`` adds a new range; a dropped state stays in the index, dead,
+    until ``install`` revives it (see :meth:`_drop_entry`); the index is
+    rebuilt from ``_states`` after a splice, a savepoint restore, a clear,
+    or once the dead entries pass the buckets' churn bound.
     """
 
     def __init__(self, graph) -> None:
         self._graph = graph
         self._states: dict[RangeRef, _SharedState] = {}
         self._subscriptions: dict[CellAddress, set[RangeRef]] = {}
-        #: The held ranges, each owned by its entry.
+        #: The held ranges, each owned by its entry, and every entry the
+        #: index holds by range: the live ones plus the dropped ones kept
+        #: for reuse (see :meth:`_drop_entry`).
         self._index: StripeIndex = {}
+        self._indexed: dict[RangeRef, _SharedState] = {}
         self.index_stats = DependencyGraphStats()
         #: Small ranges (below the area floor) and the distinct formulas
         #: that evaluated an aggregate over them — the promotion ledger.
@@ -484,10 +489,13 @@ class AggregateStore:
             return state
         entry = self._states.get(region)
         if entry is None:
-            entry = self._states[region] = _SharedState(region, state, set())
-            index_add(self._index, entry, region, self.index_stats)
-        else:
-            entry.state = state
+            entry = self._indexed.get(region)
+            if entry is None:
+                entry = self._indexed[region] = _SharedState(region, state, set())
+                index_add(self._index, entry, region, self.index_stats)
+            entry.subscribers = set()
+            self._states[region] = entry
+        entry.state = state
         self._subscribe(address, region, entry)
         self._interest.pop(region, None)
         self.stats.builds += 1
@@ -515,7 +523,7 @@ class AggregateStore:
             return []
         hits: set[_SharedState] = set()
         index_stab(self._index, address.row, address.column, hits, self.index_stats)
-        return [(entry.region, entry.state) for entry in hits]
+        return [(entry.region, entry.state) for entry in hits if entry.state is not None]
 
     def apply_delta(self, targets: list[DeltaTarget], old: object, new: object) -> None:
         """Fold an old→new value change into the captured targets."""
@@ -663,14 +671,23 @@ class AggregateStore:
         self._interest.clear()
 
     def _drop_entry(self, region: RangeRef, entry: _SharedState) -> None:
+        """Drop ``region``'s state.  Its entry stays in the index, dead
+        (``state`` is ``None``), for ``install`` to revive: a state dropped
+        over a cold cell is rebuilt by the next drain, over the same range.
+        The index alone is rebuilt once the dead entries pass the buckets'
+        churn bound (``REBUILD_CHURN_FACTOR`` times the live ones, at least
+        ``REBUILD_CHURN_MIN``)."""
         del self._states[region]
-        index_remove(self._index, entry, (region,), self.index_stats)
+        entry.state = None
         for address in entry.subscribers:
             regions = self._subscriptions.get(address)
             if regions is not None:
                 regions.discard(region)
                 if not regions:
                     del self._subscriptions[address]
+        live = len(self._states)
+        if len(self._indexed) - live > max(REBUILD_CHURN_MIN, REBUILD_CHURN_FACTOR * live):
+            self._rebuild_index()
 
     # ------------------------------------------------------------------ #
     # savepoint snapshot / restore
@@ -717,8 +734,17 @@ class AggregateStore:
     def _reindex(self) -> None:
         """Rebuild the subscriptions and the stripe index from ``_states``."""
         self._subscriptions = {}
-        self._index = {}
         for region, entry in self._states.items():
-            index_add(self._index, entry, region, self.index_stats)
             for address in entry.subscribers:
                 self._subscriptions.setdefault(address, set()).add(region)
+        self._rebuild_index()
+
+    def _rebuild_index(self) -> None:
+        """Rebuild the stripe index from the live states, dropping the dead
+        entries.  It leaves the subscriptions alone: ``drop_formula`` runs
+        it from inside its loop, after it has popped the formula's
+        subscription but before it has released every range it held."""
+        self._index = {}
+        self._indexed = dict(self._states)
+        for region, entry in self._states.items():
+            index_add(self._index, entry, region, self.index_stats)

@@ -20,6 +20,7 @@ from repro.formula.aggregates import (
     combine_aggregate,
 )
 from repro.formula.functions import RangeValue, fn_average, fn_count, fn_max, fn_min, fn_sum
+from repro.formula.stripes import REBUILD_CHURN_MIN
 from repro.errors import FormulaEvaluationError
 from repro.grid.address import CellAddress
 from repro.grid.range import RangeRef
@@ -376,19 +377,24 @@ class TestTargetIndex:
         assert store.targets_for(addr("B2")) == []  # a column no state covers
         assert store.index_stats.range_probes == 0
 
-    def test_a_dropped_state_leaves_the_index_and_a_reinstall_returns(self):
+    def test_a_dropped_state_is_revived_in_place_and_dead_entries_compact(self):
         store = self._store()
         region = RangeRef(1, 1, 2, 1)
         store.invalidate_targets(store.targets_for(addr("A1")))
         assert store.targets_for(addr("A1")) == []
-        assert store.index_stats.incremental_removes == 1
+        before = (store.index_stats.incremental_inserts, store.index_stats.index_rebuilds)
         store.install(addr("Z1"), region, RangeAggregateState())
         assert [found for found, _state in store.targets_for(addr("A1"))] == [region]
         assert store.subscribers_of(region) == {addr("Z1")}
+        assert (store.index_stats.incremental_inserts, store.index_stats.index_rebuilds) == before
+        for row in range(1, 3 * self.STATES, 3):
+            store.invalidate_targets(store.targets_for(CellAddress(row, 1)))
+        assert store.state_count == 0
+        assert len(store._indexed) <= REBUILD_CHURN_MIN
 
     def test_clearing_formulas_that_each_read_two_ranges(self):
-        """``drop_formula`` drops several states per formula; the store
-        (subscriptions and index alike) must hold none of them after."""
+        """Dead entries compact from inside ``drop_formula``, between the
+        ranges of one formula: no subscription may outlive its state."""
         from tests.support import check_engine
 
         spread = DataSpread()
@@ -402,8 +408,7 @@ class TestTargetIndex:
             spread.clear_cell(row, 3)
         check_engine(spread)
         assert store.state_count == 0
-        assert store.targets_for(addr("A5")) == []
-        assert store._index == {}
+        assert len(store._indexed) <= REBUILD_CHURN_MIN  # the dead entries compacted
 
 
 class TestFallbackEfficiency:
