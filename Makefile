@@ -9,7 +9,7 @@ export PYTHONPATH := src
 ## REPRO_FUZZ_SEEDS=100` behave identically.
 REPRO_FUZZ_SEEDS ?= 50
 
-.PHONY: test fuzz figures docs-check examples loc bench-pairs all
+.PHONY: test fuzz figures docs-check examples loc reach bench-pairs all
 
 ## Tier-1 test suite (what CI gates on): everything pytest collects from
 ## the root — tests/, the paper-figure benchmarks/ at smoke size, and the
@@ -47,6 +47,13 @@ docs-check:
 ## src/ lines, then the engine facade's lines and `def` count.
 loc:
 	@find src -name '*.py' | xargs cat | wc -l; wc -l < src/repro/engine/dataspread.py; grep -c 'def ' src/repro/engine/dataspread.py
+
+## Which `def`s of src/repro the system's own entry points reach (examples,
+## bench/run.py smoke and traced laps, every experiment, pytest benchmarks,
+## the doc snippets), which only tier-1 reaches, and which nothing does
+## (~13 min; tier-1 runs under the hook).  JSON=file also writes the report.
+reach:
+	$(PYTHON) scripts/reach.py $(if $(JSON),--json $(JSON))
 
 ## Compare this working tree with a revision the way ROADMAP asks:
 ## `make bench-pairs PARENT=<rev> [WORKLOADS=a,b] [PAIRS=10] [SUMMARY=file]`

@@ -17,9 +17,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    # The engine is pure-Python; NumPy only accelerates the columnar
-    # aggregate build (repro.formula.columnar), which falls back to the
-    # scalar fold when it is absent.
-    install_requires=[],
-    extras_require={"columnar": ["numpy>=1.24"]},
+    # NumPy runs the decomposition DP's cost tables, the weighted grid and
+    # the columnar aggregate build.
+    install_requires=["numpy>=1.24"],
 )

@@ -47,11 +47,6 @@ class SheetStatistics:
         """Formula cells / filled cells (0 for an empty sheet)."""
         return self.formula_cells / self.filled_cells if self.filled_cells else 0.0
 
-    @property
-    def tabular_coverage(self) -> float:
-        """Fraction of filled cells captured in tabular regions."""
-        return self.tabular_cells / self.filled_cells if self.filled_cells else 0.0
-
 
 @dataclass
 class CorpusStatistics:

@@ -57,11 +57,3 @@ def table_count_upper_bound(
         empty = component.box.area - component.cell_count
         total += int(empty * costs.cell_cost / costs.table_cost + 1)
     return total
-
-
-def recursive_decomposition_gap(
-    coordinates: Collection[tuple[int, int]], costs: CostParameters
-) -> float:
-    """Theorem-3 additive bound: ``s1 * k(k-1)/2`` with k from Theorem 4."""
-    k = table_count_upper_bound(coordinates, costs)
-    return costs.table_cost * k * (k - 1) / 2

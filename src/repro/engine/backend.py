@@ -102,7 +102,6 @@ class WALBackend:
         apply_cells: ApplyCells,
         snapshot_cells: SnapshotCells,
         *,
-        config: dict[str, Any] | None = None,
         wal_options: dict[str, Any] | None = None,
         expect_fresh: bool = True,
     ) -> None:
@@ -110,7 +109,6 @@ class WALBackend:
         self._apply_cell = apply_cell
         self._apply_cells = apply_cells
         self._snapshot_cells = snapshot_cells
-        self._config = dict(config or {})
         self._wal_options = dict(wal_options or {})
         os.makedirs(directory, exist_ok=True)
         snapshot = load_snapshot(directory) if not expect_fresh else None
@@ -206,7 +204,6 @@ class WALBackend:
             self.directory,
             generation=new_generation,
             cells=self._snapshot_cells(),
-            config=self._config,
         )
         self._commit_base += self._writer.durable_commits
         self._frame_base += self._writer.frames_appended

@@ -11,8 +11,8 @@ Recompute architecture
 ----------------------
 Every write runs one fixed sequence in one body, ``_edit_cell``, that
 ``set_value``/``set_formula``/``clear_cell`` — and through them
-``set_input`` — are thin wrappers over; ``set_values``, ``import_rows``/
-``import_csv``/``from_sheet``, ``place_table`` and live-view spills stream
+``set_input`` — are thin wrappers over; ``set_values``, ``import_rows``,
+``from_sheet``, ``place_table`` and live-view spills stream
 their cells into one ingest body, ``_ingest``, a single batch of them:
 
 1. **admit** — on the async engine, outside a batch, admission control may
@@ -110,10 +110,8 @@ keep formulas live instead of letting them silently read shifted cells:
 
 from __future__ import annotations
 
-import csv
 import time
 from contextlib import contextmanager
-from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.compute import CellState, ComputeScheduler
@@ -137,14 +135,13 @@ from repro.errors import (
 from repro.formula.aggregates import AggregateStore
 from repro.formula.ast_nodes import FormulaNode
 from repro.formula.dependencies import DependencyGraph, StructuralRewrite
-from repro.formula.evaluator import DEFAULT_PARSE_CACHE_CAPACITY, Evaluator
+from repro.formula.evaluator import Evaluator
 from repro.formula.rewrite import StructuralEdit, rewrite_formula
 from repro.formula.serializer import to_formula
 from repro.grid.address import MAX_COLUMNS, MAX_ROWS, CellAddress
 from repro.grid.cell import Cell, CellValue
 from repro.grid.range import RangeRef
 from repro.grid.sheet import Sheet
-from repro.models.base import ModelKind
 from repro.models.hybrid import HybridDataModel, HybridRegion
 from repro.models.tom import TableOrientedModel
 from repro.query.builder import Select, select as build_select
@@ -152,7 +149,7 @@ from repro.query.executor import QueryResult, TableValue, run_plan
 from repro.query.planner import compile_select
 from repro.query.sql import parse_sql
 from repro.query.views import LiveView
-from repro.storage.costs import POSTGRES_COSTS, CostParameters
+from repro.storage.costs import POSTGRES_COSTS
 from repro.storage.database import Database, Table
 
 _OPTIMIZERS = {
@@ -167,18 +164,8 @@ class DataSpread:
 
     Parameters
     ----------
-    costs:
-        Storage cost constants used by the hybrid optimizer and accounting.
-    mapping_scheme:
-        Positional mapping used inside data models (``"hierarchical"``,
-        ``"monotonic"`` or ``"as-is"``).
     cache_capacity:
         Size of the LRU cell cache.
-    database:
-        Optional shared database (for linked tables); a private one is
-        created when omitted.
-    parse_cache_capacity:
-        Bound on the evaluator's LRU cache of parsed formula ASTs.
     async_recompute:
         When ``True``, edits enqueue their affected subtree on the compute
         scheduler instead of recomputing synchronously; drain with
@@ -216,14 +203,15 @@ class DataSpread:
         virtual clock so no real time is consumed.
     """
 
+    #: The positional mapping inside every data model (the other schemes
+    #: exist for Fig. 18 only); ``bench/workloads.py`` records it in the
+    #: snapshots it writes.
+    mapping_scheme = "hierarchical"
+
     def __init__(
         self,
         *,
-        costs: CostParameters = POSTGRES_COSTS,
-        mapping_scheme: str = "hierarchical",
         cache_capacity: int = 100_000,
-        database: Database | None = None,
-        parse_cache_capacity: int = DEFAULT_PARSE_CACHE_CAPACITY,
         async_recompute: bool = False,
         idle_drain_ms: float = 0.0,
         durability: str = "none",
@@ -233,10 +221,11 @@ class DataSpread:
         max_pending_per_owner: int | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        self.costs = costs
-        self.mapping_scheme = mapping_scheme
-        self.database = database if database is not None else Database(costs)
-        self._model = HybridDataModel(mapping_scheme=mapping_scheme)
+        #: Storage cost constants of the hybrid optimizer and accounting.
+        self.costs = POSTGRES_COSTS
+        #: The database that linked tables live in.
+        self.database = Database()
+        self._model = HybridDataModel()
         self._dependencies = DependencyGraph()
         self._aggregates = AggregateStore(self._dependencies)
         self._cache = LRUCellCache(
@@ -248,7 +237,6 @@ class DataSpread:
         self._evaluator = Evaluator(
             self._provide_value,
             range_provider=self.grid_values,
-            parse_cache_capacity=parse_cache_capacity,
             aggregate_store=self._aggregates,
         )
         self._linked_tables: dict[str, TableOrientedModel] = {}
@@ -320,7 +308,6 @@ class DataSpread:
             self._apply_cell_to_model,
             self._apply_cells_to_model,
             self._committed_cells,
-            config={"mapping_scheme": self.mapping_scheme},
             wal_options=wal_options,
             expect_fresh=expect_fresh,
         )
@@ -436,26 +423,6 @@ class DataSpread:
                      for row, values in enumerate(rows, top)
                      for column, value in enumerate(values, left) if value is not None)
         return len(rows)
-
-    def import_csv(self, path: str | Path, *, top: int = 1, left: int = 1,
-                   delimiter: str = ",") -> int:
-        """Import a CSV/TSV file; numeric-looking fields are coerced, and a
-        field that merely looks like a formula is kept as raw text."""
-        with open(path, newline="", encoding="utf-8") as handle:
-            records = list(csv.reader(handle, delimiter=delimiter))
-        self._ingest((row, column, self._csv_cell(text))
-                     for row, record in enumerate(records, top)
-                     for column, text in enumerate(record, left) if text != "")
-        return len(records)
-
-    def _csv_cell(self, text: str) -> Cell:
-        cell = Cell.from_input(text)
-        if cell.formula is not None:
-            try:
-                self._evaluator.parse(cell.formula.removeprefix("="))
-            except FormulaSyntaxError:
-                return Cell(value=text)  # it must not abort the import
-        return cell
 
     # ------------------------------------------------------------------ #
     # batched edits
@@ -585,13 +552,6 @@ class DataSpread:
         and not already committing."""
         txn = self._txn
         return len(txn.frames) > txn.committing
-
-    @property
-    def commit_epoch(self) -> int:
-        """Monotonic count of commit points (write-throughs, flushes,
-        structural edits); savepoints use it to tell whether their
-        aggregate snapshot is still restorable."""
-        return self._txn.commit_epoch
 
     def transaction_touches(self, row: int, column: int) -> bool:
         """Whether the open transaction holds uncommitted work on a cell.
@@ -1026,9 +986,7 @@ class DataSpread:
         snapshot = self._snapshot_native_cells()
         coordinates = snapshot.coordinates()
         plan = optimizer(coordinates, self.costs, **options)
-        rebuilt = HybridDataModel.from_decomposition(
-            snapshot, plan.as_plan(), mapping_scheme=self.mapping_scheme
-        )
+        rebuilt = HybridDataModel.from_decomposition(snapshot, plan.as_plan())
         for tom in self._linked_tables.values():
             rebuilt.add_region(HybridRegion(range=tom.region(), model=tom), allow_overlap=True)
         self._model = rebuilt

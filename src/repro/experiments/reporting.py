@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 
 @dataclass
@@ -25,10 +25,6 @@ class ExperimentResult:
                 if key not in columns:
                     columns.append(key)
         return columns
-
-    def column(self, name: str) -> list[Any]:
-        """All values of one column (missing entries are ``None``)."""
-        return [row.get(name) for row in self.rows]
 
 
 def format_result(result: ExperimentResult, *, max_width: int = 28) -> str:
@@ -71,14 +67,3 @@ def normalize_to_worst(values: dict[str, float]) -> dict[str, float]:
     if worst <= 0:
         return {key: 0.0 for key in values}
     return {key: 100.0 * value / worst for key, value in values.items()}
-
-
-def summarize_timings(samples: Sequence[float]) -> dict[str, float]:
-    """Mean/min/max of a list of timing samples (in milliseconds)."""
-    if not samples:
-        return {"mean_ms": 0.0, "min_ms": 0.0, "max_ms": 0.0}
-    return {
-        "mean_ms": 1_000 * sum(samples) / len(samples),
-        "min_ms": 1_000 * min(samples),
-        "max_ms": 1_000 * max(samples),
-    }

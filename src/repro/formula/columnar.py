@@ -25,21 +25,14 @@ loop:
 
 Integers beyond float range (``float()`` raises ``OverflowError``) and any
 exotic value type bail out to :func:`_build_python`, a straight ``add()``
-loop with the same semantics by construction.  When NumPy is absent the
-module degrades to that loop wholesale — :data:`NUMPY_AVAILABLE` lets
-callers and benchmarks see which path is live.
+loop with the same semantics by construction.
 """
 
 from __future__ import annotations
 
+import numpy as _np
+
 from repro.formula.aggregates import EXACT_VALUE_LIMIT, RangeAggregateState
-
-try:  # NumPy is an optional extra (``pip install repro[columnar]``).
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatch in tests
-    _np = None
-
-NUMPY_AVAILABLE = _np is not None
 
 
 class _Unsupported(Exception):
@@ -51,10 +44,10 @@ def build_state(values: list, *,
     """Fold a dense row-major slab (``None`` = blank) into a fresh state.
 
     Returns ``(state, vectorized)`` where ``vectorized`` reports whether
-    the NumPy path served the build (``False`` on the pure-Python
-    fallback, so stats can tell the two apart).
+    the NumPy path served the build (``False`` when it bailed out to the
+    scalar fold, or ``force_python`` asked for that oracle).
     """
-    if force_python or _np is None:
+    if force_python:
         return _build_python(values), False
     try:
         return _build_numpy(values), True

@@ -405,11 +405,3 @@ def referenced_coordinates(formula: str | FormulaNode) -> set[tuple[int, int]]:
         for address in region.addresses():
             coordinates.add((address.row, address.column))
     return coordinates
-
-
-def access_footprint(formula: str | FormulaNode) -> int:
-    """Number of cells accessed by a formula (Table I column 10)."""
-    cells, ranges = extract_references(formula)
-    return len({(address.row, address.column) for address in cells}) + sum(
-        region.area for region in ranges
-    )

@@ -519,30 +519,39 @@ def fn_lower(value: ArgValue) -> CellValue:
 
 @register_function("TRIM")
 def fn_trim(value: ArgValue) -> CellValue:
-    """Whitespace-trimmed text."""
-    return to_text(value).strip()
+    """Text without leading and trailing spaces, inner runs of spaces
+    collapsed to one."""
+    return " ".join(word for word in to_text(value).split(" ") if word)
+
+
+def _character_count(count: ArgValue, name: str) -> int:
+    """A LEFT/RIGHT/MID character count; #VALUE! when negative."""
+    amount = int(to_number(count))
+    if amount < 0:
+        raise FormulaEvaluationError("#VALUE!", f"{name} of a negative number of characters")
+    return amount
 
 
 @register_function("LEFT")
 def fn_left(value: ArgValue, count: ArgValue = 1) -> CellValue:
     """The first ``count`` characters."""
-    return to_text(value)[: int(to_number(count))]
+    return to_text(value)[: _character_count(count, "LEFT")]
 
 
 @register_function("RIGHT")
 def fn_right(value: ArgValue, count: ArgValue = 1) -> CellValue:
     """The last ``count`` characters."""
-    amount = int(to_number(count))
     text = to_text(value)
-    return text[-amount:] if amount > 0 else ""
+    return text[max(len(text) - _character_count(count, "RIGHT"), 0):]
 
 
 @register_function("MID")
 def fn_mid(value: ArgValue, start: ArgValue, count: ArgValue) -> CellValue:
     """Substring starting at 1-based ``start`` with ``count`` characters."""
-    begin = max(int(to_number(start)) - 1, 0)
-    amount = int(to_number(count))
-    return to_text(value)[begin: begin + amount]
+    begin = int(to_number(start)) - 1
+    if begin < 0:
+        raise FormulaEvaluationError("#VALUE!", "MID start below 1")
+    return to_text(value)[begin: begin + _character_count(count, "MID")]
 
 
 @register_function("SEARCH")

@@ -109,8 +109,3 @@ class CellAddress:
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.to_a1()
-
-
-def parse_reference(reference: str) -> CellAddress:
-    """Convenience wrapper around :meth:`CellAddress.from_a1`."""
-    return CellAddress.from_a1(reference)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Collection, Iterable, Sequence
+from typing import Collection
 
 from repro.grid.bounding import BoundingBox, bounding_box
 
@@ -102,30 +102,4 @@ def tabular_regions(
         component
         for component in connected_components(coordinates, diagonal=diagonal)
         if component.is_tabular
-    ]
-
-
-def tabular_coverage(coordinates: Collection[tuple[int, int]], *, diagonal: bool = True) -> float:
-    """Fraction of filled cells captured inside tabular regions (Table I col. 9)."""
-    total = len(set(coordinates))
-    if total == 0:
-        return 0.0
-    covered = sum(
-        component.cell_count
-        for component in tabular_regions(coordinates, diagonal=diagonal)
-    )
-    return covered / total
-
-
-def formula_access_components(
-    accessed: Iterable[Sequence[tuple[int, int]]], *, diagonal: bool = True
-) -> list[int]:
-    """For each formula's accessed cell set, count its connected components.
-
-    Used for Table I column 11 ("tabular regions per formula"): the paper
-    counts the connected components of the cells each formula touches.
-    """
-    return [
-        len(connected_components(cells, diagonal=diagonal)) if cells else 0
-        for cells in accessed
     ]

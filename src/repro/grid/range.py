@@ -63,11 +63,6 @@ class RangeRef:
             right=max(start.column, end.column),
         )
 
-    @classmethod
-    def single(cls, address: CellAddress) -> "RangeRef":
-        """The 1x1 range containing ``address``."""
-        return cls(address.row, address.column, address.row, address.column)
-
     # ------------------------------------------------------------------ #
     # geometry
     # ------------------------------------------------------------------ #
@@ -85,11 +80,6 @@ class RangeRef:
     def area(self) -> int:
         """Number of cells (filled or not) in the rectangle."""
         return self.rows * self.columns
-
-    @property
-    def half_perimeter(self) -> int:
-        """``rows + columns`` — the quantity minimised by the NP-hardness reduction."""
-        return self.rows + self.columns
 
     def contains(self, address: CellAddress) -> bool:
         """Whether ``address`` falls inside this range."""
@@ -145,11 +135,6 @@ class RangeRef:
         for row in range(self.top, self.bottom + 1):
             for column in range(self.left, self.right + 1):
                 yield CellAddress(row, column)
-
-    def row_slices(self) -> Iterator[tuple[int, int, int]]:
-        """Iterate ``(row, left, right)`` triples, one per spanned row."""
-        for row in range(self.top, self.bottom + 1):
-            yield row, self.left, self.right
 
     def shifted(self, rows: int = 0, columns: int = 0) -> "RangeRef":
         """Return the range translated by ``rows``/``columns``."""

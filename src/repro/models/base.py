@@ -118,8 +118,7 @@ class DataModel(ABC):
             self.update_cell(row, column, cell)
 
     @classmethod
-    def from_sheet(cls, sheet: Sheet, region: RangeRef | None = None, *,
-                   mapping_scheme: str = "hierarchical") -> "DataModel":
+    def from_sheet(cls, sheet: Sheet, region: RangeRef | None = None) -> "DataModel":
         """Load the cells of ``sheet`` (optionally restricted to ``region``):
         an empty model over the region, then one :meth:`update_cells`.
 
@@ -129,7 +128,7 @@ class DataModel(ABC):
             box = sheet.bounding_box()
             region = box.to_range() if box is not None else RangeRef(1, 1, 1, 1)
         model = cls(top=region.top, left=region.left, rows=region.rows,
-                    columns=region.columns, mapping_scheme=mapping_scheme)
+                    columns=region.columns)
         model.update_cells((address.row, address.column, cell)
                            for address, cell in sheet.get_cells(region).items())
         return model

@@ -21,7 +21,7 @@ from repro.grid.cell import Cell, CellValue
 from repro.grid.range import RangeRef
 from repro.grid.structural import StructuralEdit
 from repro.models.base import DataModel
-from repro.positional import PositionalMapping, create_mapping
+from repro.positional import HierarchicalMapping, PositionalMapping
 from repro.storage.heap import HeapFile
 
 #: Stored cell payload: ``None`` for an empty slot, else ``(value, formula)``.
@@ -37,9 +37,9 @@ class LineGridStore:
     O(1) and never rewrites stored tuples).
     """
 
-    def __init__(self, *, mapping_scheme: str = "hierarchical") -> None:
+    def __init__(self) -> None:
         self._heap = HeapFile()
-        self._mapping: PositionalMapping = create_mapping(mapping_scheme)
+        self._mapping = HierarchicalMapping()
         #: minor display position (0-based) -> physical slot index in records
         self._minor_slots: list[int] = []
         self._next_slot = 0
@@ -250,11 +250,10 @@ class LineOrientedModel(DataModel):
         *,
         rows: int = 0,
         columns: int = 0,
-        mapping_scheme: str = "hierarchical",
     ) -> None:
         #: First stored line of each axis, in absolute sheet coordinates.
         self._anchor = {"row": top, "column": left}
-        self._store = LineGridStore(mapping_scheme=mapping_scheme)
+        self._store = LineGridStore()
         major, minor = self._oriented(rows, columns)
         if major:
             self._store.ensure_major(major)

@@ -53,11 +53,9 @@ class HybridDataModel(DataModel):
         self,
         regions: Iterable[HybridRegion] = (),
         *,
-        mapping_scheme: str = "hierarchical",
         allow_overlap: bool = False,
     ) -> None:
         self._regions: list[HybridRegion] = []
-        self._mapping_scheme = mapping_scheme
         self._catch_all: RowColumnValueModel | None = None
         self._has_overlaps = False
         #: Observability counters for bulk reads (``get_cells``/``get_values_dense``):
@@ -76,8 +74,6 @@ class HybridDataModel(DataModel):
         cls,
         sheet: Sheet,
         regions: Sequence[tuple[RangeRef, ModelKind]],
-        *,
-        mapping_scheme: str = "hierarchical",
     ) -> "HybridDataModel":
         """Materialise a hybrid model from a decomposition plan.
 
@@ -85,14 +81,14 @@ class HybridDataModel(DataModel):
         :mod:`repro.decomposition`; cells of ``sheet`` not covered by any
         listed region go to the catch-all RCV table.
         """
-        hybrid = cls(mapping_scheme=mapping_scheme)
+        hybrid = cls()
         for region, kind in regions:
             if kind not in _PRIMITIVES:
                 raise ValueError(
                     f"cannot build a {kind} region from a sheet without a linked table")
             model = _PRIMITIVES[kind](
                 top=region.top, left=region.left, rows=region.rows,
-                columns=region.columns, mapping_scheme=mapping_scheme)
+                columns=region.columns)
             hybrid.add_region(HybridRegion(range=region, model=model))
         hybrid.update_cells(
             (address.row, address.column, cell) for address, cell in sheet.items())
@@ -261,9 +257,7 @@ class HybridDataModel(DataModel):
     def _loose_cells_table(self, row: int, column: int) -> RowColumnValueModel:
         """The catch-all, created anchored at its first cell."""
         if self._catch_all is None:
-            self._catch_all = RowColumnValueModel(
-                top=row, left=column, mapping_scheme=self._mapping_scheme
-            )
+            self._catch_all = RowColumnValueModel(top=row, left=column)
         return self._catch_all
 
     def check_structural_edit(self, edit: StructuralEdit) -> None:

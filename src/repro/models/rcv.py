@@ -20,7 +20,7 @@ from repro.grid.cell import Cell, CellValue
 from repro.grid.range import RangeRef
 from repro.grid.structural import StructuralEdit
 from repro.models.base import DataModel, ModelKind
-from repro.positional import PositionalMapping, create_mapping
+from repro.positional import HierarchicalMapping, PositionalMapping
 from repro.storage.costs import CostParameters
 
 
@@ -68,12 +68,11 @@ class RowColumnValueModel(DataModel):
         *,
         rows: int = 0,
         columns: int = 0,
-        mapping_scheme: str = "hierarchical",
     ) -> None:
         #: ``(row identifier, column identifier) -> cell``.
         self._cells: dict[tuple[int, int], Cell] = {}
-        self._rows = _Axis(top, create_mapping(mapping_scheme))
-        self._columns = _Axis(left, create_mapping(mapping_scheme))
+        self._rows = _Axis(top, HierarchicalMapping())
+        self._columns = _Axis(left, HierarchicalMapping())
         self._rows.ensure(rows)
         self._columns.ensure(columns)
 

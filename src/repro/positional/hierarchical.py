@@ -56,11 +56,6 @@ class HierarchicalMapping(PositionalMapping):
     def __len__(self) -> int:
         return self._size
 
-    @property
-    def fanout(self) -> int:
-        """Maximum node arity."""
-        return self._fanout
-
     def height(self) -> int:
         """Number of levels (1 for a lone leaf root)."""
         node = self._root

@@ -60,13 +60,6 @@ class TableRelation:
 Relation = GridRelation | TableRelation
 
 
-def relation_alias(rel: Relation) -> str | None:
-    """The name a relation's columns can be qualified with, if any."""
-    if isinstance(rel, TableRelation):
-        return rel.alias
-    return rel.name
-
-
 # ---------------------------------------------------------------------- #
 # scalar expressions
 # ---------------------------------------------------------------------- #

@@ -45,7 +45,6 @@ from repro.query.ast import (
     TableRelation,
     conjuncts,
     predicate_columns,
-    relation_alias,
 )
 from repro.query.builder import Select
 from repro.storage.database import Table

@@ -254,14 +254,6 @@ class LiveView:
         assert self._table is not None
         return self._table
 
-    def columns(self) -> tuple[str, ...]:
-        """The output column names (compiling the plan if needed)."""
-        return self.value().columns
-
-    def drop(self) -> None:
-        """Unregister the view from its engine (spilled cells remain)."""
-        self._engine.drop_live_view(self)
-
     # ------------------------------------------------------------------ #
     # engine-side hooks
     # ------------------------------------------------------------------ #

@@ -11,8 +11,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Generic, Iterator, TypeVar
 
-from repro.errors import StorageError
-
 K = TypeVar("K")
 V = TypeVar("V")
 
@@ -56,15 +54,6 @@ class BPlusTree(Generic[K, V]):
     def order(self) -> int:
         """Maximum number of children of an interior node."""
         return self._order
-
-    def height(self) -> int:
-        """Number of levels in the tree (1 for a lone leaf root)."""
-        node = self._root
-        levels = 1
-        while not node.is_leaf:
-            node = node.children[0]
-            levels += 1
-        return levels
 
     # ------------------------------------------------------------------ #
     # lookup
@@ -110,24 +99,6 @@ class BPlusTree(Generic[K, V]):
                     return
                 yield key, leaf.values[index]
             leaf = leaf.next_leaf
-
-    def min_key(self) -> K:
-        """Smallest key; raises when empty."""
-        if self._size == 0:
-            raise StorageError("empty B+-tree has no minimum key")
-        node = self._root
-        while not node.is_leaf:
-            node = node.children[0]
-        return node.keys[0]
-
-    def max_key(self) -> K:
-        """Largest key; raises when empty."""
-        if self._size == 0:
-            raise StorageError("empty B+-tree has no maximum key")
-        node = self._root
-        while not node.is_leaf:
-            node = node.children[-1]
-        return node.keys[-1]
 
     # ------------------------------------------------------------------ #
     # insert

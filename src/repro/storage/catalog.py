@@ -114,22 +114,6 @@ class Catalog:
             raise CatalogError(f"table {schema.name!r} already exists")
         self._schemas[schema.name] = schema
 
-    def unregister(self, name: str) -> None:
-        """Remove a schema; raises when absent."""
-        if name not in self._schemas:
-            raise CatalogError(f"table {name!r} does not exist")
-        del self._schemas[name]
-
-    def get(self, name: str) -> TableSchema:
-        """Fetch a schema; raises when absent."""
-        try:
-            return self._schemas[name]
-        except KeyError as exc:
-            raise CatalogError(f"table {name!r} does not exist") from exc
-
     def __contains__(self, name: str) -> bool:
         return name in self._schemas
 
-    def table_names(self) -> list[str]:
-        """All registered table names."""
-        return sorted(self._schemas)

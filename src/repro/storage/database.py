@@ -1,19 +1,16 @@
 """The Database facade of the row-store substrate.
 
 A :class:`Database` owns a catalog and, per table, a heap file plus an
-optional B+-tree key index.  It also knows how to account for storage using
-a :class:`~repro.storage.costs.CostParameters`, which is how the data-model
-experiments measure the footprint of ROM/COM/RCV/hybrid layouts.
+optional B+-tree key index.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.errors import CatalogError, StorageError
+from repro.errors import CatalogError
 from repro.storage.btree import BPlusTree
 from repro.storage.catalog import Catalog, ColumnDef, TableSchema
-from repro.storage.costs import POSTGRES_COSTS, CostParameters
 from repro.storage.heap import HeapFile
 from repro.storage.tuples import Record, TuplePointer
 
@@ -82,32 +79,15 @@ class Table:
             if predicate is None or predicate(record):
                 yield pointer, record
 
-    def lookup(self, key: Any) -> tuple[TuplePointer, Record] | None:
-        """Point lookup through the key index (or a scan when unindexed)."""
-        if key is None:
-            return None  # NULL keys are never indexed and never match
-        if self.key_index is not None:
-            pointer = self.key_index.get(key)
-            if pointer is None:
-                return None
-            return pointer, self.heap.read(pointer)
-        if self._key_position is None:
-            raise StorageError(f"table {self.schema.name!r} has no key column")
-        for pointer, record in self.heap.scan():
-            if record[self._key_position] == key:
-                return pointer, record
-        return None
-
     def rows(self) -> list[Record]:
         """Materialise all live records (in physical order)."""
         return [record for _, record in self.heap.scan()]
 
 
 class Database:
-    """A collection of tables with cost-model-based storage accounting."""
+    """A collection of tables."""
 
-    def __init__(self, costs: CostParameters = POSTGRES_COSTS) -> None:
-        self.costs = costs
+    def __init__(self) -> None:
         self.catalog = Catalog()
         self._tables: dict[str, Table] = {}
 
@@ -128,11 +108,6 @@ class Database:
         self._tables[name] = table
         return table
 
-    def drop_table(self, name: str) -> None:
-        """Drop a table and its data."""
-        self.catalog.unregister(name)
-        del self._tables[name]
-
     def table(self, name: str) -> Table:
         """Fetch a table handle; raises :class:`CatalogError` when absent."""
         try:
@@ -144,42 +119,10 @@ class Database:
         """Whether a table with ``name`` exists."""
         return name in self._tables
 
-    def table_names(self) -> list[str]:
-        """All table names."""
-        return self.catalog.table_names()
-
     # ------------------------------------------------------------------ #
     # DML conveniences
     # ------------------------------------------------------------------ #
-    def insert(self, name: str, record: Record) -> TuplePointer:
-        """Insert into table ``name``."""
-        return self.table(name).insert(record)
-
     def insert_many(self, name: str, records: Iterable[Record]) -> list[TuplePointer]:
         """Insert many records, returning their pointers."""
         table = self.table(name)
         return [table.insert(record) for record in records]
-
-    def scan(self, name: str, predicate: Predicate | None = None) -> Iterator[Record]:
-        """Iterate the records of a table."""
-        for _, record in self.table(name).scan(predicate):
-            yield record
-
-    # ------------------------------------------------------------------ #
-    # storage accounting
-    # ------------------------------------------------------------------ #
-    def table_storage_cost(self, name: str) -> float:
-        """Cost-model storage footprint of one table (Equation 1 style).
-
-        ROM/COM-shaped tables are charged ``s1 + s2*cells + s3*columns +
-        s4*rows``; this matches how the paper accounts for tables regardless
-        of which translator owns them.
-        """
-        table = self.table(name)
-        rows = table.row_count
-        columns = table.schema.column_count
-        return self.costs.rom_cost(rows, columns)
-
-    def total_storage_cost(self) -> float:
-        """Sum of the per-table storage costs."""
-        return sum(self.table_storage_cost(name) for name in self._tables)

@@ -104,8 +104,11 @@ def recovered_cells(directory: str) -> CellMap:
     if snapshot:
         for row, column, value, formula in snapshot["cells"]:
             base[(row, column)] = (value, formula)
-    records = committed_records(read_records(wal_path(directory, generation)))
-    return replay_records(base, records)
+    try:
+        records = read_records(wal_path(directory, generation))
+    except RecoveryError as exc:
+        raise RecoveryError(f"write-ahead log of generation {generation}: {exc}") from None
+    return replay_records(base, committed_records(records))
 
 
 def recover(directory: str, *, wal_options: dict[str, Any] | None = None,
@@ -113,15 +116,14 @@ def recover(directory: str, *, wal_options: dict[str, Any] | None = None,
     """Rebuild a live, durable :class:`DataSpread` from a workspace directory.
 
     ``engine_kwargs`` are forwarded to the engine constructor (e.g.
-    ``async_recompute=True``); the mapping scheme defaults to the one the
-    snapshot recorded.  The returned engine is attached to ``directory`` in
-    WAL mode behind a fresh checkpoint.
+    ``async_recompute=True``).  The returned engine is attached to
+    ``directory`` in WAL mode behind a fresh checkpoint.  A log that is
+    corrupt before its last intact frame raises
+    :class:`~repro.errors.RecoveryError` first, with nothing on disk
+    changed.
     """
     from repro.engine.dataspread import DataSpread
 
-    snapshot = load_snapshot(directory)
-    if snapshot and "mapping_scheme" in snapshot.get("config", {}):
-        engine_kwargs.setdefault("mapping_scheme", snapshot["config"]["mapping_scheme"])
     cells = recovered_cells(directory)
 
     # Adopted values are committed state, not work to leave queued stale:

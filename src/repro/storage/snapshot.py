@@ -4,11 +4,11 @@ A durable workspace directory holds at most two artefacts:
 
 ``snapshot.bin``
     One CRC-checksummed frame (the same codec as the WAL) containing the
-    full committed cell state — values, formula text, and the engine
-    configuration needed to rebuild the models (the positional mappings
-    and hybrid layout are derived state: they rebuild deterministically
-    from the logical cells, exactly as the PR 2 serializer's round-trip
-    contract established).  The snapshot carries a *generation* number.
+    full committed cell state: values and formula text (the positional
+    mappings and hybrid layout are derived state that rebuilds
+    deterministically from the logical cells), plus a free-form ``config``
+    entry that recovery does not read.  The snapshot carries a
+    *generation* number.
 
 ``wal-<generation>.log``
     The write-ahead log of everything committed *since* the snapshot of

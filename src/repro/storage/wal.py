@@ -8,7 +8,10 @@ JSON record::
 A torn tail — a frame whose length prefix runs past the end of the file or
 whose checksum does not match (the classic half-written last frame after a
 crash) — terminates the readable portion of the log; everything before it
-is intact because frames are only ever appended.
+is intact because frames are only ever appended.  Only an unreadable
+*final* region is a torn tail: a bad frame with an intact frame after it
+is corruption, and reading the log raises
+:class:`~repro.errors.RecoveryError` rather than drop the commits behind it.
 
 Record taxonomy (the ``"t"`` field of the JSON payload):
 
@@ -53,7 +56,7 @@ import time
 import zlib
 from typing import Any, Callable, Iterator
 
-from repro.errors import WALError
+from repro.errors import RecoveryError, WALError
 from repro.formula.rewrite import StructuralEdit
 
 #: Frame header: payload length + payload CRC32, little-endian u32 each.
@@ -74,29 +77,57 @@ def encode_frame(record: dict[str, Any]) -> bytes:
 
 
 def decode_frames(data: bytes) -> Iterator[dict[str, Any]]:
-    """Yield intact records from ``data``, stopping at the first torn frame.
+    """Yield the records of ``data`` in order, up to a torn tail.
 
-    A torn tail (truncated header, truncated payload, or checksum mismatch)
-    silently ends iteration — that is the expected shape of a crash — so
-    callers never see a half-written record.
+    A bad frame (truncated header or payload, checksum mismatch) with no
+    intact frame after it is a torn tail, the expected shape of a crash:
+    it silently ends iteration, so callers never see a half-written
+    record.  A bad frame that an intact frame follows raises
+    :class:`~repro.errors.RecoveryError` naming its byte offset.
     """
     offset = 0
-    total = len(data)
-    while offset + FRAME_HEADER.size <= total:
-        length, checksum = FRAME_HEADER.unpack_from(data, offset)
-        start = offset + FRAME_HEADER.size
-        end = start + length
-        if end > total:
-            return  # torn: the payload never finished landing
-        payload = data[start:end]
-        if zlib.crc32(payload) != checksum:
-            return  # torn or corrupt: stop at the last intact frame
-        try:
-            record = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
+    while offset + FRAME_HEADER.size <= len(data):
+        record, end = _frame_at(data, offset)
+        if record is None:
+            following = _next_intact_frame(data, offset + 1)
+            if following is not None:
+                raise RecoveryError(f"corrupt frame at byte {offset}; "
+                                    f"an intact frame follows at byte {following}")
             return
         yield record
         offset = end
+
+
+def _frame_at(data: bytes, offset: int) -> tuple[dict[str, Any] | None, int]:
+    """The record of the frame at ``offset`` (``None`` when it is bad) and
+    the offset just past it."""
+    length, checksum = FRAME_HEADER.unpack_from(data, offset)
+    start = offset + FRAME_HEADER.size
+    end = start + length
+    if end > len(data) or zlib.crc32(data[start:end]) != checksum:
+        return None, end
+    try:
+        return json.loads(data[start:end].decode("utf-8")), end
+    except (UnicodeDecodeError, ValueError):
+        return None, end
+
+
+def _next_intact_frame(data: bytes, offset: int) -> int | None:
+    """Offset of the first intact frame starting at or after ``offset``.
+
+    A payload is a JSON object, so only a ``{`` can open one: each ``{``
+    is a candidate whose length must fit and end on a ``}`` before its
+    checksum is computed, which keeps the scan of a torn tail linear.
+    """
+    brace = data.find(b"{", offset + FRAME_HEADER.size)
+    while brace != -1:
+        position = brace - FRAME_HEADER.size
+        length, _checksum = FRAME_HEADER.unpack_from(data, position)
+        if 0 < length <= len(data) - brace and data[brace + length - 1] == 0x7D \
+                and _frame_at(data, position)[0] is not None:
+            return position
+        brace = data.find(b"{", brace + 1)
+    return None
 
 
 # ---------------------------------------------------------------------- #

@@ -14,9 +14,9 @@ from repro.workloads.corpus import (
     generate_sheet,
 )
 from repro.workloads.synthetic import SyntheticSheetSpec, generate_synthetic_sheet, generate_dense_sheet
-from repro.workloads.vcf import VCFSpec, generate_vcf_rows, write_vcf_csv
+from repro.workloads.vcf import VCFSpec, generate_vcf_rows
 from repro.workloads.retail import RetailDataset, generate_retail_dataset
-from repro.workloads.survey import SURVEY_OPERATIONS, SurveyQuestion, survey_distribution
+from repro.workloads.survey import SURVEY_OPERATIONS, SurveyQuestion
 from repro.workloads.operations import OperationKind, UpdateOperation, generate_update_trace
 
 __all__ = [
@@ -30,12 +30,10 @@ __all__ = [
     "generate_dense_sheet",
     "VCFSpec",
     "generate_vcf_rows",
-    "write_vcf_csv",
     "RetailDataset",
     "generate_retail_dataset",
     "SURVEY_OPERATIONS",
     "SurveyQuestion",
-    "survey_distribution",
     "OperationKind",
     "UpdateOperation",
     "generate_update_trace",

@@ -105,11 +105,6 @@ class SpreadsheetSpec:
     tables: list[RangeRef] = field(default_factory=list)
     formula_cells: list[CellAddress] = field(default_factory=list)
 
-    @property
-    def name(self) -> str:
-        """The sheet's name."""
-        return self.sheet.name
-
 
 # ---------------------------------------------------------------------- #
 def generate_sheet(

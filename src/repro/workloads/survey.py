@@ -6,18 +6,15 @@ questions use 1 ("not important/organised") to 5.  The exact per-bucket
 counts are not published, so the distributions below encode the constraints
 the paper states (e.g. "all thirty perform scrolling, 22 of them marking 5";
 "only four marked < 4 for row/column operations") and spread the remaining
-mass smoothly.  :func:`survey_distribution` returns the stacked-bar data of
-Figure 6 and :func:`sample_responses` draws synthetic per-participant answer
-sheets for testing.
+mass smoothly.  :data:`SURVEY_OPERATIONS` holds the stacked-bar data of
+Figure 6.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 PARTICIPANTS = 30
-SCALE = (1, 2, 3, 4, 5)
 
 
 @dataclass(frozen=True)
@@ -49,24 +46,3 @@ SURVEY_OPERATIONS: tuple[SurveyQuestion, ...] = (
     SurveyQuestion("tabular", "Data organised in tables", (1, 2, 2, 11, 14)),
     SurveyQuestion("ordering", "Importance of ordering", (1, 1, 3, 10, 15)),
 )
-
-
-def survey_distribution() -> dict[str, tuple[int, int, int, int, int]]:
-    """The per-question response histograms (the Figure 6 series)."""
-    return {question.key: question.counts for question in SURVEY_OPERATIONS}
-
-
-def sample_responses(seed: int = 0) -> list[dict[str, int]]:
-    """Draw one synthetic answer sheet per participant consistent with Figure 6."""
-    rng = random.Random(seed)
-    per_question_answers: dict[str, list[int]] = {}
-    for question in SURVEY_OPERATIONS:
-        answers: list[int] = []
-        for answer, count in zip(SCALE, question.counts):
-            answers.extend([answer] * count)
-        rng.shuffle(answers)
-        per_question_answers[question.key] = answers
-    return [
-        {key: answers[participant] for key, answers in per_question_answers.items()}
-        for participant in range(PARTICIPANTS)
-    ]

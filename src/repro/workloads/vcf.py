@@ -8,11 +8,9 @@ genotype columns.
 
 from __future__ import annotations
 
-import csv
 import random
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 #: The fixed columns of the VCF specification.
 VCF_FIXED_COLUMNS = ("CHROM", "POS", "ID", "REF", "ALT", "QUAL", "FILTER", "INFO")
@@ -60,20 +58,3 @@ def generate_vcf_rows(spec: VCFSpec = VCFSpec()) -> Iterator[list[object]]:
         ]
         row.extend(rng.choice(("0/0", "0/1", "1/1", "./.")) for _ in range(spec.sample_columns))
         yield row
-
-
-def generate_vcf_grid(spec: VCFSpec = VCFSpec()) -> list[Sequence[object]]:
-    """Header plus all data rows, materialised (for small specs / tests)."""
-    return [vcf_header(spec), *generate_vcf_rows(spec)]
-
-
-def write_vcf_csv(path: str | Path, spec: VCFSpec = VCFSpec()) -> int:
-    """Write the synthetic file as CSV; returns the number of data rows."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(vcf_header(spec))
-        count = 0
-        for row in generate_vcf_rows(spec):
-            writer.writerow(row)
-            count += 1
-    return count

@@ -718,7 +718,7 @@ class TestColumnarBitIdentity:
             values = [rng.choice(kinds)() for _ in range(rng.randint(0, 60))]
             vectorized, used_numpy = columnar.build_state(values)
             scalar, _ = columnar.build_state(values, force_python=True)
-            assert used_numpy == columnar.NUMPY_AVAILABLE
+            assert used_numpy
             self._assert_states_identical(vectorized, scalar, trial)
 
     def test_nan_prefix_min_max_matches_scalar_exactly(self):
@@ -760,25 +760,8 @@ class TestColumnarBitIdentity:
         spread.import_rows([[row] for row in range(1, 101)])
         assert spread.set_formula(1, 3, "SUM(A1:A100)") == 5050
         stats = spread.aggregate_store.stats
-        from repro.formula import columnar
-
         assert stats.builds == 1
-        expected = 1 if columnar.NUMPY_AVAILABLE else 0
-        assert stats.columnar_builds == expected
-
-    def test_numpy_absent_fallback_serves_identical_results(self, monkeypatch):
-        from repro.formula import columnar
-
-        monkeypatch.setattr(columnar, "_np", None)
-        spread = DataSpread()
-        spread.aggregate_store.min_state_area = 1
-        spread.import_rows([[row] for row in range(1, 51)])
-        assert spread.set_formula(1, 3, "SUM(A1:A50)") == 1275
-        stats = spread.aggregate_store.stats
-        assert stats.builds == 1
-        assert stats.columnar_builds == 0  # the pure-Python fold served
-        spread.set_value(10, 1, 100)       # and deltas work as usual
-        assert spread.get_value(1, 3) == 1275 - 10 + 100
+        assert stats.columnar_builds == 1
 
     def test_scalar_and_columnar_engines_agree_on_mixed_content(self, monkeypatch):
         from repro.formula import columnar
@@ -803,6 +786,9 @@ class TestColumnarBitIdentity:
             results.extend(spread.get_value(slot, 3) for slot in range(1, 7))
             return results
 
+        def unsupported(values):
+            raise columnar._Unsupported
+
         vectorized = build()
-        monkeypatch.setattr(columnar, "_np", None)
+        monkeypatch.setattr(columnar, "_build_numpy", unsupported)
         assert build() == vectorized

@@ -13,7 +13,6 @@ from repro.decomposition import (
     optimal_lower_bound,
     table_count_upper_bound,
 )
-from repro.decomposition.bounds import recursive_decomposition_gap
 from repro.decomposition.cost import RegionCostModel, primitive_costs
 from repro.decomposition.dp_vectorized import solve_vectorized
 from repro.decomposition.recursive_dp import _optimal, _reconstruct
@@ -220,12 +219,6 @@ class TestBounds:
         dense = block(1, 1, 10, 10)
         ragged = dense - {(r, 10) for r in range(1, 9)}
         assert table_count_upper_bound(ragged, POSTGRES_COSTS) >= table_count_upper_bound(dense, POSTGRES_COSTS)
-
-    def test_gap_formula(self):
-        k = table_count_upper_bound(ONE_TABLE, POSTGRES_COSTS)
-        assert recursive_decomposition_gap(ONE_TABLE, POSTGRES_COSTS) == pytest.approx(
-            POSTGRES_COSTS.table_cost * k * (k - 1) / 2
-        )
 
     def test_zero_table_cost_degenerate_bound(self):
         assert table_count_upper_bound(ONE_TABLE, IDEAL_COSTS) == len(ONE_TABLE)

@@ -29,6 +29,7 @@ from repro.storage.snapshot import (
     write_snapshot,
 )
 from repro.storage.wal import (
+    FRAME_HEADER,
     WALWriter,
     cell_record,
     committed_records,
@@ -79,6 +80,18 @@ class TestFrameCodec:
         second = bytearray(encode_frame(cell_record(2, 2, 2, None)))
         second[-1] ^= 0xFF  # flip one payload byte
         assert list(decode_frames(first + bytes(second))) == [cell_record(1, 1, 1, None)]
+
+    def test_corrupt_frame_before_an_intact_one_raises(self):
+        frames = [encode_frame(cell_record(row, 1, row, None)) for row in (1, 2, 3)]
+        middle = bytearray(frames[1])
+        middle[-2] ^= 0xFF
+        with pytest.raises(RecoveryError, match=f"byte {len(frames[0])};"):
+            list(decode_frames(frames[0] + bytes(middle) + frames[2]))
+
+    def test_a_cut_length_prefix_before_an_intact_frame_raises(self):
+        first, second = (encode_frame(cell_record(row, 1, row, None)) for row in (1, 2))
+        with pytest.raises(RecoveryError):
+            list(decode_frames(first + first[:5] + second))
 
     def test_group_folding(self):
         records = [
@@ -467,6 +480,27 @@ class TestRecovery:
             handle.write(encode_frame(cell_record(9, 9, "torn", None))[:7])
         assert recovered_cells(directory) == {(1, 1): ("keep", None)}
 
+    def test_corruption_mid_log_raises_and_leaves_the_workspace(self, tmp_path):
+        directory = str(tmp_path)
+        spread = DataSpread(durability="wal", storage_dir=directory)
+        for row in range(1, 6):
+            spread.set_value(row, 1, row * 10)  # five fsynced singleton frames
+        log_path = spread.storage_backend.log_path
+        spread.close()
+        with open(log_path, "rb") as handle:
+            data = bytearray(handle.read())
+        length, _ = FRAME_HEADER.unpack_from(data, 0)
+        second = FRAME_HEADER.size + length
+        data[second + FRAME_HEADER.size + 3] ^= 0x01  # one payload byte of frame 2
+        with open(log_path, "wb") as handle:
+            handle.write(data)
+        before = sorted(os.listdir(directory))
+        with pytest.raises(RecoveryError, match=f"generation 0: corrupt frame at byte {second};"):
+            recover(directory)
+        assert sorted(os.listdir(directory)) == before == ["wal-0.log"]
+        with open(log_path, "rb") as handle:
+            assert handle.read() == data
+
     def test_aborted_group_discarded(self, tmp_path):
         directory = str(tmp_path)
         spread = DataSpread(durability="wal", storage_dir=directory)
@@ -509,15 +543,22 @@ class TestRecovery:
         assert recovered.cell_count() == 0
         recovered.close()
 
-    def test_recover_preserves_mapping_scheme(self, tmp_path):
+    def test_recover_snapshot_with_a_config_entry(self, tmp_path):
+        # Snapshots written before the positional mapping was fixed carry a
+        # ``config`` entry naming it; recovery ignores it.
         directory = str(tmp_path)
-        spread = DataSpread(durability="wal", storage_dir=directory,
-                            mapping_scheme="monotonic")
-        spread.set_value(1, 1, 1)
-        spread.checkpoint()
-        spread.close()
+        with open(snapshot_path(directory), "wb") as handle:
+            handle.write(encode_frame({
+                "t": "snapshot", "version": 1, "generation": 1,
+                "config": {"mapping_scheme": "monotonic"},
+                "cells": [[1, 1, 5, None], [2, 1, 10, "A1*2"]],
+            }))
+        with open(wal_path(directory, 1), "wb") as handle:
+            handle.write(encode_frame(cell_record(3, 1, 7, None)))
         recovered = recover(directory)
-        assert recovered.mapping_scheme == "monotonic"
+        assert [recovered.get_value(row, 1) for row in (1, 2, 3)] == [5, 10, 7]
+        recovered.set_value(1, 1, 6)
+        assert recovered.get_value(2, 1) == 12
         recovered.close()
 
 
@@ -593,7 +634,7 @@ class TestQuarantineIntegration:
 
 class TestRefusedConstructor:
     @pytest.mark.parametrize("option", [
-        {"idle_drain_ms": -1}, {"cache_capacity": 0}, {"parse_cache_capacity": 0}])
+        {"idle_drain_ms": -1}, {"cache_capacity": 0}])
     def test_refused_options_leave_no_open_log(self, tmp_path, monkeypatch, option):
         # A leaked file handle surfaces as a ResourceWarning when it is
         # collected; made an error, it reaches the unraisable hook.  Earlier

@@ -223,13 +223,6 @@ class TestDataSpread:
         bare = spread.execute(region("A1:C3", header=False)).to_table()
         assert bare.columns == ("A", "B", "C") and bare.row_count == 3
 
-    def test_import_csv(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("id,amount\n1,10.5\n2,20\n", encoding="utf-8")
-        spread = DataSpread()
-        assert spread.import_csv(path) == 3
-        assert spread.get_value(2, 2) == 10.5
-
     def test_from_sheet_constructor(self):
         sheet = Sheet.from_rows([[1, "=A1*3"]])
         spread = DataSpread.from_sheet(sheet)

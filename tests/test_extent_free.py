@@ -2,7 +2,7 @@
 
 Structural edits must succeed at *any* grid coordinate on every data model
 (ROM, COM, RCV — including above/left of its anchor — hybrid, and the
-shared line-grid store) and every positional scheme: positions beyond the
+shared line-grid store): positions beyond the
 mapped extent are implicit empty space.  Deletes clip to the stored portion
 and still shift the grid; inserts extend the mapping lazily instead of
 raising.  This module pins that contract at the model layer (against the
@@ -36,7 +36,6 @@ from repro.models import (
 from repro.storage.costs import POSTGRES_COSTS
 
 PRIMITIVES = [RowOrientedModel, ColumnOrientedModel, RowColumnValueModel]
-SCHEMES = ["as-is", "monotonic", "hierarchical"]
 
 #: The data block is anchored away from the origin so rows 1..4 and columns
 #: 1..2 are *above/left of the anchor* — implicit space a structural edit
@@ -63,13 +62,9 @@ def grid(target, window: RangeRef = WINDOW) -> dict:
     }
 
 
-@pytest.fixture(
-    params=[(cls, scheme) for cls in PRIMITIVES for scheme in SCHEMES],
-    ids=lambda param: f"{param[0].__name__}-{param[1]}",
-)
+@pytest.fixture(params=PRIMITIVES, ids=lambda cls: cls.__name__)
 def anchored_model(request):
-    cls, scheme = request.param
-    return cls.from_sheet(data_sheet(), mapping_scheme=scheme)
+    return request.param.from_sheet(data_sheet())
 
 
 #: One structural op per extent boundary case, on both axes: beyond the
@@ -98,7 +93,7 @@ STRUCTURAL_CASES = [
 
 
 class TestModelsMatchNaiveSheet:
-    """Every primitive model, every scheme, every boundary case: the model
+    """Every primitive model, every boundary case: the model
     after a structural edit must show the same cells as the naive ``Sheet``
     renumbering applied to the same data."""
 
@@ -143,9 +138,8 @@ class TestModelsMatchNaiveSheet:
             getattr(oracle, kind)(line, count)
             assert grid(anchored_model) == grid(oracle), (seed, kind, line, count)
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
-    def test_com_is_rom_transposed(self, scheme, seed):
+    def test_com_is_rom_transposed(self, seed):
         """COM over the transposed sheet, driven by the transposed script,
         is ROM transposed — cells, region, count and (with the row and
         column roles swapped by the transposition) storage cost."""
@@ -157,8 +151,8 @@ class TestModelsMatchNaiveSheet:
                 if rng.random() < 0.6:
                     sheet.set_value(row, column, row * 100 + column)
                     mirror.set_value(column, row, row * 100 + column)
-        rom = RowOrientedModel.from_sheet(sheet, mapping_scheme=scheme)
-        com = ColumnOrientedModel.from_sheet(mirror, mapping_scheme=scheme)
+        rom = RowOrientedModel.from_sheet(sheet)
+        com = ColumnOrientedModel.from_sheet(mirror)
         for step in range(40):
             if rng.random() < 0.25:
                 # ROM/COM take writes at or past their anchor only.
@@ -175,7 +169,7 @@ class TestModelsMatchNaiveSheet:
                 other = "column" if axis == "row" else "row"
                 rom.apply_structural_edit(StructuralEdit(axis, kind, line, count))
                 com.apply_structural_edit(StructuralEdit(other, kind, line, count))
-            context = (scheme, seed, step)
+            context = (seed, step)
             assert {(c, r): v for (r, c), v in grid(rom).items()} == grid(com), context
             side, block = WINDOW.rows, rom.get_values_dense(WINDOW)  # a square window
             assert [block[r * side + c] for c in range(side) for r in range(side)] \

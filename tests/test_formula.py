@@ -1,12 +1,15 @@
 """Tests for the formula engine: tokenizer, parser, functions, evaluator, dependencies."""
 
+import math
+import statistics
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import CircularDependencyError, FormulaEvaluationError, FormulaSyntaxError
 from repro.formula.ast_nodes import BinaryOpNode, CellRefNode, FunctionCallNode, RangeRefNode
 from repro.formula.dependencies import DependencyGraph
-from repro.formula.evaluator import Evaluator, access_footprint, extract_references, referenced_coordinates
+from repro.formula.evaluator import Evaluator, extract_references, referenced_coordinates
 from repro.formula.parser import MAX_FORMULA_DEPTH, parse_formula
 from repro.formula.tokenizer import TokenType, tokenize
 from repro.grid.address import CellAddress
@@ -177,6 +180,80 @@ class TestEvaluator:
         assert evaluator.evaluate('MID("spread", 2, 3)') == "pre"
         assert evaluator.evaluate('SEARCH("rea", "SPREAD")') == 3
 
+    @pytest.mark.parametrize("text", [
+        'LEFT("Hello",-1)', 'RIGHT("Hello",-1)', 'MID("Hello",2,-1)', 'MID("Hello",0,2)'])
+    def test_negative_counts_and_a_start_below_one_are_value_errors(self, text):
+        evaluator = Evaluator(lambda r, c: None)
+        with pytest.raises(FormulaEvaluationError) as excinfo:
+            evaluator.evaluate(text)
+        assert excinfo.value.code == "#VALUE!"
+
+    def test_text_slices_at_their_bounds(self):
+        evaluator = Evaluator(lambda r, c: None)
+        assert evaluator.evaluate('LEFT("Hello",0)') == ""
+        assert evaluator.evaluate('LEFT("Hello",9)') == "Hello"
+        assert evaluator.evaluate('MID("Hello",1,2)') == "He"
+        assert evaluator.evaluate('MID("Hello",9,2)') == ""
+
+    def test_trim_collapses_inner_runs_of_spaces(self):
+        evaluator = Evaluator(lambda r, c: None)
+        for text in ("  a   b  ", "a", "   ", " x  y z "):
+            assert evaluator.evaluate(f'TRIM("{text}")') == " ".join(text.split())
+
+    def test_right(self):
+        evaluator = Evaluator(lambda r, c: None)
+        for count in (0, 1, 3, 5, 8):
+            assert evaluator.evaluate(f'RIGHT("Hello",{count})') == ("Hello"[-count:] if count else "")
+        assert evaluator.evaluate('RIGHT("Hello")') == "o"
+
+    def test_lower(self):
+        evaluator = Evaluator(lambda r, c: None)
+        assert evaluator.evaluate('LOWER("MiXeD 42")') == "MiXeD 42".lower()
+        assert evaluator.evaluate("LOWER(12)") == "12"
+
+    def test_product(self):
+        rows = [[2, 3.5, "x", None, 4]]
+        _, provider = _sheet_provider(rows)
+        evaluator = Evaluator(provider)
+        assert evaluator.evaluate("PRODUCT(A1:E1)") == math.prod([2, 3.5, 4])
+        assert evaluator.evaluate("PRODUCT(A1:E1, -1)") == math.prod([2, 3.5, 4, -1])
+        assert evaluator.evaluate("PRODUCT(B1:D1)") == 3.5
+        assert evaluator.evaluate("PRODUCT(C1:D1)") == 0  # no numbers
+
+    def test_stdev(self):
+        numbers = [2, 4, 4, 4, 5, 5, 7, 9]
+        _, provider = _sheet_provider([numbers + ["text"]])
+        evaluator = Evaluator(provider)
+        assert evaluator.evaluate("STDEV(A1:I1)") == pytest.approx(statistics.stdev(numbers))
+        with pytest.raises(FormulaEvaluationError) as excinfo:
+            evaluator.evaluate("STDEV(A1)")
+        assert excinfo.value.code == "#DIV/0!"
+
+    def test_isnumber(self):
+        _, provider = _sheet_provider([[1, 2.5, "one", True, None]])
+        evaluator = Evaluator(provider)
+        assert [evaluator.evaluate(f"ISNUMBER({column}1)") for column in "ABCDE"] == [
+            True, True, False, False, False]
+
+    def test_sqrt(self):
+        evaluator = Evaluator(lambda r, c: None)
+        assert evaluator.evaluate("SQRT(16)") == 4
+        assert evaluator.evaluate("SQRT(2)") == pytest.approx(math.sqrt(2))
+        with pytest.raises(FormulaEvaluationError) as excinfo:
+            evaluator.evaluate("SQRT(-1)")
+        assert excinfo.value.code == "#NUM!"
+
+    def test_hlookup(self):
+        rows = [["a", "b", "c"], [1, 2, 3], [10, 20, 30]]
+        _, provider = _sheet_provider(rows)
+        evaluator = Evaluator(provider)
+        witness = {key: rows[2][index] for index, key in enumerate(rows[0])}
+        assert evaluator.evaluate('HLOOKUP("b", A1:C3, 3, FALSE)') == witness["b"]
+        assert evaluator.evaluate('HLOOKUP("c", A1:C3, 2, FALSE)') == 3
+        with pytest.raises(FormulaEvaluationError) as excinfo:
+            evaluator.evaluate('HLOOKUP("zz", A1:C3, 2, FALSE)')
+        assert excinfo.value.code == "#N/A"
+
     def test_iferror_traps_errors(self):
         evaluator = Evaluator(lambda r, c: 0)
         assert evaluator.evaluate("IFERROR(1/A1, -1)") == -1
@@ -260,9 +337,6 @@ class TestReferenceExtraction:
         coords = referenced_coordinates("SUM(A1:A3)+B1")
         assert coords == {(1, 1), (2, 1), (3, 1), (1, 2)}
 
-    def test_access_footprint(self):
-        assert access_footprint("SUM(A1:B5) + C1") == 11
-
 
 class TestDependencyGraph:
     def test_direct_and_transitive_dependents(self):
@@ -344,15 +418,6 @@ class TestFormulaDepthBound:
         spread.set_value(1, 2, 2)
         assert spread.get_value(1, 1) == 2 * MAX_FORMULA_DEPTH
         assert spread.get_value(2, 1) == 2
-
-    def test_import_csv_keeps_too_deep_text_raw(self, tmp_path):
-        from repro.engine.dataspread import DataSpread
-        path = tmp_path / "deep.csv"
-        path.write_text(f"1,{self.CHAIN.replace('B1', 'A1')}\n")
-        spread = DataSpread()
-        spread.import_csv(path)
-        assert spread.get_cell(1, 2).formula is None
-        assert spread.get_value(1, 2).startswith("=A1+A1")
 
     @pytest.mark.parametrize("text", [CHAIN, NESTED, UNARY],
                              ids=["chain", "nested", "unary"])

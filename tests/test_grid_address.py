@@ -8,7 +8,6 @@ from repro.grid.address import (
     CellAddress,
     column_index_to_letter,
     column_letter_to_index,
-    parse_reference,
 )
 from repro.grid.range import RangeRef
 
@@ -53,9 +52,6 @@ class TestCellAddress:
     def test_to_a1_roundtrip(self):
         assert CellAddress(45, 28).to_a1() == "AB45"
         assert CellAddress.from_a1("AB45") == CellAddress(45, 28)
-
-    def test_parse_reference_helper(self):
-        assert parse_reference("AA100") == CellAddress(100, 27)
 
     @pytest.mark.parametrize("bad", ["", "11", "A0", "1A", "A-1", "A 1x"])
     def test_invalid_references_raise(self, bad):
@@ -102,7 +98,6 @@ class TestRangeRef:
         assert region.rows == 9
         assert region.columns == 2
         assert region.area == 18
-        assert region.half_perimeter == 11
 
     def test_inverted_raises(self):
         with pytest.raises(RangeError):
@@ -137,9 +132,6 @@ class TestRangeRef:
 
     def test_shifted(self):
         assert RangeRef(1, 1, 2, 2).shifted(rows=3, columns=1) == RangeRef(4, 2, 5, 3)
-
-    def test_row_slices(self):
-        assert list(RangeRef(2, 3, 3, 5).row_slices()) == [(2, 3, 5), (3, 3, 5)]
 
     @given(st.integers(1, 50), st.integers(1, 50), st.integers(0, 20), st.integers(0, 20))
     def test_area_matches_enumeration(self, top, left, extra_rows, extra_columns):

@@ -8,8 +8,6 @@ from repro.grid.bounding import bounding_box, density
 from repro.grid.cell import Cell
 from repro.grid.components import (
     connected_components,
-    formula_access_components,
-    tabular_coverage,
     tabular_regions,
 )
 from repro.grid.range import RangeRef
@@ -182,16 +180,6 @@ class TestComponentsAndTabularRegions:
     def test_sparse_component_not_tabular(self):
         sparse = {(r, 1) for r in range(1, 20)}   # 1 column only
         assert tabular_regions(sparse) == []
-
-    def test_tabular_coverage(self):
-        table = {(r, c) for r in range(1, 7) for c in range(1, 4)}
-        loose = {(50, 50)}
-        coverage = tabular_coverage(table | loose)
-        assert coverage == pytest.approx(len(table) / (len(table) + 1))
-
-    def test_formula_access_components(self):
-        accessed = [[(1, 1), (1, 2)], [(1, 1), (9, 9)], []]
-        assert formula_access_components(accessed) == [1, 2, 0]
 
     def test_bounding_helpers(self):
         assert bounding_box([]) is None

@@ -141,7 +141,7 @@ class TestRowOrientedSpecifics:
         assert inserts_after - inserts_before == 1   # one empty tuple, no rewrites
 
     def test_positional_mapping_exposed(self):
-        model = RowOrientedModel.from_sheet(sample_sheet(), mapping_scheme="hierarchical")
+        model = RowOrientedModel.from_sheet(sample_sheet())
         assert len(model.positional_mapping) == 4
 
 

@@ -474,14 +474,6 @@ class TestReviewRegressions:
         assert spread.get_value(1, 2) == 50
         assert pending_at_range_read == [0]
 
-    def test_import_csv_keeps_malformed_formula_as_text(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1,=SUM(\n2,=A1+1\n")
-        spread = DataSpread()
-        assert spread.import_csv(path) == 2
-        assert spread.get_value(1, 2) == "=SUM("
-        assert spread.get_value(2, 2) == 2  # the valid formula still evaluates
-
 
 class TestStructuralRewrite:
     """Formulas stay live across row/column inserts and deletes."""

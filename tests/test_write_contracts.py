@@ -361,16 +361,6 @@ def test_engine_from_sheet_and_relayouts_keep_the_sheet(seed):
         assert spread.get_cell(14, 1).formula == "SUM(A2:D6)"
 
 
-def test_import_csv_keeps_a_field_that_only_looks_like_a_formula(tmp_path):
-    path = tmp_path / "block.csv"
-    path.write_text("1,=B2+1,\n=SUM(,==2,text\n\n,4.5,=A1*\n", encoding="utf-8")
-    spread = DataSpread()
-    assert spread.import_csv(path, top=2, left=2) == 4
-    assert spread.get_range_values("B2:D5") == [
-        [1, 2, None], ["=SUM(", 2, "text"], [None, None, None], [None, 4.5, "=A1*"]]
-    assert spread.recompute_passes == 1
-
-
 # ---------------------------------------------------------------------- #
 # counts: what one block write costs
 # ---------------------------------------------------------------------- #
