@@ -40,19 +40,23 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-_WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
-SYSTEM = (
-    "examples/quickstart.py", "examples/customer_management.py",
-    "examples/genomics_vcf.py", "examples/storage_tuning.py",
-    *(f"bench/run.py --workload {w} --seed 1 --smoke" for w in _WORKLOADS),
-    *(f"bench/run.py --workload {w} --seed 1 --trace 1" for w in _WORKLOADS),
-    "-m repro.experiments --all --scale 0.05",
-    "-m pytest -q -p no:cacheprovider benchmarks",
-    "scripts/check_docs.py README.md docs/architecture.md",
-)
 TESTS = "-m pytest -x -q -p no:cacheprovider"
 
 Key = tuple[str, int, str]
+
+
+def system_entries() -> list[str]:
+    """The system's own entry points, each as a command line."""
+    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    return [
+        "examples/quickstart.py", "examples/customer_management.py",
+        "examples/genomics_vcf.py", "examples/storage_tuning.py",
+        *(f"bench/run.py --workload {w} --seed 1 --smoke" for w in workloads),
+        *(f"bench/run.py --workload {w} --seed 1 --trace 1" for w in workloads),
+        "-m repro.experiments --all --scale 0.05",
+        "-m pytest -q -p no:cacheprovider benchmarks",
+        "scripts/check_docs.py README.md docs/architecture.md",
+    ]
 
 
 def run_child(out: str, argv: list[str]) -> int:
@@ -164,7 +168,7 @@ def main() -> int:
     args = parser.parse_args()
     every = defs()
     with tempfile.TemporaryDirectory() as scratch:
-        system, failed = trace_all(args.entry or list(SYSTEM), Path(scratch), "system")
+        system, failed = trace_all(args.entry or system_entries(), Path(scratch), "system")
         tests, tests_failed = trace_all([] if args.no_tests else [TESTS], Path(scratch), "tests")
     failed += tests_failed
     pinned = traced()

@@ -177,7 +177,11 @@ class TestEvaluator:
         assert evaluator.evaluate('LEN("hello")') == 5
         assert evaluator.evaluate('UPPER("hi")') == "HI"
         assert evaluator.evaluate('LEFT("spread", 3)') == "spr"
+        assert evaluator.evaluate('LEFT("spread", 0)') == ""
+        assert evaluator.evaluate('LEFT("spread", 9)') == "spread"
         assert evaluator.evaluate('MID("spread", 2, 3)') == "pre"
+        assert evaluator.evaluate('MID("spread", 1, 2)') == "sp"
+        assert evaluator.evaluate('MID("spread", 9, 2)') == ""
         assert evaluator.evaluate('SEARCH("rea", "SPREAD")') == 3
 
     @pytest.mark.parametrize("text", [
@@ -187,13 +191,6 @@ class TestEvaluator:
         with pytest.raises(FormulaEvaluationError) as excinfo:
             evaluator.evaluate(text)
         assert excinfo.value.code == "#VALUE!"
-
-    def test_text_slices_at_their_bounds(self):
-        evaluator = Evaluator(lambda r, c: None)
-        assert evaluator.evaluate('LEFT("Hello",0)') == ""
-        assert evaluator.evaluate('LEFT("Hello",9)') == "Hello"
-        assert evaluator.evaluate('MID("Hello",1,2)') == "He"
-        assert evaluator.evaluate('MID("Hello",9,2)') == ""
 
     def test_trim_collapses_inner_runs_of_spaces(self):
         evaluator = Evaluator(lambda r, c: None)
