@@ -31,8 +31,8 @@ StoredCell = tuple
 class LineGridStore:
     """Stores a rectangular region one tuple per *major* line.
 
-    Major positions are managed by a positional mapping (so major-line
-    insert/delete is O(log N) with the hierarchical scheme); minor positions
+    Major positions are managed by a hierarchical positional mapping (so
+    major-line insert/delete is O(log N)); minor positions
     are managed by an append-only slot table (so minor-line insert/delete is
     O(1) and never rewrites stored tuples).
     """
