@@ -223,6 +223,14 @@ class TestDataSpread:
         bare = spread.execute(region("A1:C3", header=False)).to_table()
         assert bare.columns == ("A", "B", "C") and bare.row_count == 3
 
+    def test_import_rows_anchors_the_block_and_skips_none(self):
+        spread = DataSpread()
+        assert spread.import_rows([["id", "amount"], [1, 10.5], [2, None]],
+                                  top=3, left=2) == 3
+        assert spread.get_range_values("B3:C5") == [["id", "amount"], [1, 10.5], [2, None]]
+        assert spread.cell_count() == 5
+        assert spread.get_cell(5, 3).is_empty
+
     def test_from_sheet_constructor(self):
         sheet = Sheet.from_rows([[1, "=A1*3"]])
         spread = DataSpread.from_sheet(sheet)

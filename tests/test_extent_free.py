@@ -33,6 +33,7 @@ from repro.models import (
     RowColumnValueModel,
     RowOrientedModel,
 )
+from repro.positional.hierarchical import DEFAULT_FANOUT
 from repro.storage.costs import POSTGRES_COSTS
 
 PRIMITIVES = [RowOrientedModel, ColumnOrientedModel, RowColumnValueModel]
@@ -43,15 +44,34 @@ PRIMITIVES = [RowOrientedModel, ColumnOrientedModel, RowColumnValueModel]
 ANCHOR_TOP, ANCHOR_LEFT = 5, 3
 
 
-def data_sheet() -> Sheet:
+#: Lines in a block that outgrows one leaf of a hierarchical mapping.
+SPAN = 3 * DEFAULT_FANOUT // 2
+
+#: (height, width) of the anchored data block.  A model keeps a hierarchical
+#: positional mapping per stored axis (ROM its rows, COM its columns, RCV
+#: both) whose leaves hold ``DEFAULT_FANOUT`` lines: the 3 x 3 block sits in
+#: one leaf, while the tall and wide blocks span two on one axis, so edits to
+#: them split, borrow and merge leaves under the model.
+SHAPES = {"block": (3, 3), "tall": (SPAN, 3), "wide": (3, SPAN)}
+
+
+def data_sheet(shape: str = "block") -> Sheet:
+    height, width = SHAPES[shape]
     return Sheet.from_rows(
-        [[11, 12, 13], [21, 22, 23], [31, 32, 33]],
+        [[row * 1000 + column for column in range(1, width + 1)]
+         for row in range(1, height + 1)],
         top=ANCHOR_TOP, left=ANCHOR_LEFT,
     )
 
 
-#: Everything the tests below can reach, on either axis.
+#: Everything the tests below can reach from the 3 x 3 block, on either axis.
 WINDOW = RangeRef(1, 1, 60, 60)
+
+
+def shape_window(shape: str) -> RangeRef:
+    """``WINDOW`` grown by the block's extra rows and columns."""
+    height, width = SHAPES[shape]
+    return RangeRef(1, 1, WINDOW.bottom + height - 3, WINDOW.right + width - 3)
 
 
 def grid(target, window: RangeRef = WINDOW) -> dict:
@@ -62,9 +82,14 @@ def grid(target, window: RangeRef = WINDOW) -> dict:
     }
 
 
+@pytest.fixture(params=SHAPES)
+def shape(request):
+    return request.param
+
+
 @pytest.fixture(params=PRIMITIVES, ids=lambda cls: cls.__name__)
-def anchored_model(request):
-    return request.param.from_sheet(data_sheet())
+def anchored_model(request, shape):
+    return request.param.from_sheet(data_sheet(shape))
 
 
 #: One structural op per extent boundary case, on both axes: beyond the
@@ -93,24 +118,26 @@ STRUCTURAL_CASES = [
 
 
 class TestModelsMatchNaiveSheet:
-    """Every primitive model, every boundary case: the model
-    after a structural edit must show the same cells as the naive ``Sheet``
-    renumbering applied to the same data."""
+    """Every primitive model, every block shape, every boundary case: the
+    model after a structural edit must show the same cells as the naive
+    ``Sheet`` renumbering applied to the same data."""
 
     @pytest.mark.parametrize(
         "op", STRUCTURAL_CASES, ids=lambda case: f"{case[0]}({case[1]},{case[2]})"
     )
-    def test_structural_edit_matches_oracle(self, anchored_model, op):
+    def test_structural_edit_matches_oracle(self, anchored_model, shape, op):
         kind, line, count = op
-        oracle = data_sheet()
+        oracle = data_sheet(shape)
         getattr(anchored_model, kind)(line, count)
         getattr(oracle, kind)(line, count)
-        assert grid(anchored_model) == grid(oracle)
+        window = shape_window(shape)
+        assert grid(anchored_model, window) == grid(oracle, window)
 
-    def test_edit_sequences_match_oracle(self, anchored_model):
+    def test_edit_sequences_match_oracle(self, anchored_model, shape):
         """Composed boundary edits: anchors move between ops, so each case
         must hold from *any* anchor state, not just the seeded one."""
-        oracle = data_sheet()
+        oracle = data_sheet(shape)
+        window = shape_window(shape)
         sequence = [
             ("delete_row", 1, 2),             # anchor re-anchors to row 3
             ("insert_row_after", 0, 1),       # and back down to 4
@@ -121,73 +148,89 @@ class TestModelsMatchNaiveSheet:
         for kind, line, count in sequence:
             getattr(anchored_model, kind)(line, count)
             getattr(oracle, kind)(line, count)
-            assert grid(anchored_model) == grid(oracle), (kind, line, count)
+            assert grid(anchored_model, window) == grid(oracle, window), (kind, line, count)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_randomized_structural_sequences(self, anchored_model, seed):
+    def test_randomized_structural_sequences(self, anchored_model, shape, seed):
         rng = random.Random(seed)
-        oracle = data_sheet()
+        oracle = data_sheet(shape)
+        window = shape_window(shape)
+        # Edit lines reach past the block on both axes (40 for the 3 x 3 one).
+        height, width = SHAPES[shape]
+        reach = {"row": 37 + height, "column": 37 + width}
         for _step in range(40):
             kind = rng.choice(
                 ["delete_row", "insert_row_after", "delete_column", "insert_column_after"]
             )
             insert = kind.startswith("insert")
-            line = rng.randint(0 if insert else 1, 40)
+            axis = "row" if "row" in kind else "column"
+            line = rng.randint(0 if insert else 1, reach[axis])
             count = rng.randint(1, 3)
             getattr(anchored_model, kind)(line, count)
             getattr(oracle, kind)(line, count)
-            assert grid(anchored_model) == grid(oracle), (seed, kind, line, count)
+            assert grid(anchored_model, window) == grid(oracle, window), \
+                (seed, kind, line, count)
 
+    @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
-    def test_com_is_rom_transposed(self, seed):
+    def test_com_is_rom_transposed(self, seed, shape):
         """COM over the transposed sheet, driven by the transposed script,
         is ROM transposed — cells, region, count and (with the row and
         column roles swapped by the transposition) storage cost."""
         rng = random.Random(seed)
+        height, width = SHAPES[shape]
         top, left = rng.randint(1, 6), rng.randint(1, 6)
         sheet, mirror = Sheet(), Sheet()
-        for row in range(top, top + rng.randint(2, 9)):
-            for column in range(left, left + rng.randint(2, 9)):
+        for row in range(top, top + height - 3 + rng.randint(2, 9)):
+            for column in range(left, left + width - 3 + rng.randint(2, 9)):
                 if rng.random() < 0.6:
                     sheet.set_value(row, column, row * 100 + column)
                     mirror.set_value(column, row, row * 100 + column)
+        # Lines reach past the block (30 for the 3 x 3 one); the window is square.
+        reach = 27 + max(height, width)
+        side = WINDOW.rows - 3 + max(height, width)
+        window = RangeRef(1, 1, side, side)
         rom = RowOrientedModel.from_sheet(sheet)
         com = ColumnOrientedModel.from_sheet(mirror)
         for step in range(40):
             if rng.random() < 0.25:
                 # ROM/COM take writes at or past their anchor only.
                 own = rom.region()
-                row, column = rng.randint(own.top, 30), rng.randint(own.left, 30)
+                row, column = rng.randint(own.top, reach), rng.randint(own.left, reach)
                 cell = Cell(value=None if rng.random() < 0.3 else step)
                 rom.update_cell(row, column, cell)
                 com.update_cell(column, row, cell)
             else:
                 kind = rng.choice(["insert", "delete"])
-                line = rng.randint(0 if kind == "insert" else 1, 30)
+                line = rng.randint(0 if kind == "insert" else 1, reach)
                 count = rng.randint(1, 4)
                 axis = rng.choice(["row", "column"])
                 other = "column" if axis == "row" else "row"
                 rom.apply_structural_edit(StructuralEdit(axis, kind, line, count))
                 com.apply_structural_edit(StructuralEdit(other, kind, line, count))
             context = (seed, step)
-            assert {(c, r): v for (r, c), v in grid(rom).items()} == grid(com), context
-            side, block = WINDOW.rows, rom.get_values_dense(WINDOW)  # a square window
+            assert {(c, r): v for (r, c), v in grid(rom, window).items()} \
+                == grid(com, window), context
+            block = rom.get_values_dense(window)
             assert [block[r * side + c] for c in range(side) for r in range(side)] \
-                == com.get_values_dense(WINDOW), context
+                == com.get_values_dense(window), context
             own = rom.region()
             assert com.region() == RangeRef(own.left, own.top, own.right, own.bottom), context
             assert com.cell_count() == rom.cell_count(), context
             assert com.storage_cost(POSTGRES_COSTS) == rom.storage_cost(POSTGRES_COSTS), context
 
-    def test_writes_after_out_of_extent_edits(self, anchored_model):
+    def test_writes_after_out_of_extent_edits(self, anchored_model, shape):
         """The lazily-unextended mapping must still accept writes that land
         in the implicit space the edits addressed."""
-        anchored_model.insert_row_after(40, 2)   # lazy no-ops
-        anchored_model.insert_column_after(30, 1)
-        anchored_model.delete_row(50)
-        anchored_model.update_cell(20, 10, Cell(value="late"))
-        assert anchored_model.get_value(20, 10) == "late"
-        assert anchored_model.get_value(ANCHOR_TOP, ANCHOR_LEFT) == 11
+        height, width = SHAPES[shape]
+        bottom, right = ANCHOR_TOP + height - 1, ANCHOR_LEFT + width - 1
+        anchored_model.insert_row_after(bottom + 33, 2)   # lazy no-ops
+        anchored_model.insert_column_after(right + 25, 1)
+        anchored_model.delete_row(bottom + 43)
+        anchored_model.update_cell(bottom + 13, right + 5, Cell(value="late"))
+        assert anchored_model.get_value(bottom + 13, right + 5) == "late"
+        assert anchored_model.get_value(ANCHOR_TOP, ANCHOR_LEFT) == 1001
+        assert anchored_model.get_value(bottom, right) == height * 1000 + width
 
 
 class TestRcvAnchorEdits:

@@ -361,6 +361,19 @@ def test_engine_from_sheet_and_relayouts_keep_the_sheet(seed):
         assert spread.get_cell(14, 1).formula == "SUM(A2:D6)"
 
 
+def test_import_rows_keeps_a_field_that_only_looks_like_a_formula():
+    """``import_rows`` loads values: a text field starting with ``=`` stays
+    text, never becomes a formula, and the block is one recompute pass."""
+    spread = DataSpread()
+    assert spread.import_rows(
+        [[1, "=B2+1", None], ["=SUM(", "==2", "text"]], top=2, left=2) == 2
+    assert spread.get_range_values("B2:D3") == [[1, "=B2+1", None], ["=SUM(", "==2", "text"]]
+    assert spread.get_cell(2, 3).formula is None
+    assert spread.recompute_passes == 1
+    spread.set_value(2, 2, 5)
+    assert spread.get_value(2, 3) == "=B2+1"
+
+
 # ---------------------------------------------------------------------- #
 # counts: what one block write costs
 # ---------------------------------------------------------------------- #
