@@ -130,7 +130,7 @@ class ComputeScheduler:
         self.before_evaluate: Callable[[CellAddress], None] | None = None
         self._computing: CellAddress | None = None
         # Registered regions of interest, keyed by owner token.  ``None``
-        # is the legacy single-viewport slot; the service layer registers
+        # is the single-user slot; the service layer registers
         # one viewport per session, drained round-robin for fairness.
         self._viewports: dict[object | None, RangeRef] = {}
         self.stats = ComputeStats()
@@ -242,8 +242,8 @@ class ComputeScheduler:
         """Register a region of interest scheduled ahead of other work.
 
         ``owner`` identifies whose viewport this is (the service layer
-        passes a session token); the default ``None`` slot preserves the
-        legacy single-viewport API.  ``region=None`` unregisters the
+        passes a session token); the default ``None`` slot is the
+        single-user API.  ``region=None`` unregisters the
         owner's viewport.  When several owners hold viewports, their ready
         work is drained round-robin so no session's visible region starves
         another's.
@@ -253,11 +253,6 @@ class ComputeScheduler:
         else:
             self._viewports[owner] = region
         self._order_stale = True
-
-    @property
-    def viewport(self) -> RangeRef | None:
-        """The legacy (ownerless) region of interest."""
-        return self._viewports.get(None)
 
     def viewports(self) -> dict[object | None, RangeRef]:
         """Every registered viewport, keyed by owner token (a copy)."""

@@ -614,16 +614,12 @@ class AggregateStore:
             if not subscribers:
                 self.stats.invalidations += 1
                 continue
-            survivor = spliced.get(mapped)
-            if survivor is None:
-                entry.region = mapped
-                entry.subscribers = subscribers
-                spliced[mapped] = entry
-            else:
-                # Two pre-edit ranges collapsing onto one key cannot happen
-                # for surviving (untouched/translated/expanded) spans, but
-                # merge defensively rather than lose a subscriber set.
-                survivor.subscribers |= subscribers
+            # Surviving spans map one-to-one (untouched ones end at or
+            # before the line, translated ones start after it, expanded
+            # ones straddle it), so no two land on one key.
+            entry.region = mapped
+            entry.subscribers = subscribers
+            spliced[mapped] = entry
             self.stats.splices += 1
         self._states = spliced
         self._reindex()
@@ -631,36 +627,19 @@ class AggregateStore:
 
     @staticmethod
     def _splice_region(edit: StructuralEdit, region: RangeRef) -> RangeRef | None:
-        """The post-edit key for ``region``, or ``None`` when content is lost."""
+        """The post-edit key for ``region``, or ``None`` when content is lost.
+
+        The state survives when the mapped span holds every old line plus
+        the blank lines an insert puts inside it: a delete overlapping the
+        span, or a clamp at the sheet edge, makes it shorter than that.
+        """
         mapped = edit.map_range(region)
         if mapped is None:
             return None
-        if edit.axis == "row":
-            first, last = region.top, region.bottom
-            new_first, new_last = mapped.top, mapped.bottom
-        else:
-            first, last = region.left, region.right
-            new_first, new_last = mapped.left, mapped.right
-        size = last - first + 1
-        if edit.kind == "insert":
-            if last <= edit.line:
-                return mapped  # entirely above/left of the insert: untouched
-            if first > edit.line:
-                # Pure translation; a clamp at the sheet edge means stored
-                # cells were pushed off — content lost.
-                translated = (new_first == first + edit.count
-                              and new_last - new_first + 1 == size)
-                return mapped if translated else None
-            # Insert inside the range: it expands by ``count`` blank lines
-            # (a no-op contribution) unless clamping swallowed content.
-            return mapped if new_last - new_first + 1 == size + edit.count else None
-        # Delete: survivors are the untouched (entirely before the deleted
-        # span) and the purely translated (entirely after it); any overlap
-        # means contributions left the range with values unknown.
-        deleted_last = edit.line + edit.count - 1
-        if last < edit.line or first > deleted_last:
-            return mapped
-        return None
+        start, end = edit.span_of(region)
+        new_start, new_end = edit.span_of(mapped)
+        inserted = edit.count if edit.kind == "insert" and start <= edit.line < end else 0
+        return mapped if new_end - new_start == end - start + inserted else None
 
     def invalidate_all(self) -> None:
         """Clear the whole store (abort past a commit point, recovery, ...)."""

@@ -40,20 +40,16 @@ row/column inserts and deletes.  Given a
 :class:`~repro.formula.rewrite.StructuralEdit` it re-keys *in place* the
 registrations the edit reaches: one whose own cell and every precedent lie
 before the edit line keeps its entry object, its ``_cell_dependents``
-memberships and its stripe entries untouched.  For the rest, formula-cell
-keys are shifted through the edit (registrations on deleted lines are
-dropped) and precedent cells and range spans are shifted with the same
-mapping functions the AST rewriter uses (fully deleted precedents are
-removed — mirroring the reference collapsing to ``#REF!``).  Only the
-column stripes holding a range of a reached registration are re-assembled:
-every other built interval tree is carried across as it is, and so is a
-re-assembled stripe whose entries came out unchanged (both counted by
-``stats.stripes_reused``); a stripe the edit merely *translated* — a
-column edit moving whole stripes sideways, or a row edit shifting every
-span in a stripe by one uniform delta — gets its built tree spliced across
-in O(n) with no re-sorting (``stats.stripes_shifted``) instead of being
-rebuilt, so an edit near the bottom of the sheet does not discard index
-work for untouched columns.
+memberships and its stripe entries untouched.  The rest are taken out and
+put back mapped through the edit, with the same primitives every
+(un)registration uses: formula-cell keys are shifted (registrations on
+deleted lines are dropped) and precedent cells and range spans are shifted
+with the same mapping functions the AST rewriter uses (fully deleted
+precedents are removed — mirroring the reference collapsing to ``#REF!``).
+Only the column stripes holding a range of a reached registration are
+marked stale and rebuild once on their next stab; every other built
+interval tree is carried across as it is, so an edit near the bottom of the
+sheet does not discard index work for untouched columns.
 The returned :class:`StructuralRewrite` reports which formulas' precedents
 changed, so the engine can rewrite exactly those cells' formula text, and
 which of them were *reshaped* — now read a different set of cells — so it
@@ -72,9 +68,7 @@ from repro.formula.ast_nodes import FormulaNode
 from repro.formula.evaluator import extract_references
 from repro.formula.rewrite import StructuralEdit
 from repro.formula.stripes import (
-    WIDE_BUCKET,
     DependencyGraphStats,
-    StripeBucket,
     StripeIndex,
     bucket_keys,
     index_add,
@@ -192,19 +186,22 @@ class DependencyGraph:
 
     def unregister(self, address: CellAddress) -> None:
         """Remove the formula at ``address`` from the graph (no-op if absent)."""
+        if self._uninstall(address) and self.on_unregister is not None:
+            self.on_unregister(address)
+
+    def _uninstall(self, address: CellAddress) -> bool:
+        """Undo :meth:`_install`; ``False`` when ``address`` is not registered."""
         entry = self._precedents.pop(address, None)
         if entry is None:
-            return
+            return False
         cells, ranges = entry
         for precedent in cells:
-            dependents = self._cell_dependents.get(precedent)
-            if dependents is not None:
-                dependents.discard(address)
-                if not dependents:
-                    del self._cell_dependents[precedent]
+            dependents = self._cell_dependents[precedent]
+            dependents.discard(address)
+            if not dependents:
+                del self._cell_dependents[precedent]
         index_remove(self._range_buckets, address, ranges, self.stats)
-        if self.on_unregister is not None:
-            self.on_unregister(address)
+        return True
 
     # ------------------------------------------------------------------ #
     def apply_structural_edit(self, edit: StructuralEdit) -> StructuralRewrite:
@@ -221,12 +218,10 @@ class DependencyGraph:
         their formula's registration (the formula itself survives — its
         reference now reads ``#REF!``).
 
-        Only the stripes holding a range of a reached registration are
-        re-assembled; every other built interval tree is carried across as
-        it is (``stats.stripes_reused`` counts them, together with reached
-        stripes whose entries came out unchanged).  A reached stripe the
-        edit merely translated gets its tree spliced
-        (``stats.stripes_shifted``); the rest rebuild on their next stab.
+        The stripes holding an old range of a reached registration are
+        marked stale, so taking the registrations out and putting them back
+        is dict work and each such stripe rebuilds once on its next stab;
+        every other built interval tree is carried across as it is.
         """
         line_of, end_of = _AXIS_GETTERS[edit.axis]
         # Coordinates up to ``fixed`` along the edited axis do not move.
@@ -260,170 +255,19 @@ class DependencyGraph:
                     rewrite.reshaped.add(new_address)
             installed.append((new_address, (new_cells, new_ranges)))
 
-        # Take every reached registration out before putting any back: a
-        # shifted key may be the old key of a registration further down.
-        for address, (cells, _ranges) in removed:
-            del self._precedents[address]
-            for precedent in cells:
-                dependents = self._cell_dependents[precedent]
-                dependents.discard(address)
-                if not dependents:
-                    del self._cell_dependents[precedent]
-        for address, entry in installed:
-            self._precedents[address] = entry
-            for precedent in entry[0]:
-                self._cell_dependents.setdefault(precedent, set()).add(address)
-        self._rekey_stripes(
-            edit,
-            {address: ranges for address, (_cells, ranges) in removed if ranges},
-            [(address, ranges) for address, (_cells, ranges) in installed if ranges],
-        )
-        return rewrite
-
-    def _rekey_stripes(
-        self,
-        edit: StructuralEdit,
-        removed: dict[CellAddress, tuple[RangeRef, ...]],
-        installed: list[tuple[CellAddress, tuple[RangeRef, ...]]],
-    ) -> None:
-        """Re-assemble the stripes holding a range of a reached registration.
-
-        ``removed`` maps the old addresses of the reached range readers to
-        their old ranges, ``installed`` pairs the new addresses with the
-        mapped ranges.  The stripes the old ranges sit in are detached from
-        the index and built anew from the entries the edit did not reach
-        plus the mapped ranges; a new stripe then takes over a detached
-        stripe's tree when its entries came out equal (reuse) or uniformly
-        translated (splice).
-        """
-        detached = {
-            key: self._range_buckets.pop(key)
-            for key in {key for ranges in removed.values()
-                        for region in ranges for key in bucket_keys(region)}
-        }
-        self.stats.stripes_reused += sum(
-            1 for bucket in self._range_buckets.values()
-            if bucket.tree is not None and not bucket.stale
-        )
-        fresh: StripeIndex = {}
-        for key, old in detached.items():
-            kept = {address: spans for address, spans in old.entries.items()
-                    if address not in removed}
-            if kept:
-                fresh[key] = StripeBucket(kept)
-        for address, ranges in installed:
+        # Mark stale every stripe a reached range sits in: the removes and
+        # adds below are then dict work, and each such stripe rebuilds once
+        # on its next stab.  Take every reached registration out before
+        # putting any back: a shifted key may be the old key of a
+        # registration further down.
+        for address, (_cells, ranges) in removed:
             for region in ranges:
                 for key in bucket_keys(region):
-                    bucket = fresh.get(key)
-                    if bucket is None:
-                        # A stripe none of the old ranges sat in: a range
-                        # crossing ``WIDE_COLUMN_SPAN`` changes between the
-                        # wide bucket and the column stripes.
-                        bucket = self._range_buckets.get(key)
-                    if bucket is None:
-                        bucket = fresh[key] = StripeBucket()
-                    bucket.add(address, region, self.stats)
-        for key, bucket in fresh.items():
-            old = detached.get(key)
-            if old is not None and not old.stale and old.tree is not None \
-                    and old.entries == bucket.entries:
-                fresh[key] = old
-                self.stats.stripes_reused += 1
-            else:
-                self._try_splice_reuse(edit, key, bucket, detached)
-        self._range_buckets.update(fresh)
-
-    def _try_splice_reuse(self, edit: StructuralEdit, key: int | None,
-                          bucket: StripeBucket,
-                          detached: StripeIndex) -> None:
-        """Splice a built interval tree across a structural edit.
-
-        Two translations are exact and cost O(n) with no re-sorting:
-
-        * A **column** insert/delete never changes row spans, so the tree of
-          a stripe strictly right of the edit is structurally valid at its
-          shifted key — only the payloads (column spans and formula-cell
-          addresses) need translating.
-        * A **row** insert/delete that moved *every* span in a stripe by the
-          same delta (the whole stripe sits below the edited lines — or
-          above them, when only the formula cells moved) preserves the
-          tree's shape exactly: centers and spans translate by the delta and
-          payload addresses re-map.  A span that straddles the edit
-          (expanding or contracting) breaks the uniformity and disqualifies
-          the stripe.
-
-        The reuse is exact, not heuristic: it applies only when the old
-        bucket's entries, mapped through the edit, are identical to the
-        freshly rebuilt bucket's entries (an entry lost to the edit, or a
-        span that did not survive intact, disqualifies the stripe).
-        """
-        if edit.axis == "column":
-            if key is WIDE_BUCKET:
-                return
-            if edit.kind == "insert":
-                # New stripes at or left of the insert kept their key
-                # (handled by the identity check); inserted columns have no
-                # old counterpart.
-                if key <= edit.line + edit.count:
-                    return
-                old_key = key - edit.count
-            else:
-                if key < edit.line:
-                    return
-                old_key = key + edit.count
-        else:
-            # Row edits never move ranges across column stripes.
-            old_key = key
-        old = detached.get(old_key)
-        if old is None or old.stale or old.tree is None:
-            return
-        delta = 0
-        remapped: dict[CellAddress, list[tuple[int, int, int, int]]] = {}
-        first_span = True
-        for address, spans in old.entries.items():
-            moved = edit.map_address(address)
-            if moved is None:
-                return  # a formula died in the edit; payloads would be stale
-            moved_spans: list[tuple[int, int, int, int]] = []
-            for top, bottom, left, right in spans:
-                if edit.axis == "column":
-                    span = edit.map_span(left, right)
-                    if span is None:
-                        return
-                    moved_spans.append((top, bottom, span[0], span[1]))
-                else:
-                    span = edit.map_span(top, bottom)
-                    if span is None or span[1] - span[0] != bottom - top:
-                        return  # deleted or straddling: not a pure translate
-                    if first_span:
-                        delta = span[0] - top
-                        first_span = False
-                    elif span[0] - top != delta:
-                        return  # mixed deltas: the tree cannot translate
-                    moved_spans.append((span[0], span[1], left, right))
-            remapped[moved] = moved_spans
-        if remapped != bucket.entries:
-            return
-
-        if edit.axis == "column":
-            def map_payload(payload: tuple[int, int, CellAddress]):
-                left, right, address = payload
-                span = edit.map_span(left, right)
-                moved = edit.map_address(address)
-                assert span is not None and moved is not None  # verified above
-                return (span[0], span[1], moved)
-        else:
-            def map_payload(payload: tuple[int, int, CellAddress]):
-                left, right, address = payload
-                moved = edit.map_address(address)
-                assert moved is not None  # verified above
-                return (left, right, moved)
-
-        bucket.tree = old.tree.translate(delta, map_payload)
-        bucket.stale = False
-        bucket.size = old.size
-        bucket.churn = old.churn  # tombstones carry over with the tree
-        self.stats.stripes_shifted += 1
+                    self._range_buckets[key].stale = True
+            self._uninstall(address)
+        for address, (cells, ranges) in installed:
+            self._install(address, cells, ranges)
+        return rewrite
 
     def formula_cells(self) -> list[CellAddress]:
         """All registered formula cells."""

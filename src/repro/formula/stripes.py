@@ -54,8 +54,6 @@ class DependencyGraphStats:
     lookups: int = 0             # index stabs (one per looked-up cell)
     range_probes: int = 0        # interval entries examined while stabbing
     index_rebuilds: int = 0      # lazy interval-tree rebuilds
-    stripes_reused: int = 0      # built trees carried across a structural edit
-    stripes_shifted: int = 0     # built trees spliced to a translated stripe
     incremental_inserts: int = 0  # spans inserted into a built tree (O(log n))
     incremental_removes: int = 0  # spans removed from a built tree (O(log n))
     rebuilds_avoided: int = 0    # bucket mutations absorbed without invalidating
@@ -64,8 +62,6 @@ class DependencyGraphStats:
         self.lookups = 0
         self.range_probes = 0
         self.index_rebuilds = 0
-        self.stripes_reused = 0
-        self.stripes_shifted = 0
         self.incremental_inserts = 0
         self.incremental_removes = 0
         self.rebuilds_avoided = 0
@@ -187,30 +183,6 @@ class IntervalTree:
                 return True
         return False
 
-    def translate(self, row_delta: int, mapper) -> "IntervalTree":
-        """A structurally identical tree, row spans shifted by ``row_delta``
-        and every payload passed through ``mapper``.
-
-        Valid only when the edit moved *every* span in the bucket by the
-        same row delta (a column edit never touches row spans at all, so it
-        translates with delta 0): the centers shift with the spans and the
-        by-top/by-bottom orders carry over verbatim, so the copy costs O(n)
-        with no sorting.
-        """
-        clone = IntervalTree.__new__(IntervalTree)
-        clone.center = self.center + row_delta
-        clone.by_top = [
-            (top + row_delta, bottom + row_delta, mapper(payload))
-            for top, bottom, payload in self.by_top
-        ]
-        clone.by_bottom = [
-            (top + row_delta, bottom + row_delta, mapper(payload))
-            for top, bottom, payload in self.by_bottom
-        ]
-        clone.left = self.left.translate(row_delta, mapper) if self.left is not None else None
-        clone.right = self.right.translate(row_delta, mapper) if self.right is not None else None
-        return clone
-
 
 class StripeBucket:
     """The ranges assigned to one column stripe (or the wide bucket).
@@ -220,25 +192,24 @@ class StripeBucket:
     insert into it and removes delete from it in O(log n), so adding or
     removing one owner never invalidates the bucket.  The tree is rebuilt
     lazily only when none is built yet, when accumulated churn exceeds
-    ``REBUILD_CHURN_FACTOR`` times the bucket's current size, or when an
+    ``REBUILD_CHURN_FACTOR`` times the bucket's current size, when an
     insert descends past ``_depth_limit`` (incremental maintenance does
     not rebalance, so heavy churn — or an adversarial monotone span
     sequence growing a spine — eventually warrants one compacting
-    rebuild).
+    rebuild), or when its owner marks it ``stale`` before re-keying many
+    of its entries at once (a structural edit).
     """
 
     __slots__ = ("entries", "tree", "stale", "size", "churn")
 
-    def __init__(
-        self, entries: dict[Hashable, list[tuple[int, int, int, int]]] | None = None
-    ) -> None:
+    def __init__(self) -> None:
         # owner -> list of (top, bottom, left, right) spans
-        self.entries = entries if entries is not None else {}
+        self.entries: dict[Hashable, list[tuple[int, int, int, int]]] = {}
         self.tree: IntervalTree | None = None
-        # Entries without a tree: the first stab builds it.
-        self.stale = bool(self.entries)
+        # Entries the tree does not hold yet: the next stab rebuilds it.
+        self.stale = False
         #: Total spans across all entries (the tree's live entry count).
-        self.size = sum(map(len, self.entries.values()))
+        self.size = 0
         #: Incremental mutations absorbed since the tree was last (re)built.
         self.churn = 0
 
@@ -257,8 +228,7 @@ class StripeBucket:
                 # Monotone span sequences grow a spine the churn counter
                 # never notices (churn and size grow in lockstep); the
                 # depth of the insert descent catches it directly.  A
-                # deep tree also keeps stabs O(depth) and would overflow
-                # the recursive structural-edit splice.
+                # deep tree would also make stabs O(depth).
                 self.stale = True
             if not self.stale:
                 stats.rebuilds_avoided += 1

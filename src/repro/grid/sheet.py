@@ -161,14 +161,6 @@ class Sheet:
             return 0.0
         return len(self._cells) / box.area
 
-    def max_row(self) -> int:
-        """Largest filled row number (0 when empty)."""
-        return max((row for row, _ in self._cells), default=0)
-
-    def max_column(self) -> int:
-        """Largest filled column number (0 when empty)."""
-        return max((column for _, column in self._cells), default=0)
-
     # ------------------------------------------------------------------ #
     # structural operations (naive renumbering semantics)
     # ------------------------------------------------------------------ #

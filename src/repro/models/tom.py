@@ -38,10 +38,6 @@ class TableOrientedModel(DataModel):
         """The linked database table."""
         return self._table
 
-    def refresh(self) -> None:
-        """Re-read the record list from the table (after external DML)."""
-        self._pointers = [pointer for pointer, _ in self._table.scan()]
-
     # ------------------------------------------------------------------ #
     def region(self) -> RangeRef:
         rows = len(self._pointers) + (1 if self._header else 0)

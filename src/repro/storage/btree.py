@@ -50,11 +50,6 @@ class BPlusTree(Generic[K, V]):
     def __len__(self) -> int:
         return self._size
 
-    @property
-    def order(self) -> int:
-        """Maximum number of children of an interior node."""
-        return self._order
-
     # ------------------------------------------------------------------ #
     # lookup
     # ------------------------------------------------------------------ #

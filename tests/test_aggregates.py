@@ -22,8 +22,9 @@ from repro.formula.aggregates import (
 from repro.formula.functions import RangeValue, fn_average, fn_count, fn_max, fn_min, fn_sum
 from repro.formula.stripes import REBUILD_CHURN_MIN
 from repro.errors import FormulaEvaluationError
-from repro.grid.address import CellAddress
+from repro.grid.address import MAX_COLUMNS, MAX_ROWS, CellAddress
 from repro.grid.range import RangeRef
+from repro.grid.structural import StructuralEdit
 
 from tests.support import full_read_engine
 
@@ -340,6 +341,61 @@ class TestAggregateStoreUnit:
                             _range_value([1, 2]))
         assert state is not None
         assert store.targets_for(addr("A1")) == []
+
+
+def _survivor(edit: StructuralEdit, region: RangeRef) -> RangeRef | None:
+    """Where ``region``'s state lands across ``edit``, derived cell by cell.
+
+    The state keeps holding when every old line along the edited axis maps
+    onto the sheet (none deleted, none pushed past the limit) and the only
+    lines the new span gains are inserted, blank ones.
+    """
+    start, end = (region.top, region.bottom) if edit.axis == "row" \
+        else (region.left, region.right)
+    limit = MAX_ROWS if edit.axis == "row" else MAX_COLUMNS
+    moved = [edit.map_line(line) for line in range(start, end + 1)]
+    if any(line is None or line > limit for line in moved):
+        return None
+    inserted = set(range(edit.line + 1, edit.line + edit.count + 1)) \
+        if edit.kind == "insert" else set()
+    if not set(range(moved[0], moved[-1] + 1)) - set(moved) <= inserted:
+        return None
+    if edit.axis == "row":
+        return RangeRef(moved[0], region.left, moved[-1], region.right)
+    return RangeRef(region.top, moved[0], region.bottom, moved[-1])
+
+
+class TestStructuralSurvival:
+    """A state crosses a structural edit exactly when no cell it aggregated
+    is lost: ``_splice_region`` against a cell-by-cell derivation."""
+
+    @pytest.mark.parametrize("axis", ["row", "column"])
+    @pytest.mark.parametrize("edge", ["start", "sheet-limit"])
+    def test_splice_region_matches_cell_by_cell_survival(self, axis, edge):
+        limit = MAX_ROWS if axis == "row" else MAX_COLUMNS
+        # Lines 1-11, or the last 11 lines of the sheet, where inserts
+        # clamp spans at the edge or push them off it.
+        base = 0 if edge == "start" else limit - 11
+        spans = [(base + start, base + end)
+                 for start in range(1, 12) for end in range(start, 12)]
+        edits = [StructuralEdit(axis, "insert", base + line, count)
+                 for line in range(0, 12) for count in (1, 2, 3)]
+        edits += [StructuralEdit(axis, "delete", base + line, count)
+                  for line in range(1, 12) for count in (1, 2, 3)]
+        survived = 0
+        for start, end in spans:
+            region = RangeRef(start, 2, end, 3) if axis == "row" else RangeRef(2, start, 3, end)
+            for edit in edits:
+                expected = _survivor(edit, region)
+                assert AggregateStore._splice_region(edit, region) == expected, (edit, region)
+                survived += expected is not None
+        assert 0 < survived < len(spans) * len(edits)
+
+    def test_insert_inside_keeps_a_state_unless_the_sheet_edge_clips_it(self):
+        inside = StructuralEdit.insert_rows(4, 2)
+        assert AggregateStore._splice_region(inside, RangeRef(3, 1, 8, 1)) == RangeRef(3, 1, 10, 1)
+        at_edge = StructuralEdit.insert_rows(MAX_ROWS - 3, 2)
+        assert AggregateStore._splice_region(at_edge, RangeRef(MAX_ROWS - 5, 1, MAX_ROWS, 1)) is None
 
 
 class TestTargetIndex:

@@ -5,7 +5,7 @@ placeholders, coalescing, cancellation, viewport priority, targeted
 ``ensure``, cycle handling, structural-edit rewriting of queued work), the
 engine integration (``async_recompute`` mode, provisional cache entries
 that are never flushed as committed values, batch/abort semantics), the
-dependency-graph slicing primitives, the shifted interval-stripe reuse,
+dependency-graph slicing primitives, the interval stripes across edits,
 the RCV bulk-write batching, the evaluator prime/stats fixes — and the
 headline guarantee: randomized interleavings of edits, batches, aborts and
 *unbounded* structural edits converge, after ``flush_compute()``, to the
@@ -430,9 +430,9 @@ class TestGraphSlicing:
 
 
 # ---------------------------------------------------------------------- #
-# shifted interval-stripe reuse (satellite)
+# interval stripes across structural edits
 # ---------------------------------------------------------------------- #
-class TestShiftedStripeReuse:
+class TestStripesAcrossStructuralEdits:
     def _built_graph(self) -> DependencyGraph:
         graph = DependencyGraph()
         graph.register(addr("Z10"), "SUM(C1:C100)")
@@ -441,43 +441,43 @@ class TestShiftedStripeReuse:
         graph.direct_dependents(addr("D20"))  # build the D stripe's tree
         return graph
 
-    def test_column_insert_shifts_trees_without_rebuild(self):
+    def test_column_insert_moves_ranges_and_rebuilds_each_stripe_once(self):
         graph = self._built_graph()
-        graph.stats.reset()
         graph.apply_structural_edit(StructuralEdit.insert_columns(1))
-        assert graph.stats.stripes_shifted == 2
         graph.stats.reset()
         # C ranges moved to D, D to E; the formula cells shifted too (Z->AA).
         assert graph.direct_dependents(addr("D50")) == {addr("AA10")}
         assert graph.direct_dependents(addr("E20")) == {addr("AA11")}
         assert graph.direct_dependents(addr("C50")) == set()
-        assert graph.stats.index_rebuilds == 0  # served from the shifted trees
+        assert graph.stats.index_rebuilds == 2  # D and E; C emptied out
+        assert graph.direct_dependents(addr("D60")) == {addr("AA10")}
+        assert graph.direct_dependents(addr("E40")) == {addr("AA11")}
+        assert graph.stats.index_rebuilds == 2
 
-    def test_column_delete_shifts_trees_without_rebuild(self):
+    def test_column_delete_moves_ranges_and_rebuilds_each_stripe_once(self):
         graph = self._built_graph()
-        graph.stats.reset()
         graph.apply_structural_edit(StructuralEdit.delete_columns(1))
-        assert graph.stats.stripes_shifted == 2
         graph.stats.reset()
         assert graph.direct_dependents(addr("B50")) == {addr("Y10")}
         assert graph.direct_dependents(addr("C20")) == {addr("Y11")}
-        assert graph.stats.index_rebuilds == 0
+        assert graph.direct_dependents(addr("D20")) == set()
+        assert graph.stats.index_rebuilds == 2  # B and C; D emptied out
+        assert graph.direct_dependents(addr("B60")) == {addr("Y10")}
+        assert graph.stats.index_rebuilds == 2
 
-    def test_row_edit_splices_uniform_stripes_and_rebuilds_straddlers(self):
+    def test_row_edit_rebuilds_translated_and_straddling_stripes_once(self):
         graph = self._built_graph()
-        graph.stats.reset()
         graph.apply_structural_edit(StructuralEdit.insert_rows(1))
-        # D5:D50 sits entirely below the insert: every span shifts by the
-        # same delta, so the D stripe's tree translates (PR 5 row splice).
-        # C1:C100 straddles the insert (it expands to C1:C101), which breaks
-        # the uniform translate, so only the C stripe rebuilds.
-        assert graph.stats.stripes_shifted == 1
-        # The Z10 formula itself shifted down one row with everything else.
-        assert graph.direct_dependents(addr("C50")) == {addr("Z11")}
-        assert graph.direct_dependents(addr("D20")) == {addr("Z12")}
-        assert graph.stats.index_rebuilds == 1  # C rebuilt; D served spliced
+        graph.stats.reset()
+        # C1:C100 straddles the insert (it expands to C1:C101); D5:D50
+        # sits below it and translates to D6:D51.  The Z10 formula itself
+        # shifted down one row with everything else.
+        assert graph.direct_dependents(addr("C101")) == {addr("Z11")}
+        assert graph.direct_dependents(addr("D6")) == {addr("Z12")}
+        assert graph.direct_dependents(addr("D5")) == set()
+        assert graph.stats.index_rebuilds == 2
 
-    def test_shift_reuse_matches_fresh_registration(self):
+    def test_column_edit_matches_fresh_registration(self):
         rng = random.Random(7)
         formulas = {}
         graph = DependencyGraph()
@@ -493,7 +493,6 @@ class TestShiftedStripeReuse:
             graph.direct_dependents(addr(probe))  # build the trees
         edit = StructuralEdit.insert_columns(2, count=3)
         graph.apply_structural_edit(edit)
-        assert graph.stats.stripes_shifted > 0
 
         expected = DependencyGraph()
         for address, text in formulas.items():

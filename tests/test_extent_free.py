@@ -8,7 +8,7 @@ and still shift the grid; inserts extend the mapping lazily instead of
 raising.  This module pins that contract at the model layer (against the
 naive ``Sheet`` semantics), the hybrid router (region re-anchoring), the
 engine commit path (graph re-keying and reference rewriting past the
-extent), the PR 3 invariants (stripe reuse/shift, async queue and
+extent), the PR 3 invariants (stripe trees across edits, async queue and
 provisional-placeholder remapping), and the error taxonomy
 (``PositionError`` only for genuinely invalid input).
 """
@@ -514,34 +514,38 @@ class TestPr3InvariantsOutOfExtent:
     """PR 3's incremental-index and async invariants must survive edits
     whose line lies past the stored extent."""
 
-    def test_stripes_reused_when_column_edit_is_past_every_stripe(self):
+    def test_stripes_keep_their_trees_when_column_edit_is_past_every_stripe(self):
         graph = DependencyGraph()
         graph.register(CellAddress(10, 26), "SUM(C1:C100)")
         graph.register(CellAddress(11, 26), "SUM(D5:D50)")
         graph.direct_dependents(CellAddress(50, 3))  # build the C stripe
         graph.direct_dependents(CellAddress(20, 4))  # build the D stripe
+        trees = {key: graph._range_buckets[key].tree for key in (3, 4)}
         graph.stats.reset()
         graph.apply_structural_edit(StructuralEdit.delete_columns(60, 5))
-        assert graph.stats.stripes_reused >= 2
+        for key, tree in trees.items():
+            assert graph._range_buckets[key].tree is tree
+            assert not graph._range_buckets[key].stale
         assert graph.direct_dependents(CellAddress(50, 3)) == {CellAddress(10, 26)}
-        assert graph.stats.index_rebuilds == 0  # served from the reused trees
+        assert graph.direct_dependents(CellAddress(20, 4)) == {CellAddress(11, 26)}
+        assert graph.stats.index_rebuilds == 0  # served from the kept trees
 
-    def test_stripes_shift_when_edit_is_past_storage_but_left_of_stripe(self):
+    def test_stripes_follow_an_edit_past_storage_but_left_of_stripe(self):
         """The stripe index lives on *references*, which can sit far beyond
-        any stored cell; the O(n) shifted-tree reuse must fire for an edit
-        line that is out of the storage extent entirely."""
+        any stored cell; an edit line out of the storage extent entirely
+        still moves the stripe, which rebuilds once."""
         spread = DataSpread()
         spread.set_value(1, 4, 1)                      # D1: the whole extent
         spread.set_formula(1, 6, "SUM(D1:D10)")        # F1 reads the D stripe
         graph = spread.dependency_graph
         graph.direct_dependents(CellAddress(5, 4))     # build the D stripe tree
-        graph.stats.reset()
         spread.delete_column(2)                        # left of the anchor
-        assert graph.stats.stripes_shifted >= 1
         assert spread.get_cell(1, 5).formula == "SUM(C1:C10)"
         graph.stats.reset()
         assert graph.direct_dependents(CellAddress(5, 3)) == {CellAddress(1, 5)}
-        assert graph.stats.index_rebuilds == 0
+        assert graph.direct_dependents(CellAddress(5, 4)) == set()
+        assert graph.direct_dependents(CellAddress(9, 3)) == {CellAddress(1, 5)}
+        assert graph.stats.index_rebuilds == 1
 
     def test_queued_async_work_survives_out_of_extent_edits(self):
         spread = DataSpread(async_recompute=True)

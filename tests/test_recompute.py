@@ -22,7 +22,12 @@ from repro.formula.evaluator import Evaluator, extract_references
 from repro.formula.parser import parse_formula
 from repro.formula.rewrite import StructuralEdit, rewrite_formula
 from repro.formula.serializer import to_formula
-from repro.formula.stripes import REBUILD_CHURN_MIN, WIDE_COLUMN_SPAN
+from repro.formula.stripes import (
+    REBUILD_CHURN_MIN,
+    WIDE_BUCKET,
+    WIDE_COLUMN_SPAN,
+    bucket_keys,
+)
 from repro.grid.address import MAX_ROWS, CellAddress
 from repro.grid.range import RangeRef
 from repro.grid.sheet import Sheet
@@ -714,17 +719,19 @@ class TestStructuralRewrite:
         graph.direct_dependents(addr("A5"))
         graph.direct_dependents(addr("C150"))
         rebuilds_before = graph.stats.index_rebuilds
+        a_tree = graph._range_buckets[1].tree
         graph.stats.reset()
         # Rows 150+: only the C-stripe range changes span.
         report = graph.apply_structural_edit(StructuralEdit.insert_rows(150))
         assert report.changed == {addr("Z2")}
-        assert graph.stats.stripes_reused == 1  # the A stripe kept its tree
+        assert graph._range_buckets[1].tree is a_tree  # the A stripe kept its tree
+        assert graph._range_buckets[3].stale
         graph.stats.reset()
         assert graph.direct_dependents(addr("A5")) == {addr("Z1")}
-        assert graph.stats.index_rebuilds == 0  # served from the reused tree
+        assert graph.stats.index_rebuilds == 0  # served from the kept tree
         assert graph.direct_dependents(addr("C150")) == {addr("Z2")}
         assert graph.direct_dependents(addr("C201")) == {addr("Z2")}
-        assert graph.stats.index_rebuilds == 1  # only the C stripe rebuilt
+        assert graph.stats.index_rebuilds == 1  # the C stripe rebuilt, once
         assert rebuilds_before == 2
 
     @pytest.mark.parametrize("edit", [
@@ -779,7 +786,9 @@ class TestStructuralRewrite:
             graph.register(addr(reference), formulas[addr(reference)])
         for column in range(1, 7):
             graph.direct_dependents(CellAddress(30, column))  # build the trees
-        graph.stats.reset()
+        built = {key: bucket.tree for key, bucket in graph._range_buckets.items()
+                 if bucket.tree is not None and not bucket.stale}
+        assert len(built) == 7  # A-F and the wide bucket
         report = graph.apply_structural_edit(edit)
 
         def resized(region):
@@ -813,36 +822,61 @@ class TestStructuralRewrite:
             assert {a: sorted(spans) for a, spans in bucket.entries.items()} \
                 == {a: sorted(spans) for a, spans in fresh.entries.items()}, key
             assert bucket.size == fresh.size
+        # A registration the edit leaves exactly as it was is not reached;
+        # the stripes holding a range of any other one rebuild, and every
+        # other built tree is carried across as it is.
+        reached = set()
+        for address, text in formulas.items():
+            cells, ranges = extract_references(parse_formula(text))
+            if (edit.map_address(address) != address
+                    or any(edit.map_address(cell) != cell for cell in cells)
+                    or any(edit.map_range(region) != region for region in ranges)):
+                reached.update(key for region in ranges for key in bucket_keys(region))
+        for key, tree in built.items():
+            bucket = graph._range_buckets.get(key)
+            if key in reached:
+                assert bucket is None or bucket.stale, key
+            else:
+                assert bucket.tree is tree and not bucket.stale, key
         if not changed and all(edit.map_address(a) == a for a in formulas):
             # The edit lies past every formula and reference: nothing is
             # reached and every built tree is carried across as it is.
-            assert graph.stats.stripes_reused == 7  # A-F and the wide bucket
+            assert not reached
+        # Each stripe without a current tree rebuilds once, on its first stab.
+        unbuilt = {key for key, bucket in graph._range_buckets.items()
+                   if bucket.tree is None or bucket.stale}
+        graph.stats.reset()
         for probe_row in range(1, 90):
             for probe_column in range(1, 9):
                 probe = CellAddress(probe_row, probe_column)
                 assert graph.direct_dependents(probe) == expected.direct_dependents(probe), probe
+        assert graph.stats.index_rebuilds == len(unbuilt & {*range(1, 9), WIDE_BUCKET})
 
     def test_untouched_registrations_keep_their_entry_objects(self):
         """Registrations wholly before the edit line are not re-created, and
         the stripes only they read keep their trees."""
         graph = DependencyGraph()
-        graph.register(addr("Z1"), "SUM(A1:A10)+B3")
+        graph.register(addr("Z1"), "SUM(A1:A10)+B3+SUM(D1:D5)")
         graph.register(addr("Z2"), "SUM(A5:A300)")      # straddles row 150
         graph.register(addr("Z400"), "SUM(C1:C10)+B3")  # only its own cell moves
-        for probe in ("A5", "B3", "C5"):
+        for probe in ("A5", "B3", "C5", "D5"):
             graph.direct_dependents(addr(probe))
         above = graph._precedents[addr("Z1")]
-        graph.stats.reset()
+        d_tree = graph._range_buckets[4].tree
         report = graph.apply_structural_edit(StructuralEdit.insert_rows(150))
         assert graph._precedents[addr("Z1")] is above
         assert report.changed == report.reshaped == {addr("Z2")}
         assert graph._cell_dependents[addr("B3")] == {addr("Z1"), addr("Z401")}
-        # A was re-assembled (Z2 grew); C's only reader moved (spliced).
-        assert graph.stats.stripes_reused == 0
-        assert graph.stats.stripes_shifted == 1
+        # A holds Z2, which grew, and C holds Z400, which moved: both
+        # rebuild once.  D is read by Z1 alone and keeps its tree.
+        assert graph._range_buckets[1].stale and graph._range_buckets[3].stale
+        assert graph._range_buckets[4].tree is d_tree
+        graph.stats.reset()
         assert graph.direct_dependents(addr("C5")) == {addr("Z401")}
         assert graph.direct_dependents(addr("A200")) == {addr("Z2")}
         assert graph.direct_dependents(addr("A7")) == {addr("Z1"), addr("Z2")}
+        assert graph.direct_dependents(addr("D3")) == {addr("Z1")}
+        assert graph.stats.index_rebuilds == 2
 
 
 class TestSerializerRoundTrip:
@@ -1002,34 +1036,33 @@ class TestIncrementalIndexMaintenance:
         assert graph.stats.index_rebuilds == 0
         assert graph.stats.incremental_inserts == 1
 
-    def test_row_splice_preserves_lookup_correctness(self):
-        """A row edit that uniformly shifts a stripe must splice its tree
-        and keep answering stabs exactly like a fresh registration."""
+    def test_row_shift_preserves_lookup_correctness(self):
+        """A row edit that uniformly shifts a stripe rebuilds its tree once
+        and answers stabs exactly like a fresh registration."""
         graph = DependencyGraph()
         graph.register(addr("H100"), "SUM(B50:B60)")
         graph.register(addr("H101"), "SUM(B52:B62)+B70")
         graph.direct_dependents(addr("B55"))
-        graph.stats.reset()
         graph.apply_structural_edit(StructuralEdit.insert_rows(10, count=3))
-        assert graph.stats.stripes_shifted == 1
+        graph.stats.reset()
         assert graph.direct_dependents(addr("B56")) == {addr("H103"), addr("H104")}
         assert graph.direct_dependents(addr("B53")) == {addr("H103")}
         assert graph.direct_dependents(addr("B52")) == set()
-        assert graph.stats.index_rebuilds == 0  # served from the spliced tree
+        assert graph.direct_dependents(addr("B73")) == {addr("H104")}
+        assert graph.direct_dependents(addr("B70")) == set()
+        assert graph.stats.index_rebuilds == 1
 
     def test_monotone_span_growth_cannot_degenerate_the_tree(self):
         """Review regression: monotone span sequences grow a spine the
         churn counter never notices (churn and size grow in lockstep);
         the insert-depth trigger must schedule a compacting rebuild, and
-        a later spliceable row edit must not blow the recursion limit."""
+        a later row edit must still answer stabs exactly."""
         spread = DataSpread()
         spread.set_value(1, 1, 1)  # builds the A stripe on the first stab
         spread.set_formula(1, 3, "SUM(A2:A3)")
         spread.set_value(1, 1, 2)  # stab: tree built, incremental from here
         for index in range(2, 1_500):
             spread.set_formula(index, 3, f"SUM(A{2 * index}:A{2 * index + 1})")
-        # The old behaviour crashed with RecursionError inside the
-        # recursive splice; the depth trigger keeps the tree shallow.
         spread.insert_row_after(1)
         graph = spread.dependency_graph
         # Formula C1499 shifted to C1500; its span A2998:A2999 to A2999:A3000.
