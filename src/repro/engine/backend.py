@@ -34,7 +34,7 @@ import os
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
-from repro.errors import WALError
+from repro.errors import RecoveryError, WALError
 from repro.formula.rewrite import StructuralEdit
 from repro.grid.cell import Cell
 from repro.storage.snapshot import (
@@ -44,7 +44,13 @@ from repro.storage.snapshot import (
     wal_path,
     write_snapshot,
 )
-from repro.storage.wal import WALWriter, cell_record, mark_record, structural_record
+from repro.storage.wal import (
+    WALWriter,
+    cell_record,
+    mark_record,
+    read_records,
+    structural_record,
+)
 
 #: Applies one committed cell to the engine's data model.
 ApplyCell = Callable[[int, int, Cell], None]
@@ -222,6 +228,8 @@ class WALBackend:
 
     # ------------------------------------------------------------------ #
     def _open_writer(self, generation: int) -> WALWriter:
+        """The generation's log, created if missing; the writer heads an
+        empty log with the format ``header`` record."""
         path = wal_path(self.directory, generation)
         if not os.path.exists(path):
             with open(path, "wb"):
@@ -232,6 +240,9 @@ class WALBackend:
         if load_snapshot(self.directory) is not None:
             return True
         for generation in list_wal_generations(self.directory):
-            if os.path.getsize(wal_path(self.directory, generation)) > 0:
-                return True
+            try:
+                if read_records(wal_path(self.directory, generation)):
+                    return True
+            except RecoveryError:
+                return True  # a log of another format is durable state too
         return False

@@ -23,8 +23,9 @@ their cells into one ingest body, ``_ingest``, a single batch of them:
    and the ``autonomous()`` park/resume state live in
    :mod:`repro.engine.transactions`);
 3. **mutate** — the dependency graph and the cell cache take the new
-   content (a formula is parsed exactly once: the AST is shared between
-   registration and evaluation through the evaluator's bounded cache);
+   content (a formula is parsed exactly once, converted to its stored
+   form, and its AST is shared between registration and evaluation
+   through the evaluator's bounded cache);
 4. **aggregate delta** — running aggregate states over the cell fold the
    old→new value in O(1), and pinned live views note the row that changed;
 5. **route** — ``_route_dirty``, the only code that chooses where dirty
@@ -78,6 +79,13 @@ the stored extent is an implementation detail, never a boundary the caller
 can see (deletes clip to the stored portion, inserts extend lazily) — and
 keep formulas live instead of letting them silently read shifted cells:
 
+* Formulas are kept in stored form (:mod:`repro.formula.relative`): each
+  reference component is an offset from the formula's own cell unless
+  ``$``-anchored.  ``set_formula`` converts the A1 it is given once;
+  ``get_cell``/``get_cells`` render A1 back; everything in between — the
+  cache, the model, the WAL and the snapshot — holds the stored text, and
+  the evaluator and the graph resolve it at the cell that holds it.  A
+  formula copied down a column is one text and one cached AST.
 * One :class:`~repro.grid.structural.StructuralEdit` describes the edit
   to every layer.  It is *validated before it becomes a commit point*: the
   storage model is asked whether it can absorb the edit
@@ -89,12 +97,19 @@ keep formulas live instead of letting them silently read shifted cells:
   the dependency registrations the edit *reaches* — formula-cell keys,
   precedent cells, and range spans — through the same coordinate mapping;
   registrations wholly before the edit line are left as they are.
-* **Rewritten:** every formula with a reference that moved gets its source
-  text rewritten: the old text parses through the bounded AST cache, the
-  AST is shifted with :func:`~repro.formula.rewrite.rewrite_formula`
-  (ranges straddling the edit expand or contract; fully deleted referents
-  collapse to ``#REF!``), serialized back to text, and primed into the
-  cache.  All rewritten texts of one edit land as one bulk write.
+* **Rewritten:** only the formulas whose *stored text* changes — a
+  relative reference whose target lands on the other side of the line
+  from its cell, an anchored one whose target moves, a deleted or clamped
+  target (``StructuralRewrite.changed``, found by the graph re-key with no
+  AST walk; a formula with an anchored component is checked on its AST).
+  A formula that moves together with what it reads keeps its text: it is
+  not read, rewritten, written back or logged.  A changed text parses
+  through the bounded AST cache, resolves to A1 at the old cell, shifts
+  with :func:`~repro.formula.rewrite.rewrite_formula` (ranges straddling
+  the edit expand or contract; fully deleted referents collapse to
+  ``#REF!``), converts back at the new cell, is serialized and primed
+  into the cache.  All rewritten texts of one edit land as one bulk
+  write.
 * **Recomputed:** only the formulas the edit *reshaped* — a referent lost
   to ``#REF!``, a range that grew, shrank or was clamped at the sheet edge
   (``StructuralRewrite.reshaped``) — and their transitive dependents, in
@@ -136,6 +151,15 @@ from repro.formula.aggregates import AggregateStore
 from repro.formula.ast_nodes import FormulaNode
 from repro.formula.dependencies import DependencyGraph, StructuralRewrite
 from repro.formula.evaluator import Evaluator
+from repro.formula.parser import parse_formula, parse_stored
+from repro.formula.relative import (
+    a1_text,
+    reference_leaves,
+    stored_text,
+    text_shifts,
+    to_a1,
+    to_stored,
+)
 from repro.formula.rewrite import StructuralEdit, rewrite_formula
 from repro.formula.serializer import to_formula
 from repro.grid.address import MAX_COLUMNS, MAX_ROWS, CellAddress
@@ -238,6 +262,7 @@ class DataSpread:
             self._provide_value,
             range_provider=self.grid_values,
             aggregate_store=self._aggregates,
+            parser=parse_stored,
         )
         self._linked_tables: dict[str, TableOrientedModel] = {}
         # Live query views, keyed by the sentinel anchor address that
@@ -354,7 +379,8 @@ class DataSpread:
         this fresh engine: one ``update_cells`` block write, the formulas
         that parse registered and routed as committed work (one topological
         pass; a cycle keeps its adopted values until it is edited away).
-        Text that does not parse is adopted as-is: it can never evaluate.
+        The formula text is stored form, as the log and the snapshot hold
+        it; text that does not parse is adopted as-is: it can never evaluate.
 
         Not a transaction and not logged: a fresh engine has nothing to
         undo, and :func:`~repro.storage.recovery.recover` attaches the WAL
@@ -593,7 +619,7 @@ class DataSpread:
     # cell reads
     # ------------------------------------------------------------------ #
     def get_cell(self, row: int, column: int) -> Cell:
-        """Read one cell (through the LRU cache).
+        """Read one cell (through the LRU cache), its formula as A1 text.
 
         With ``idle_drain_ms`` set, the read first lets the compute
         scheduler retire queued work within a small time budget, so
@@ -601,14 +627,27 @@ class DataSpread:
         ``flush_compute()``.
         """
         self._maybe_idle_drain()
-        return self._cache.get(row, column)
+        return self._rendered(CellAddress(row, column), self._cache.get(row, column))
+
+    def _rendered(self, address: CellAddress, cell: Cell) -> Cell:
+        """``cell`` as a reader sees it: its stored formula rendered as A1
+        at ``address`` (text that does not parse is shown as it is)."""
+        if cell.formula is None:
+            return cell
+        try:
+            node = self._evaluator.parse(cell.formula)
+        except FormulaSyntaxError:
+            return cell
+        return Cell(value=cell.value, formula=a1_text(node, address))
 
     def get_value(self, row: int, column: int) -> CellValue:
-        """Read one cell's value."""
-        return self.get_cell(row, column).value
+        """Read one cell's value (its formula is not rendered)."""
+        self._maybe_idle_drain()
+        return self._cache.get(row, column).value
 
     def get_cells(self, region: RangeRef | str) -> dict[CellAddress, Cell]:
-        """The ``getCells(range)`` primitive: all filled cells in a rectangle.
+        """The ``getCells(range)`` primitive: all filled cells in a
+        rectangle, formulas as A1 text.
 
         Inside an open batch the buffered writes are overlaid (not flushed),
         so bulk reads see the batch's own edits just like per-cell
@@ -623,7 +662,7 @@ class DataSpread:
                 result.pop(address, None)  # a buffered clear
             else:
                 result[address] = cell
-        return result
+        return {address: self._rendered(address, cell) for address, cell in result.items()}
 
     def get_range_values(self, region: RangeRef | str) -> list[list[CellValue]]:
         """Dense 2-D values for a rectangle (empty cells are ``None``)."""
@@ -693,8 +732,11 @@ class DataSpread:
         self._edit_cell(CellAddress(row, column), Cell(value=value))
 
     def set_formula(self, row: int, column: int, formula: str) -> CellValue:
-        """Store a formula, register its dependencies and evaluate it.
+        """Store an A1 formula, register its dependencies and evaluate it.
 
+        The text is parsed and converted once, here, to the stored form
+        every layer below keeps (:mod:`repro.formula.relative`); reads
+        render it back.
         Inside a batch the evaluation is deferred to batch exit and ``None``
         is returned; outside a batch the evaluated value is returned.  In
         async mode the formula is stored as a stale placeholder (it keeps
@@ -702,9 +744,12 @@ class DataSpread:
         ``None`` is returned — read the result after ``flush_compute()`` or
         with ``get_fresh_value``.
         """
-        text = formula.removeprefix("=")
-        node = self._evaluator.parse(text)
-        return self._edit_cell(CellAddress(row, column), Cell(formula=text), node)
+        address = CellAddress(row, column)
+        node = parse_formula(formula.removeprefix("="))
+        # The A1 AST names the cells the stored text names from here: the
+        # graph registers it and an evaluation now reads it.  The stored
+        # text parses, once per distinct text, when it is next evaluated.
+        return self._edit_cell(address, Cell(formula=stored_text(node, address)), node)
 
     def clear_cell(self, row: int, column: int) -> None:
         """Empty a cell and re-evaluate its dependents."""
@@ -827,18 +872,19 @@ class DataSpread:
 
     def _apply_structural_edit(self, edit: StructuralEdit) -> None:
         """One structural edit, end to end: shift storage, re-key the graph,
-        rewrite the formula texts that name a moved cell, and recompute the
+        rewrite the stored formula texts the edit changes, and recompute the
         formulas the edit *reshaped*.
 
         The edit is a *commit point* even mid-batch, and one backend commit
         group: the writes buffered so far (they were addressed against the
         pre-edit coordinate space), the structural record and every
-        rewritten text land together or not at all — so a batch that aborts
-        later cannot discard the texts and leave them disagreeing with the
-        re-keyed graph.  Only the formulas that now read a *different set of
-        cells* (``StructuralRewrite.reshaped``: a lost referent, a range
-        that grew or shrank) are re-evaluated, with their transitive
-        dependents; one whose references merely translated keeps its value.
+        rewritten stored text land together or not at all — so a batch that
+        aborts later cannot discard the texts and leave them disagreeing
+        with the re-keyed graph.  Only the formulas that now read a
+        *different set of cells* (``StructuralRewrite.reshaped``: a lost
+        referent, a range that grew or shrank) are re-evaluated, with their
+        transitive dependents; one whose references merely translated keeps
+        its value.
         The reshaped cells are routed as committed work: one topological
         pass outside a batch (async: one enqueue), the batch-exit (or
         abort-path) recompute inside one.
@@ -865,10 +911,12 @@ class DataSpread:
         the model shifts, the aggregate states splice, the dependency graph
         re-keys the registrations the edit reaches — pre-batch and
         batch-local formulas alike — the scheduler, placeholders, batch
-        bookkeeping and views follow through the same mapping,
-        and every formula whose references moved gets its source text
-        rewritten through the AST rewriter and serializer, written back in
-        one bulk write.
+        bookkeeping and views follow through the same mapping, and only
+        the formulas whose stored text changes (the re-key's
+        ``changed``, less any anchored formula its AST check clears) are
+        read back, rewritten through the AST rewriter and serializer, and
+        written back in one bulk write.  A formula that moved together with
+        everything it reads keeps its text and is not touched.
         """
         # The re-key replaces each formula's registration with its remapped
         # equivalent: the formulas keep reading the same (spliced) ranges,
@@ -896,7 +944,8 @@ class DataSpread:
             self._scheduler.apply_structural_edit(edit)
             texts: list[tuple[int, int, Cell]] = []
             for (row, column), cell in provisional:
-                moved = edit.map_address(CellAddress(row, column))
+                source = CellAddress(row, column)
+                moved = edit.map_address(source)
                 if moved is not None:
                     self._cache.put_provisional(moved.row, moved.column, cell)
                     # A placeholder can shadow an older *committed* formula
@@ -906,7 +955,7 @@ class DataSpread:
                     # stored state drifts out of the new coordinate space —
                     # which a checkpoint would then capture durably.
                     shadowed = self._rewritten_text(
-                        self._model.get_cell(moved.row, moved.column), edit)
+                        self._model.get_cell(moved.row, moved.column), edit, source, moved)
                     if shadowed is not None:
                         texts.append((moved.row, moved.column, shadowed))
             self._txn.remap(edit.map_address)
@@ -921,20 +970,22 @@ class DataSpread:
                 # The scheduler's remap dropped the off-sheet anchors;
                 # re-queue them so the drain refreshes every surviving view.
                 self._scheduler.mark_dirty(surviving_anchors)
-            # ``changed`` holds post-edit addresses; the cells already live
-            # there (the model shifted first) and the cache is cold, so
+            # ``changed`` is keyed by post-edit addresses; the cells already
+            # live there (the model shifted first) and the cache is cold, so
             # committed cells are read from, and written back to, storage
-            # directly.
-            for row, column in sorted((a.row, a.column) for a in rewrite.changed):
+            # directly.  Every other formula keeps its stored text as it is.
+            for target, source in sorted(rewrite.changed.items()):
+                row, column = target.row, target.column
                 placeholder = self._cache.provisional_at(row, column)
                 if placeholder is None:
-                    rewritten = self._rewritten_text(self._model.get_cell(row, column), edit)
+                    rewritten = self._rewritten_text(
+                        self._model.get_cell(row, column), edit, source, target)
                     if rewritten is not None:
                         texts.append((row, column, rewritten))
                 else:
                     # A stale placeholder stays a placeholder: rewriting its
                     # text must not commit its stale value to storage.
-                    rewritten = self._rewritten_text(placeholder, edit)
+                    rewritten = self._rewritten_text(placeholder, edit, source, target)
                     if rewritten is not None:
                         self._cache.put_provisional(row, column, rewritten)
             self._write_cells(texts)
@@ -942,23 +993,29 @@ class DataSpread:
             self._dependencies.on_unregister = unregister_hook
         return rewrite
 
-    def _rewritten_text(self, cell: Cell, edit: StructuralEdit) -> Cell | None:
-        """``cell`` with its formula text shifted through ``edit``.
+    def _rewritten_text(self, cell: Cell, edit: StructuralEdit,
+                        source: CellAddress, target: CellAddress) -> Cell | None:
+        """``cell``, moved by ``edit`` from ``source`` to ``target``, with its
+        stored formula text rewritten.
 
-        ``None`` when there is nothing to rewrite: no formula, text that
-        does not parse (it cannot name a moved cell), or no reference the
-        edit moves.  The old text parses through the bounded AST cache and
-        the new text/AST pair is primed into it, so a recompute does not
-        re-parse.
+        ``None`` when the text stays as it is: no formula, text that does
+        not parse (it cannot name a moved cell), or no reference component
+        the edit changes (the AST check, :func:`text_shifts`).  Otherwise
+        the AST resolves to A1 at ``source``, shifts through ``edit`` and
+        converts back at ``target``.  The old text parses through the
+        bounded AST cache and the new text/AST pair is primed into it, so a
+        recompute does not re-parse.
         """
         if cell.formula is None:
             return None
         try:
-            node, changed = rewrite_formula(self._evaluator.parse(cell.formula), edit)
+            node = self._evaluator.parse(cell.formula)
         except FormulaSyntaxError:
             return None
-        if not changed:
+        if not text_shifts(reference_leaves(node), edit, source):
             return None
+        moved, _changed = rewrite_formula(to_a1(node, source), edit)
+        node = to_stored(moved, target)
         text = to_formula(node)
         self._evaluator.prime(text, node)
         return Cell(value=cell.value, formula=text)
@@ -1468,13 +1525,15 @@ class DataSpread:
         return self._cache.get(row, column).value
 
     def _safe_evaluate(self, formula: str | FormulaNode,
-                       address: CellAddress | None = None) -> CellValue:
-        """Evaluate a formula; errors become their code strings.
+                       address: CellAddress) -> CellValue:
+        """Evaluate stored formula text or an AST; errors become their code
+        strings.
 
-        ``address`` names the formula cell being evaluated, which keys the
-        aggregate store's running state for decomposable range aggregates.
+        ``address`` names the formula cell being evaluated: its references
+        resolve there, and it keys the aggregate store's running state for
+        decomposable range aggregates.
         """
-        self._evaluator.aggregate_cell = address
+        self._evaluator.formula_cell = address
         try:
             if isinstance(formula, str):
                 return self._evaluator.evaluate(formula)
@@ -1482,7 +1541,7 @@ class DataSpread:
         except FormulaEvaluationError as error:
             return error.code
         finally:
-            self._evaluator.aggregate_cell = None
+            self._evaluator.formula_cell = None
 
     def _recompute_batch(self, dirty: Iterable[CellAddress], *,
                          include_seeds: bool = True) -> None:

@@ -4,7 +4,9 @@ The paper's corpus study (Section II-C, Figure 5) finds arithmetic, SUM,
 AVERAGE, IF, ISBLANK, VLOOKUP, LOG/LN/ROUND/FLOOR and lookup/search formulae
 dominate real sheets.  This package provides a tokenizer, a Pratt parser
 producing a small AST, an evaluator over those functions, and the dependency
-graph used by the DataSpread execution engine to trigger recomputation.
+graph used by the DataSpread execution engine to trigger recomputation.  The
+engine keeps formulas in a stored, position-free form (``relative``): each
+reference component an offset from the formula's own cell unless anchored.
 """
 
 from repro.formula.tokenizer import tokenize, Token, TokenType
@@ -15,12 +17,14 @@ from repro.formula.ast_nodes import (
     BoolNode,
     CellRefNode,
     RangeRefNode,
+    OffsetCellRefNode,
+    OffsetRangeRefNode,
     ErrorNode,
     UnaryOpNode,
     BinaryOpNode,
     FunctionCallNode,
 )
-from repro.formula.parser import parse_formula
+from repro.formula.parser import parse_formula, parse_stored
 from repro.formula.serializer import to_formula
 from repro.formula.rewrite import StructuralEdit, rewrite_formula
 from repro.formula.evaluator import Evaluator, extract_references
@@ -36,6 +40,7 @@ __all__ = [
     "Token",
     "TokenType",
     "parse_formula",
+    "parse_stored",
     "to_formula",
     "FormulaNode",
     "NumberNode",
@@ -43,6 +48,8 @@ __all__ = [
     "BoolNode",
     "CellRefNode",
     "RangeRefNode",
+    "OffsetCellRefNode",
+    "OffsetRangeRefNode",
     "ErrorNode",
     "UnaryOpNode",
     "BinaryOpNode",

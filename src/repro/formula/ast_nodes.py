@@ -59,12 +59,14 @@ class BoolNode(FormulaNode):
 
 @dataclass(frozen=True, slots=True)
 class CellRefNode(FormulaNode):
-    """A single-cell reference (e.g. ``B2`` or ``$B$2``).
+    """A single-cell reference in A1 form (e.g. ``B2`` or ``$B$2``).
 
     ``column_absolute``/``row_absolute`` record the ``$`` markers of the
-    source text.  They do not affect evaluation or dependency tracking —
-    absoluteness matters for copy/fill semantics — but they survive the
-    serializer, so structural-edit rewriting never strips a user's ``$``.
+    source text.  An A1 reference names its target absolutely either way;
+    the markers decide the *stored* form (:class:`OffsetCellRefNode`): a
+    ``$``-anchored component stays absolute there, any other becomes an
+    offset from the formula's own cell.  They survive the serializer, so
+    structural-edit rewriting never strips a user's ``$``.
     """
 
     address: CellAddress
@@ -85,6 +87,39 @@ class RangeRefNode(FormulaNode):
     start_row_absolute: bool = False
     end_column_absolute: bool = False
     end_row_absolute: bool = False
+
+
+@dataclass(frozen=True, slots=True)
+class OffsetCellRefNode(FormulaNode):
+    """A single-cell reference in stored (position-free) form.
+
+    Each component is an offset from the cell holding the formula, unless
+    its ``*_absolute`` flag is set, in which case it is the absolute line
+    (the A1 ``$`` marker).  ``R[0]C[-2]`` written in column C reads A of
+    the same row wherever the formula moves; ``R1C1`` always reads A1.  A
+    formula copied down a column is therefore one text.
+    """
+
+    row: int
+    column: int
+    row_absolute: bool = False
+    column_absolute: bool = False
+
+
+@dataclass(frozen=True, slots=True)
+class OffsetRangeRefNode(FormulaNode):
+    """A rectangular range reference in stored form: each of the four
+    components is an offset from the formula's cell or, when flagged
+    absolute, a line (see :class:`OffsetCellRefNode`)."""
+
+    top: int
+    left: int
+    bottom: int
+    right: int
+    start_row_absolute: bool = False
+    start_column_absolute: bool = False
+    end_row_absolute: bool = False
+    end_column_absolute: bool = False
 
 
 @dataclass(frozen=True, slots=True)

@@ -18,12 +18,14 @@ incrementally, so a steady stream of formula edits performs **zero** lazy
 rebuilds.  :attr:`DependencyGraph.stats` counts interval entries probed,
 which tests use to assert sub-linear behaviour.
 
-``register`` accepts either formula source text or an already-parsed
-:class:`~repro.formula.ast_nodes.FormulaNode`, so the engine can parse each
-formula exactly once and share the AST between dependency extraction and
-evaluation.  ``recompute_order`` extends ``dependents_of`` for batched
-edits: it returns one topological order covering the dirty formula cells
-themselves plus every transitive dependent of the dirty set.
+``register`` accepts either A1 formula source text or an already-parsed
+:class:`~repro.formula.ast_nodes.FormulaNode` — A1, or stored
+(:mod:`repro.formula.relative`) and resolved at the registered cell — so
+the engine can parse each formula exactly once and share the AST between
+dependency extraction and evaluation.  ``recompute_order`` extends
+``dependents_of`` for batched edits: it returns one topological order
+covering the dirty formula cells themselves plus every transitive dependent
+of the dirty set.
 
 Interval-index contract
 -----------------------
@@ -50,10 +52,16 @@ Only the column stripes holding a range of a reached registration are
 marked stale and rebuild once on their next stab; every other built
 interval tree is carried across as it is, so an edit near the bottom of the
 sheet does not discard index work for untouched columns.
-The returned :class:`StructuralRewrite` reports which formulas' precedents
-changed, so the engine can rewrite exactly those cells' formula text, and
-which of them were *reshaped* — now read a different set of cells — so it
-can seed its topological recompute with those alone.
+The returned :class:`StructuralRewrite` reports which formulas' stored text
+the edit changes, so the engine reads and rewrites only those cells, and
+which formulas were *reshaped* — now read a different set of cells — so it
+can seed its topological recompute with those alone.  A stored text is a
+set of offsets from the formula's own cell, so a formula and precedents
+that all move together keep their text: the re-key tells from the lines it
+already maps which formulas straddle the edit, with no AST walk.  Only a
+formula with a ``$``-anchored component — whose text changes when that
+target moves, which the registration does not say — is handed over for
+the engine's check on its AST.
 """
 
 from __future__ import annotations
@@ -65,7 +73,8 @@ from typing import Callable, Iterable
 
 from repro.errors import CircularDependencyError
 from repro.formula.ast_nodes import FormulaNode
-from repro.formula.evaluator import extract_references
+from repro.formula.evaluator import references
+from repro.formula.parser import parse_formula
 from repro.formula.rewrite import StructuralEdit
 from repro.formula.stripes import (
     DependencyGraphStats,
@@ -81,22 +90,25 @@ from repro.grid.range import RangeRef
 #: One registration: the (precedent cells, precedent ranges) of a formula cell.
 _Registration = tuple[frozenset[CellAddress], tuple[RangeRef, ...]]
 
-#: Per edited axis: a cell's coordinate and a range's far end along it.
+#: Per edited axis: a cell's coordinate and a range's near and far end
+#: along it.
 _AXIS_GETTERS = {
-    "row": (attrgetter("row"), attrgetter("bottom")),
-    "column": (attrgetter("column"), attrgetter("right")),
+    "row": (attrgetter("row"), attrgetter("top"), attrgetter("bottom")),
+    "column": (attrgetter("column"), attrgetter("left"), attrgetter("right")),
 }
-
 
 
 @dataclass
 class StructuralRewrite:
     """What :meth:`DependencyGraph.apply_structural_edit` did to the graph.
 
-    Both sets hold *post-edit* addresses.  ``changed`` is every formula
-    whose precedent set shifted, expanded, contracted, or lost a referent —
-    exactly the formulas whose source text needs rewriting.  ``reshaped`` is
-    the part of it that now reads a *different set of cells*: a referent was
+    ``changed`` maps the *post-edit* address of every formula whose stored
+    text needs rewriting to its pre-edit address: one with a relative
+    reference whose target and cell land on different sides of the edited
+    line, or with a lost, clamped or reshaped referent.  A formula with a
+    ``$``-anchored component is in it whenever the edit reaches it: the
+    engine checks its AST.  ``reshaped`` holds the post-edit addresses of
+    the formulas that now read a *different set of cells*: a referent was
     lost (``#REF!``) or a range changed extent
     (:meth:`StructuralEdit.reshapes <repro.grid.structural.StructuralEdit.reshapes>`).
     Only those need re-evaluating (with their transitive dependents); a
@@ -104,7 +116,7 @@ class StructuralRewrite:
     before and keeps its value.
     """
 
-    changed: set[CellAddress] = field(default_factory=set)
+    changed: dict[CellAddress, CellAddress] = field(default_factory=dict)
     reshaped: set[CellAddress] = field(default_factory=set)
 
 
@@ -118,6 +130,8 @@ class DependencyGraph:
         self._cell_dependents: dict[CellAddress, set[CellAddress]] = {}
         # column stripe (or WIDE_BUCKET) -> ranges whose spans cross it
         self._range_buckets: StripeIndex = {}
+        # formula cells with a ``$``-anchored reference component
+        self._anchored: set[CellAddress] = set()
         #: Fired with the address whenever a *registered* formula leaves the
         #: graph (re-registration, clearing, overwriting).  The aggregate
         #: store hangs its refcount lifecycle here: the graph is the single
@@ -130,12 +144,15 @@ class DependencyGraph:
     def register(self, address: CellAddress, formula: str | FormulaNode) -> None:
         """Register (or replace) the formula at ``address``.
 
-        ``formula`` may be source text or a pre-parsed AST; passing the AST
-        lets the engine parse each formula exactly once.
+        ``formula`` may be A1 source text or a pre-parsed AST (A1 or stored,
+        which resolves at ``address``); passing the AST lets the engine
+        parse each formula exactly once.
         """
-        cells, ranges = extract_references(formula)  # may raise: nothing changed yet
+        if isinstance(formula, str):
+            formula = parse_formula(formula)  # may raise: nothing changed yet
+        cells, ranges, anchored = references(formula, address)
         self.unregister(address)
-        self._install(address, frozenset(cells), tuple(ranges))
+        self._install(address, frozenset(cells), tuple(ranges), anchored)
 
     def register_ranges(self, address: CellAddress,
                         ranges: Iterable[RangeRef]) -> None:
@@ -154,8 +171,11 @@ class DependencyGraph:
         address: CellAddress,
         cells: frozenset[CellAddress],
         ranges: tuple[RangeRef, ...],
+        anchored: bool = False,
     ) -> None:
         self._precedents[address] = (cells, ranges)
+        if anchored:
+            self._anchored.add(address)
         for precedent in cells:
             self._cell_dependents.setdefault(precedent, set()).add(address)
         for region in ranges:
@@ -163,26 +183,28 @@ class DependencyGraph:
 
     def snapshot_registration(
         self, address: CellAddress
-    ) -> tuple[frozenset[CellAddress], tuple[RangeRef, ...]] | None:
-        """Snapshot of ``address``'s registration (``None`` when absent).
+    ) -> tuple[_Registration, bool] | None:
+        """Snapshot of ``address``'s registration and whether it is
+        anchored (``None`` when absent).
 
         Unlike :meth:`precedents_of`, distinguishes an unregistered cell
         from a registered formula with no references.  Pair with
         :meth:`restore_registration` to roll back the registrations of a
         failed batch.
         """
-        return self._precedents.get(address)
+        entry = self._precedents.get(address)
+        return None if entry is None else (entry, address in self._anchored)
 
     def restore_registration(
         self,
         address: CellAddress,
-        snapshot: tuple[frozenset[CellAddress], tuple[RangeRef, ...]] | None,
+        snapshot: tuple[_Registration, bool] | None,
     ) -> None:
         """Reset ``address``'s registration to a captured snapshot."""
         self.unregister(address)
         if snapshot is not None:
-            cells, ranges = snapshot
-            self._install(address, cells, ranges)
+            (cells, ranges), anchored = snapshot
+            self._install(address, cells, ranges, anchored)
 
     def unregister(self, address: CellAddress) -> None:
         """Remove the formula at ``address`` from the graph (no-op if absent)."""
@@ -194,6 +216,7 @@ class DependencyGraph:
         entry = self._precedents.pop(address, None)
         if entry is None:
             return False
+        self._anchored.discard(address)
         cells, ranges = entry
         for precedent in cells:
             dependents = self._cell_dependents[precedent]
@@ -223,17 +246,21 @@ class DependencyGraph:
         is dict work and each such stripe rebuilds once on its next stab;
         every other built interval tree is carried across as it is.
         """
-        line_of, end_of = _AXIS_GETTERS[edit.axis]
-        # Coordinates up to ``fixed`` along the edited axis do not move.
+        line_of, start_of, end_of = _AXIS_GETTERS[edit.axis]
+        # Coordinates up to ``fixed`` along the edited axis do not move;
+        # from ``moving`` on they all shift by the same amount (a delete
+        # drops the lines in between).
         fixed = edit.line if edit.kind == "insert" else edit.line - 1
+        moving = fixed + 1 if edit.kind == "insert" else edit.line + edit.count
         rewrite = StructuralRewrite()
         # The reached registrations as they were, and as they come out
         # (those whose own cell survives), keyed by old and new address.
         removed: list[tuple[CellAddress, _Registration]] = []
-        installed: list[tuple[CellAddress, _Registration]] = []
+        installed: list[tuple[CellAddress, _Registration, bool]] = []
         for address, entry in self._precedents.items():
             cells, ranges = entry
-            if (line_of(address) <= fixed
+            line = line_of(address)
+            if (line <= fixed
                     and max(map(line_of, cells), default=0) <= fixed
                     and max(map(end_of, ranges), default=0) <= fixed):
                 continue
@@ -247,13 +274,19 @@ class DependencyGraph:
             new_ranges = tuple(
                 mapped for mapped in map(edit.map_range, ranges) if mapped is not None
             )
-            if new_cells != cells or new_ranges != ranges:
-                rewrite.changed.add(new_address)
-                # The mapping is one-to-one on surviving cells, so a smaller
-                # set means a referent was lost.
-                if len(new_cells) != len(cells) or any(map(edit.reshapes, ranges)):
-                    rewrite.reshaped.add(new_address)
-            installed.append((new_address, (new_cells, new_ranges)))
+            # The mapping is one-to-one on surviving cells, so a smaller set
+            # means a referent was lost.
+            if len(new_cells) != len(cells) or any(map(edit.reshapes, ranges)):
+                rewrite.reshaped.add(new_address)
+            anchored = address in self._anchored
+            # Offsets hold unless the formula stays put while a precedent
+            # moves, or moves while a precedent stays put or is deleted (or
+            # a referent is lost or clamped at the sheet edge).
+            if (anchored or line <= fixed or new_address in rewrite.reshaped
+                    or min(map(line_of, cells), default=moving) < moving
+                    or min(map(start_of, ranges), default=moving) < moving):
+                rewrite.changed[new_address] = address
+            installed.append((new_address, (new_cells, new_ranges), anchored))
 
         # Mark stale every stripe a reached range sits in: the removes and
         # adds below are then dict work, and each such stripe rebuilds once
@@ -265,8 +298,8 @@ class DependencyGraph:
                 for key in bucket_keys(region):
                     self._range_buckets[key].stale = True
             self._uninstall(address)
-        for address, (cells, ranges) in installed:
-            self._install(address, cells, ranges)
+        for address, (cells, ranges), anchored in installed:
+            self._install(address, cells, ranges, anchored)
         return rewrite
 
     def formula_cells(self) -> list[CellAddress]:

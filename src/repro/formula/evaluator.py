@@ -4,6 +4,10 @@ The evaluator is decoupled from storage: it pulls cell values through a
 *cell provider* callable ``(row, column) -> CellValue`` so the same code
 evaluates formulae against the in-memory :class:`~repro.grid.sheet.Sheet`,
 the LRU cell cache of the execution engine, or a raw data model.
+
+It evaluates A1 ASTs and stored ASTs alike: a stored reference
+(:mod:`repro.formula.relative`) resolves at :attr:`Evaluator.formula_cell`,
+the cell whose formula is being evaluated.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.errors import FormulaEvaluationError, FormulaSyntaxError
+from repro.errors import AddressError, FormulaEvaluationError, FormulaSyntaxError, RangeError
 from repro.formula import columnar
 from repro.formula.aggregates import (
     DECOMPOSABLE_AGGREGATES,
@@ -26,13 +30,16 @@ from repro.formula.ast_nodes import (
     FormulaNode,
     FunctionCallNode,
     NumberNode,
+    OffsetCellRefNode,
+    OffsetRangeRefNode,
     RangeRefNode,
     StringNode,
     UnaryOpNode,
 )
 from repro.formula.functions import FUNCTION_REGISTRY, RangeValue, power, to_number, to_text
 from repro.formula.parser import parse_formula
-from repro.grid.address import CellAddress
+from repro.formula.relative import resolve_cell, resolve_range
+from repro.grid.address import MAX_COLUMNS, MAX_ROWS, CellAddress
 from repro.grid.cell import CellValue
 from repro.grid.range import RangeRef
 
@@ -86,11 +93,14 @@ class Evaluator:
 
     Parsed ASTs are cached with LRU eviction bounded by
     ``parse_cache_capacity`` so millions of distinct formulas cannot grow
-    the cache without limit.
+    the cache without limit.  ``parser`` turns text into an AST: A1
+    (:func:`~repro.formula.parser.parse_formula`) by default; the engine
+    passes :func:`~repro.formula.parser.parse_stored`, so its cache keys on
+    stored text and copied-down formulas share one AST.
 
     ``aggregate_store`` is optional: when given (the DataSpread engine
     passes its :class:`~repro.formula.aggregates.AggregateStore`) and
-    :attr:`aggregate_cell` names the formula cell being evaluated,
+    :attr:`formula_cell` names the formula cell being evaluated,
     decomposable aggregate calls whose arguments are all range references
     are served from the store's running state in O(1) instead of
     materialising the range, (re)building state from one bulk read when
@@ -101,17 +111,23 @@ class Evaluator:
     def __init__(self, cell_provider: CellProvider,
                  range_provider: RangeProvider | None = None,
                  *, parse_cache_capacity: int = DEFAULT_PARSE_CACHE_CAPACITY,
-                 aggregate_store=None) -> None:
+                 aggregate_store=None,
+                 parser: Callable[[str], FormulaNode] = parse_formula) -> None:
         if parse_cache_capacity < 1:
             raise ValueError("parse cache capacity must be >= 1")
         self._provider = cell_provider
         self._range_provider = range_provider
         self._aggregate_store = aggregate_store
+        self._parser = parser
         #: The formula cell currently being evaluated on behalf of the
-        #: engine; keys the aggregate store's running state.  ``None``
-        #: disables the decomposable fast path entirely.
-        self.aggregate_cell: CellAddress | None = None
+        #: engine: stored references resolve at it, and it keys the
+        #: aggregate store's running state.  ``None`` disables the
+        #: decomposable fast path entirely.
+        self.formula_cell: CellAddress | None = None
         self._parse_cache: OrderedDict[str, FormulaNode] = OrderedDict()
+        # Resolved stored ranges by their lines (``_resolved_range``),
+        # bounded like the AST cache.
+        self._regions: dict[tuple[int, int, int, int], RangeRef] = {}
         self._parse_cache_capacity = parse_cache_capacity
         self._parse_hits = 0
         self._parse_misses = 0
@@ -147,7 +163,7 @@ class Evaluator:
             self._parse_cache.move_to_end(formula)
             return node
         self._parse_misses += 1
-        node = parse_formula(formula)
+        node = self._parser(formula)
         self._parse_cache[formula] = node
         self._evict_over_capacity()
         return node
@@ -158,9 +174,9 @@ class Evaluator:
         Used by the structural-edit rewriter: a rewritten AST is serialized
         back to text, and priming the cache lets the new text evaluate
         without a round-trip through the parser.  The caller guarantees
-        ``parse_formula(formula) == node``, so priming a formula that is
-        already cached only refreshes its recency — the cached AST object
-        is kept, preserving subtree sharing with every holder of it.
+        ``parser(formula) == node``, so priming a formula that is already
+        cached only refreshes its recency — the cached AST object is kept,
+        preserving subtree sharing with every holder of it.
         """
         if formula in self._parse_cache:
             self._parse_cache.move_to_end(formula)
@@ -195,6 +211,20 @@ class Evaluator:
             return node.value
         if isinstance(node, BoolNode):
             return node.value
+        if isinstance(node, OffsetCellRefNode):
+            origin = self.formula_cell
+            if origin is None:
+                raise FormulaEvaluationError("#REF!", "a stored reference needs its formula cell")
+            row = node.row if node.row_absolute else origin.row + node.row
+            column = node.column if node.column_absolute else origin.column + node.column
+            if not (0 < row <= MAX_ROWS and 0 < column <= MAX_COLUMNS):
+                raise FormulaEvaluationError("#REF!", "reference off the sheet")
+            return self._provider(row, column)
+        if isinstance(node, OffsetRangeRefNode):
+            region = self._resolved_range(node)
+            if region is None:
+                raise FormulaEvaluationError("#REF!", "range off the sheet")
+            return self._materialize_range(region)
         if isinstance(node, CellRefNode):
             return self._provider(node.address.row, node.address.column)
         if isinstance(node, RangeRefNode):
@@ -208,6 +238,41 @@ class Evaluator:
         if isinstance(node, FunctionCallNode):
             return self._evaluate_call(node)
         raise FormulaEvaluationError("#VALUE!", f"unsupported AST node {type(node).__name__}")
+
+    def _resolved_range(self, node: OffsetRangeRefNode) -> RangeRef | None:
+        """The rectangle a stored range reads from :attr:`formula_cell`
+        (``None`` off the sheet).
+
+        Resolved rectangles are interned by their lines: evaluations that
+        resolve to one rectangle build it once and hand the aggregate store
+        one key object, which its lookups match by identity.
+        """
+        origin = self.formula_cell
+        if origin is None:
+            raise FormulaEvaluationError("#REF!", "a stored reference needs its formula cell")
+        row, column = origin.row, origin.column
+        lines = (node.top if node.start_row_absolute else row + node.top,
+                 node.left if node.start_column_absolute else column + node.left,
+                 node.bottom if node.end_row_absolute else row + node.bottom,
+                 node.right if node.end_column_absolute else column + node.right)
+        region = self._regions.get(lines)
+        if region is None:
+            try:
+                region = RangeRef(*lines)
+            except RangeError:
+                return None
+            if len(self._regions) >= self._parse_cache_capacity:
+                self._regions.clear()
+            self._regions[lines] = region
+        return region
+
+    def _region(self, node: FormulaNode) -> RangeRef | None:
+        """The rectangle a range argument reads (``None`` for any other node)."""
+        if isinstance(node, OffsetRangeRefNode):
+            return self._resolved_range(node)
+        if isinstance(node, RangeRefNode):
+            return node.range
+        return None
 
     def _materialize_range(self, region: RangeRef) -> RangeValue:
         if region.area > MAX_RANGE_CELLS:
@@ -292,18 +357,21 @@ class Evaluator:
         implementation = FUNCTION_REGISTRY.get(node.name)
         if implementation is None:
             raise FormulaEvaluationError("#NAME?", f"unknown function {node.name}")
+        store, cell = self._aggregate_store, self.formula_cell
         if (
-            self._aggregate_store is not None
-            and self.aggregate_cell is not None
+            store is not None
+            and cell is not None
             and node.name in DECOMPOSABLE_AGGREGATES
             and node.arguments
-            and all(
-                isinstance(argument, RangeRefNode)
-                and self._aggregate_store.tracks(self.aggregate_cell, argument.range)
-                for argument in node.arguments
-            )
         ):
-            return self._evaluate_decomposable(node, implementation)
+            regions = []
+            for argument in node.arguments:
+                region = self._region(argument)
+                if region is None or not store.tracks(cell, region):
+                    break
+                regions.append(region)
+            else:
+                return self._evaluate_decomposable(node, regions, implementation)
         arguments = []
         for argument_node in node.arguments:
             if node.name == "IFERROR" and argument_node is node.arguments[0]:
@@ -316,7 +384,8 @@ class Evaluator:
                 arguments.append(self._evaluate(argument_node))
         return implementation(*arguments)
 
-    def _evaluate_decomposable(self, node: FunctionCallNode, implementation) -> CellValue:
+    def _evaluate_decomposable(self, node: FunctionCallNode, regions: list[RangeRef],
+                               implementation) -> CellValue:
         """Serve a decomposable aggregate from running state (the O(Δ) path).
 
         Each range argument resolves to its running state; a missing (or
@@ -326,12 +395,11 @@ class Evaluator:
         materialised ranges — correctness always wins over incrementality.
         """
         store = self._aggregate_store
-        address = self.aggregate_cell
+        address = self.formula_cell
         states = []
         materialized: list[RangeValue | None] = []
         from_state = True
-        for argument in node.arguments:
-            region = argument.range
+        for region in regions:
             state = store.state_for(address, region)
             values = None
             if state is None or (
@@ -362,8 +430,8 @@ class Evaluator:
         # reusing any range already materialised for a state rebuild.
         store.stats.fallbacks += 1
         return implementation(*(
-            values if values is not None else self._materialize_range(argument.range)
-            for argument, values in zip(node.arguments, materialized)
+            values if values is not None else self._materialize_range(region)
+            for region, values in zip(regions, materialized)
         ))
 
     @staticmethod
@@ -378,21 +446,50 @@ class Evaluator:
 # ---------------------------------------------------------------------- #
 # static analysis
 # ---------------------------------------------------------------------- #
-def extract_references(formula: str | FormulaNode) -> tuple[list[CellAddress], list[RangeRef]]:
+def extract_references(formula: str | FormulaNode, origin: CellAddress | None = None,
+                       ) -> tuple[list[CellAddress], list[RangeRef]]:
     """Return the single-cell and range references a formula reads.
 
+    Text is A1.  A stored AST's references resolve at ``origin``, the cell
+    holding the formula; one that resolves off the sheet reads nothing.
     Used to build the dependency graph and to measure per-formula access
     footprints for the Section II statistics.
     """
     node = parse_formula(formula) if isinstance(formula, str) else formula
+    cells, ranges, _anchored = references(node, origin)
+    return cells, ranges
+
+
+def references(node: FormulaNode, origin: CellAddress | None = None,
+               ) -> tuple[list[CellAddress], list[RangeRef], bool]:
+    """:func:`extract_references` of an AST, plus whether any reference
+    component is ``$``-anchored — the dependency graph's registration in
+    one walk."""
     cells: list[CellAddress] = []
     ranges: list[RangeRef] = []
+    anchored = False
     for descendant in node.walk():
-        if isinstance(descendant, CellRefNode):
-            cells.append(descendant.address)
-        elif isinstance(descendant, RangeRefNode):
-            ranges.append(descendant.range)
-    return cells, ranges
+        if isinstance(descendant, (CellRefNode, OffsetCellRefNode)):
+            anchored = anchored or descendant.row_absolute or descendant.column_absolute
+            if isinstance(descendant, CellRefNode):
+                cells.append(descendant.address)
+                continue
+            try:
+                cells.append(resolve_cell(descendant, origin))
+            except AddressError:
+                pass
+        elif isinstance(descendant, (RangeRefNode, OffsetRangeRefNode)):
+            anchored = (anchored or descendant.start_row_absolute
+                        or descendant.start_column_absolute
+                        or descendant.end_row_absolute or descendant.end_column_absolute)
+            if isinstance(descendant, RangeRefNode):
+                ranges.append(descendant.range)
+                continue
+            try:
+                ranges.append(resolve_range(descendant, origin))
+            except RangeError:
+                pass
+    return cells, ranges, anchored
 
 
 def referenced_coordinates(formula: str | FormulaNode) -> set[tuple[int, int]]:

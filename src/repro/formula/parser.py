@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import FormulaSyntaxError
 from repro.formula.ast_nodes import (
     BinaryOpNode,
@@ -11,6 +13,8 @@ from repro.formula.ast_nodes import (
     FormulaNode,
     FunctionCallNode,
     NumberNode,
+    OffsetCellRefNode,
+    OffsetRangeRefNode,
     RangeRefNode,
     StringNode,
     UnaryOpNode,
@@ -75,13 +79,59 @@ def _parse_range_reference(text: str) -> RangeRefNode:
     )
 
 
+#: One stored-form corner: ``R`` then ``[offset]`` or a line, ``C`` likewise.
+_STORED_CORNER = re.compile(r"R(?:\[([+-]?[0-9]+)\]|([0-9]+))C(?:\[([+-]?[0-9]+)\]|([0-9]+))")
+
+
+def _stored_corner(text: str) -> tuple[int, int, bool, bool]:
+    """``(row, column, row_absolute, column_absolute)`` of one stored corner."""
+    row_offset, row_line, column_offset, column_line = _STORED_CORNER.fullmatch(text).groups()
+    return (int(row_offset if row_line is None else row_line),
+            int(column_offset if column_line is None else column_line),
+            row_line is not None, column_line is not None)
+
+
+def _parse_stored_cell(text: str) -> OffsetCellRefNode:
+    row, column, row_absolute, column_absolute = _stored_corner(text)
+    return OffsetCellRefNode(row=row, column=column, row_absolute=row_absolute,
+                             column_absolute=column_absolute)
+
+
+def _parse_stored_range(text: str) -> OffsetRangeRefNode:
+    """A stored range keeps its corners as written: the serializer writes
+    them from a range normalised at the formula's cell."""
+    start, end = text.split(":", 1)
+    top, left, start_row_absolute, start_column_absolute = _stored_corner(start)
+    bottom, right, end_row_absolute, end_column_absolute = _stored_corner(end)
+    return OffsetRangeRefNode(
+        top=top, left=left, bottom=bottom, right=right,
+        start_row_absolute=start_row_absolute,
+        start_column_absolute=start_column_absolute,
+        end_row_absolute=end_row_absolute,
+        end_column_absolute=end_column_absolute,
+    )
+
+
+def _parse_a1_cell(text: str) -> CellRefNode:
+    column_absolute, row_absolute = _absolute_flags(text)
+    return CellRefNode(
+        address=CellAddress.from_a1(text),
+        column_absolute=column_absolute,
+        row_absolute=row_absolute,
+    )
+
+
 class _Parser:
     """Recursive-descent / precedence-climbing parser over a token list."""
 
-    def __init__(self, tokens: list[Token], source: str) -> None:
+    def __init__(self, tokens: list[Token], source: str, *, stored: bool = False) -> None:
         self._tokens = tokens
         self._source = source
         self._index = 0
+        if stored:
+            self._cell, self._range = _parse_stored_cell, _parse_stored_range
+        else:
+            self._cell, self._range = _parse_a1_cell, _parse_range_reference
 
     # ------------------------------------------------------------------ #
     def parse(self) -> FormulaNode:
@@ -153,14 +203,9 @@ class _Parser:
         if token.type is TokenType.BOOLEAN:
             return BoolNode(value=token.text == "TRUE")
         if token.type is TokenType.RANGE:
-            return _parse_range_reference(token.text)
+            return self._range(token.text)
         if token.type is TokenType.CELL:
-            column_absolute, row_absolute = _absolute_flags(token.text)
-            return CellRefNode(
-                address=CellAddress.from_a1(token.text),
-                column_absolute=column_absolute,
-                row_absolute=row_absolute,
-            )
+            return self._cell(token.text)
         if token.type is TokenType.ERROR:
             return ErrorNode(code=token.text.upper())
         if token.type is TokenType.IDENTIFIER:
@@ -191,7 +236,7 @@ class _Parser:
 
 
 def parse_formula(formula: str) -> FormulaNode:
-    """Parse a formula body (text after the leading ``=``) into an AST.
+    """Parse an A1 formula body (text after the leading ``=``) into an AST.
 
     Raises :class:`~repro.errors.FormulaSyntaxError` for a formula nesting
     deeper than :data:`MAX_FORMULA_DEPTH` operator levels.  Every level
@@ -201,13 +246,28 @@ def parse_formula(formula: str) -> FormulaNode:
     >>> parse_formula("SUM(B2:C2)+D2")  # doctest: +ELLIPSIS
     BinaryOpNode(...)
     """
+    return _parse(formula, stored=False)
+
+
+def parse_stored(formula: str) -> FormulaNode:
+    """Parse a formula in stored form (``R[0]C[-2]+R[0]C[-1]*2``) into an AST
+    of offset references (:mod:`repro.formula.relative`); A1 references do
+    not parse here.
+
+    >>> parse_stored("SUM(R[-9]C[-1]:R[0]C[-1])")  # doctest: +ELLIPSIS
+    FunctionCallNode(...)
+    """
+    return _parse(formula, stored=True)
+
+
+def _parse(formula: str, *, stored: bool) -> FormulaNode:
     text = formula.strip()
     if text.startswith("="):
         text = text[1:]
     if not text:
         raise FormulaSyntaxError("empty formula")
     try:
-        node = _Parser(tokenize(text), text).parse()
+        node = _Parser(tokenize(text, stored=stored), text, stored=stored).parse()
     except RecursionError:
         raise FormulaSyntaxError("formula nests too deeply to parse") from None
     if len(text) > MAX_FORMULA_DEPTH and node_depth(node) > MAX_FORMULA_DEPTH:

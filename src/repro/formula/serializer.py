@@ -1,11 +1,12 @@
 """AST → formula-text serialization.
 
-The inverse of :func:`repro.formula.parser.parse_formula`: render an AST back
-to A1-notation source text such that re-parsing the text yields an equal AST
-(``parse_formula(to_formula(node)) == node``).  The structural-edit rewriter
-relies on this round-trip to persist shifted references — a rewritten formula
-is serialized, stored as the cell's new source text, and primed back into the
-evaluator's bounded AST cache.
+The inverse of the parser: render an AST back to source text such that
+re-parsing the text yields an equal AST — A1 references as A1
+(``parse_formula(to_formula(node)) == node``), stored-form offset references
+as stored text (``parse_stored(to_formula(node)) == node``).  The engine
+relies on this round-trip to persist formulas: an entered formula and a
+structurally rewritten one are serialized to stored text, kept as the cell's
+source text, and primed into the evaluator's bounded AST cache.
 
 Parenthesization is minimal: a child expression is wrapped only when its
 binding power is too weak for the position it occupies, so ``A1+B1*2``
@@ -22,12 +23,14 @@ from repro.formula.ast_nodes import (
     FormulaNode,
     FunctionCallNode,
     NumberNode,
+    OffsetCellRefNode,
+    OffsetRangeRefNode,
     RangeRefNode,
     StringNode,
     UnaryOpNode,
 )
 from repro.formula.parser import _BINARY_PRECEDENCE, _RIGHT_ASSOCIATIVE
-from repro.grid.address import column_index_to_letter
+from repro.grid.address import CellAddress, column_index_to_letter
 
 #: Binding powers above every binary operator (which top out at 50): prefix
 #: ``-x`` binds tighter than any binary, postfix ``x%`` tighter still, and
@@ -45,8 +48,9 @@ def _precedence(node: FormulaNode) -> int:
     return _ATOM_PRECEDENCE
 
 
-def _wrap(node: FormulaNode, minimum: int, *, strict: bool = False) -> str:
-    text = _serialize(node)
+def _wrap(node: FormulaNode, minimum: int, origin: CellAddress | None, *,
+          strict: bool = False) -> str:
+    text = _serialize(node, origin)
     precedence = _precedence(node)
     if precedence < minimum or (strict and precedence == minimum):
         return f"({text})"
@@ -61,7 +65,27 @@ def _corner(row: int, column: int, column_absolute: bool, row_absolute: bool) ->
     )
 
 
-def _serialize(node: FormulaNode) -> str:
+def _component(axis: str, value: int, absolute: bool) -> str:
+    """One stored-form component: ``R5`` (a line) or ``R[-1]`` (an offset)."""
+    return f"{axis}{value}" if absolute else f"{axis}[{value}]"
+
+
+def _stored_corner(row: int, column: int, row_absolute: bool, column_absolute: bool) -> str:
+    return _component("R", row, row_absolute) + _component("C", column, column_absolute)
+
+
+def _a1_corner(row: int, column: int, row_absolute: bool, column_absolute: bool,
+               origin: CellAddress | None) -> str:
+    """An A1 corner as written, or with ``origin`` as the stored corner of the
+    formula held there."""
+    if origin is None:
+        return _corner(row, column, column_absolute, row_absolute)
+    return _stored_corner(row if row_absolute else row - origin.row,
+                          column if column_absolute else column - origin.column,
+                          row_absolute, column_absolute)
+
+
+def _serialize(node: FormulaNode, origin: CellAddress | None = None) -> str:
     if isinstance(node, NumberNode):
         value = node.value
         return repr(int(value)) if value.is_integer() else repr(value)
@@ -70,37 +94,50 @@ def _serialize(node: FormulaNode) -> str:
     if isinstance(node, BoolNode):
         return "TRUE" if node.value else "FALSE"
     if isinstance(node, CellRefNode):
-        return _corner(node.address.row, node.address.column,
-                       node.column_absolute, node.row_absolute)
+        return _a1_corner(node.address.row, node.address.column,
+                          node.row_absolute, node.column_absolute, origin)
     if isinstance(node, RangeRefNode):
         # Always emit both corners: a 1x1 range must round-trip as a range
         # reference, not collapse into a single-cell reference.
         region = node.range
-        start = _corner(region.top, region.left,
-                        node.start_column_absolute, node.start_row_absolute)
-        end = _corner(region.bottom, region.right,
-                      node.end_column_absolute, node.end_row_absolute)
+        start = _a1_corner(region.top, region.left,
+                           node.start_row_absolute, node.start_column_absolute, origin)
+        end = _a1_corner(region.bottom, region.right,
+                         node.end_row_absolute, node.end_column_absolute, origin)
+        return f"{start}:{end}"
+    if isinstance(node, OffsetCellRefNode):
+        return _stored_corner(node.row, node.column, node.row_absolute, node.column_absolute)
+    if isinstance(node, OffsetRangeRefNode):
+        start = _stored_corner(node.top, node.left,
+                               node.start_row_absolute, node.start_column_absolute)
+        end = _stored_corner(node.bottom, node.right,
+                             node.end_row_absolute, node.end_column_absolute)
         return f"{start}:{end}"
     if isinstance(node, ErrorNode):
         return node.code
     if isinstance(node, UnaryOpNode):
         if node.operator == "%":
-            return _wrap(node.operand, _POSTFIX_PRECEDENCE) + "%"
-        return node.operator + _wrap(node.operand, _PREFIX_PRECEDENCE)
+            return _wrap(node.operand, _POSTFIX_PRECEDENCE, origin) + "%"
+        return node.operator + _wrap(node.operand, _PREFIX_PRECEDENCE, origin)
     if isinstance(node, BinaryOpNode):
         precedence = _BINARY_PRECEDENCE[node.operator]
         right_associative = node.operator in _RIGHT_ASSOCIATIVE
-        left = _wrap(node.left, precedence, strict=right_associative)
-        right = _wrap(node.right, precedence, strict=not right_associative)
+        left = _wrap(node.left, precedence, origin, strict=right_associative)
+        right = _wrap(node.right, precedence, origin, strict=not right_associative)
         return f"{left}{node.operator}{right}"
     if isinstance(node, FunctionCallNode):
-        arguments = ",".join(_serialize(argument) for argument in node.arguments)
+        arguments = ",".join(_serialize(argument, origin) for argument in node.arguments)
         return f"{node.name}({arguments})"
     raise TypeError(f"cannot serialize AST node {type(node).__name__}")
 
 
-def to_formula(node: FormulaNode) -> str:
+def to_formula(node: FormulaNode, origin: CellAddress | None = None) -> str:
     """Render an AST as formula source text (without the leading ``=``).
+
+    With ``origin``, the A1 references of ``node`` are written in stored
+    form, as the formula held at ``origin`` keeps them: the text
+    ``to_formula(to_stored(node, origin))`` gives, without building the
+    stored AST.
 
     >>> from repro.formula.parser import parse_formula
     >>> to_formula(parse_formula("SUM(B2:C10) + D2"))
@@ -108,4 +145,4 @@ def to_formula(node: FormulaNode) -> str:
     >>> parse_formula(to_formula(parse_formula("(A1+B1)*2"))) == parse_formula("(A1+B1)*2")
     True
     """
-    return _serialize(node)
+    return _serialize(node, origin)

@@ -10,11 +10,18 @@ crash (or clean shutdown) left behind:
    first torn frame, group markers are folded (a ``begin`` without its
    ``commit`` — an aborted or crash-interrupted batch — is discarded
    wholesale), and the committed records are replayed in log order into a
-   flat cell map.  ``structural`` records re-key every cell through the
-   same :class:`~repro.formula.rewrite.StructuralEdit` coordinate mapping
-   the engine used, rewriting straddling formula references, so the replay
-   of a structural record is correct on its own (the engine's logged
-   formula-text rewrites, which share the record's commit group, repeat it).
+   flat cell map.  The log must open with a header of this format version,
+   and the snapshot must carry it too: both hold formulas in stored form
+   (:mod:`repro.formula.relative`), and a workspace of an older format is
+   refused with :class:`~repro.errors.RecoveryError` before anything is
+   touched.  ``structural`` records re-key every cell through the same
+   :class:`~repro.formula.rewrite.StructuralEdit` coordinate mapping the
+   engine used and rewrite the stored texts the edit changes — those with a
+   reference crossing the edited line, or to a moved anchored, deleted or
+   clamped target — so the replay of a structural record is correct on its
+   own (the engine's logged rewrites of the same texts, which share the
+   record's commit group, repeat it).  Every other formula keeps its text,
+   and each distinct text parses once per replay.
 3. **Adopt and recompute.**  The cell map is handed to a fresh
    :class:`~repro.engine.dataspread.DataSpread` through its one adoption
    method, ``adopt_cells``: one block write to the model, the parseable
@@ -34,8 +41,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import FormulaSyntaxError, RecoveryError
-from repro.formula.parser import parse_formula
-from repro.formula.rewrite import rewrite_formula
+from repro.formula.ast_nodes import FormulaNode
+from repro.formula.parser import parse_stored
+from repro.formula.relative import reference_leaves, text_shifts, to_a1
+from repro.formula.rewrite import StructuralEdit, rewrite_formula
 from repro.formula.serializer import to_formula
 from repro.grid.address import CellAddress
 from repro.storage.snapshot import load_snapshot, wal_path
@@ -48,9 +57,14 @@ if TYPE_CHECKING:  # imported lazily at runtime (the engine imports this package
 CellMap = dict[tuple[int, int], tuple[Any, str | None]]
 
 
+#: A parsed stored text and its reference leaves (``None``: does not parse).
+_Parsed = tuple[FormulaNode, tuple[FormulaNode, ...]] | None
+
+
 def replay_records(base: CellMap, records: list[dict[str, Any]]) -> CellMap:
     """Fold committed log records over a base cell map, in log order."""
     cells = dict(base)
+    parsed: dict[str, _Parsed] = {}
     for record in records:
         kind = record.get("t")
         if kind == "cell":
@@ -61,7 +75,7 @@ def replay_records(base: CellMap, records: list[dict[str, Any]]) -> CellMap:
             else:
                 cells[key] = (value, formula)
         elif kind == "structural":
-            cells = _apply_structural(cells, record)
+            cells = _apply_structural(cells, structural_edit_from(record), parsed)
         elif kind == "mark":
             pass  # annotation only: no replay effect
         else:
@@ -69,31 +83,42 @@ def replay_records(base: CellMap, records: list[dict[str, Any]]) -> CellMap:
     return cells
 
 
-def _apply_structural(cells: CellMap, record: dict[str, Any]) -> CellMap:
+def _apply_structural(cells: CellMap, edit: StructuralEdit,
+                      parsed: dict[str, _Parsed]) -> CellMap:
     """Re-key a cell map through one structural edit, rewriting formulas.
 
     Mirrors the engine: cells on deleted lines vanish, survivors shift,
-    and formula references shift with them (straddling ranges expand or
-    contract; fully deleted referents collapse to ``#REF!``).
+    and the stored formula texts the edit changes are rewritten
+    (straddling ranges expand or contract; fully deleted referents
+    collapse to ``#REF!``).  ``parsed`` memoises each distinct text's AST
+    across the replay.
     """
-    edit = structural_edit_from(record)
     remapped: CellMap = {}
     for (row, column), (value, formula) in cells.items():
-        moved = edit.map_address(CellAddress(row, column))
+        source = CellAddress(row, column)
+        moved = edit.map_address(source)
         if moved is None:
             continue
         if formula is not None:
-            formula = _rewrite_text(formula, edit)
+            formula = _rewrite_text(formula, edit, source, moved, parsed)
         remapped[(moved.row, moved.column)] = (value, formula)
     return remapped
 
 
-def _rewrite_text(formula: str, edit) -> str:
-    try:
-        node, changed = rewrite_formula(parse_formula(formula), edit)
-    except FormulaSyntaxError:
-        return formula  # unparseable text cannot reference moved cells
-    return to_formula(node) if changed else formula
+def _rewrite_text(formula: str, edit: StructuralEdit, source: CellAddress,
+                  target: CellAddress, parsed: dict[str, _Parsed]) -> str:
+    if formula in parsed:
+        entry = parsed[formula]
+    else:
+        try:
+            node = parse_stored(formula)
+            entry = parsed[formula] = (node, reference_leaves(node))
+        except FormulaSyntaxError:
+            entry = parsed[formula] = None  # cannot reference moved cells
+    if entry is None or not text_shifts(entry[1], edit, source):
+        return formula
+    moved, _changed = rewrite_formula(to_a1(entry[0], source), edit)
+    return to_formula(moved, target)
 
 
 def recovered_cells(directory: str) -> CellMap:

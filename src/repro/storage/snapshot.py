@@ -4,11 +4,12 @@ A durable workspace directory holds at most two artefacts:
 
 ``snapshot.bin``
     One CRC-checksummed frame (the same codec as the WAL) containing the
-    full committed cell state: values and formula text (the positional
-    mappings and hybrid layout are derived state that rebuilds
-    deterministically from the logical cells), plus a free-form ``config``
-    entry that recovery does not read.  The snapshot carries a
-    *generation* number.
+    full committed cell state: values and formula text in stored form
+    (:mod:`repro.formula.relative`; the positional mappings and hybrid
+    layout are derived state that rebuilds deterministically from the
+    logical cells), plus a free-form ``config`` entry that recovery does
+    not read.  The snapshot carries a *generation* number and the format
+    :data:`SNAPSHOT_VERSION`; a snapshot of another version is refused.
 
 ``wal-<generation>.log``
     The write-ahead log of everything committed *since* the snapshot of
@@ -19,7 +20,7 @@ Checkpointing is crash-safe by ordering, not by locks:
 
 1. write ``snapshot.bin`` for generation ``g+1`` to a temp file and
    ``os.replace`` it into place (atomic on POSIX);
-2. create the empty ``wal-(g+1).log``;
+2. create ``wal-(g+1).log``, holding only its format header;
 3. delete stale ``wal-*.log`` files of earlier generations.
 
 A crash before (1) recovers from snapshot ``g`` + ``wal-g``; a crash
@@ -35,13 +36,16 @@ import re
 from typing import Any
 
 from repro.errors import RecoveryError
+from repro.formula.relative import normalized_text
+from repro.grid.address import CellAddress
 from repro.storage.wal import decode_frames, encode_frame
 
 SNAPSHOT_NAME = "snapshot.bin"
 _WAL_PATTERN = re.compile(r"^wal-(\d+)\.log$")
 
-#: Snapshot payload format version.
-SNAPSHOT_VERSION = 1
+#: Snapshot payload format version: 2 holds formula text in stored
+#: (position-free) form, 1 held A1 text.
+SNAPSHOT_VERSION = 2
 
 
 def wal_path(directory: str, generation: int) -> str:
@@ -75,14 +79,27 @@ def write_snapshot(
     """Atomically write the workspace snapshot; returns its size in bytes.
 
     ``cells`` holds ``(row, column, value, formula)`` tuples of every
-    committed non-empty cell.
+    committed non-empty cell.  The file holds stored formula text: the
+    engine's checkpoint hands it over as it is, and A1 text — a snapshot
+    built from the engine's reads, which render A1 — is converted at its
+    own cell.
     """
+    stored: dict[str, bool] = {}  # text -> whether it is stored form already
+
+    def normalized(row: int, column: int, formula: str | None) -> str | None:
+        if formula is None or stored.get(formula):
+            return formula
+        text = normalized_text(formula, CellAddress(row, column))
+        stored[formula] = text == formula
+        return text
+
     record = {
         "t": "snapshot",
         "version": SNAPSHOT_VERSION,
         "generation": generation,
         "config": config or {},
-        "cells": [[row, column, value, formula] for row, column, value, formula in cells],
+        "cells": [[row, column, value, normalized(row, column, formula)]
+                  for row, column, value, formula in cells],
     }
     frame = encode_frame(record)
     final = snapshot_path(directory)

@@ -15,16 +15,25 @@ is corruption, and reading the log raises
 
 Record taxonomy (the ``"t"`` field of the JSON payload):
 
+``header``
+    The first frame of every log, written when the writer opens an empty
+    file: the format :data:`WAL_VERSION` of what follows.  Formula text is
+    kept in stored form (:mod:`repro.formula.relative`), whose meaning an
+    older format does not share, so :func:`read_records` refuses a log that
+    does not open with a header of this version; an empty file (a crash
+    before the header landed) is an empty log.
 ``cell``
-    One committed cell write: row, column, value, formula text.  An empty
-    write (no value, no formula) is a clear.
+    One committed cell write: row, column, value, formula text (stored
+    form).  An empty write (no value, no formula) is a clear.
 ``structural``
     One row/column insert or delete (axis, kind, line, count).  Replay
     re-keys every logged cell through the same coordinate mapping the
     engine uses (:class:`~repro.formula.rewrite.StructuralEdit`) and
-    rewrites straddling formula references, so a structural record is
-    self-sufficient; the engine's own rewritten formula texts follow it in
-    the same commit group and say the same thing.
+    rewrites the stored formula texts the edit changes — those with a
+    reference that crosses the edited line, or whose anchored target moves
+    or is deleted or clamped — so a structural record is self-sufficient.
+    The engine logs its own rewrites of exactly those texts in the same
+    commit group; every other formula keeps its text and is not logged.
 ``mark``
     An annotation: free-form metadata (e.g. which session transaction a
     group commit belongs to).  Skipped during replay.
@@ -61,6 +70,10 @@ from repro.formula.rewrite import StructuralEdit
 
 #: Frame header: payload length + payload CRC32, little-endian u32 each.
 FRAME_HEADER = struct.Struct("<II")
+
+#: Format version the ``header`` record of every log carries: 2 holds
+#: formula text in stored (position-free) form, 1 held A1 text.
+WAL_VERSION = 2
 
 #: Default bounded-retry policy for transient IO errors.
 DEFAULT_MAX_RETRIES = 4
@@ -133,6 +146,11 @@ def _next_intact_frame(data: bytes, offset: int) -> int | None:
 # ---------------------------------------------------------------------- #
 # record constructors
 # ---------------------------------------------------------------------- #
+def header_record() -> dict[str, Any]:
+    """The first record of every log: the format version of what follows."""
+    return {"t": "header", "version": WAL_VERSION}
+
+
 def cell_record(row: int, column: int, value: Any, formula: str | None) -> dict[str, Any]:
     """A committed cell write (an empty value+formula pair is a clear)."""
     return {"t": "cell", "r": row, "c": column, "v": value, "f": formula}
@@ -209,7 +227,12 @@ WALIOFactory = Callable[[str], Any]
 # writer
 # ---------------------------------------------------------------------- #
 class WALWriter:
-    """Appends records durably, with group commit and bounded IO retry."""
+    """Appends records durably, with group commit and bounded IO retry.
+
+    Opening an empty (or new) file appends the :func:`header_record`
+    first.  It is not synced on its own: the first durable commit syncs it
+    with itself, and a crash before that leaves an empty log.
+    """
 
     def __init__(
         self,
@@ -241,12 +264,14 @@ class WALWriter:
         # truncate back to it so half-written attempts never pollute the log.
         self._good_offset = os.path.getsize(path) if os.path.exists(path) else 0
         self._in_group = False
-        #: Frames appended (including group markers).
+        #: Frames appended (including group markers and the header).
         self.frames_appended = 0
         #: Durable commit points reached: synced singletons + synced commits.
         self.durable_commits = 0
         #: Transient IO errors absorbed by the retry loop.
         self.retries = 0
+        if self._good_offset == 0:
+            self._append_frame(encode_frame(header_record()))
 
     # ------------------------------------------------------------------ #
     @property
@@ -329,12 +354,28 @@ class WALWriter:
 # reader
 # ---------------------------------------------------------------------- #
 def read_records(path: str) -> list[dict[str, Any]]:
-    """All intact records in the log at ``path`` (torn tail discarded)."""
+    """All intact records in the log at ``path`` after its header (torn
+    tail discarded).
+
+    Raises :class:`~repro.errors.RecoveryError` when the first intact frame
+    is not a header of :data:`WAL_VERSION`: the log was written in another
+    format.  A missing or empty file — or one whose header frame is torn —
+    is an empty log.
+    """
     if not os.path.exists(path):
         return []
     with open(path, "rb") as handle:
         data = handle.read()
-    return list(decode_frames(data))
+    records = list(decode_frames(data))
+    if not records:
+        return []
+    header = records[0]
+    if header.get("t") != "header" or header.get("version") != WAL_VERSION:
+        found = (f"version {header.get('version')!r}" if header.get("t") == "header"
+                 else f"a {header.get('t')!r} record")
+        raise RecoveryError(f"log {path} opens with {found}, not a header of "
+                            f"format version {WAL_VERSION}")
+    return records[1:]
 
 
 def committed_records(records: list[dict[str, Any]]) -> list[dict[str, Any]]:

@@ -120,6 +120,12 @@ class Boom(Exception):
 
 
 # -- generators ---------------------------------------------------------- #
+#: Share of reference corners the fuzz formulas ``$``-anchor (``$A$1``,
+#: ``A$1`` or ``$A1``, each corner of a range on its own): relative and
+#: anchored components take different paths through structural edits.
+ANCHOR_RATE = 0.25
+
+
 def random_formula(rng: random.Random, column: int) -> str:
     """A formula referencing only columns strictly left of ``column``.
 
@@ -127,22 +133,27 @@ def random_formula(rng: random.Random, column: int) -> str:
     shift.  Half the mix is aggregate-heavy — wide, often multi-column
     ranges over constants, clears and formulas — to fuzz the running
     aggregate states (MIN/MAX support loss and ``#DIV/0!`` included).
+    A quarter of the corners carry ``$`` anchors (:data:`ANCHOR_RATE`).
     """
+    def corner(target: int, row: int) -> str:
+        letters = column_index_to_letter(target)
+        if rng.random() >= ANCHOR_RATE:
+            return f"{letters}{row}"
+        return rng.choice((f"${letters}${row}", f"{letters}${row}", f"${letters}{row}"))
+
     def cell_ref() -> str:
-        target = rng.randint(1, column - 1)
-        return f"{column_index_to_letter(target)}{rng.randint(1, DATA_ROWS)}"
+        return corner(rng.randint(1, column - 1), rng.randint(1, DATA_ROWS))
 
     def range_ref() -> str:
-        target = column_index_to_letter(rng.randint(1, column - 1))
+        target = rng.randint(1, column - 1)
         top = rng.randint(1, DATA_ROWS - 4)
-        return f"{target}{top}:{target}{top + rng.randint(1, 4)}"
+        return f"{corner(target, top)}:{corner(target, top + rng.randint(1, 4))}"
 
     def wide_range_ref() -> str:
         left = rng.randint(1, column - 1)
         right = rng.randint(left, column - 1)
         top, bottom = rng.randint(1, 4), rng.randint(DATA_ROWS - 4, DATA_ROWS + 6)
-        return (f"{column_index_to_letter(left)}{top}:"
-                f"{column_index_to_letter(right)}{bottom}")
+        return f"{corner(left, top)}:{corner(right, bottom)}"
 
     choice = rng.randrange(8)
     if choice == 0:
@@ -570,6 +581,9 @@ class _Run:
             self.plan = FaultPlan.random(rng, max_appends=axes.max_appends)
             options.update(durability="wal", storage_dir=self.workdir,
                            wal_options=self.plan.wal_options())
+            # The crash arm counts the appends of the run's ops: the log's
+            # header, written while the engine is built, is not one of them.
+            self.plan.crash_enabled = False
         if axes.overload:
             self.clock = VirtualClock()
             self.latency = LatencyPlan.random(rng, self.clock)
@@ -586,6 +600,8 @@ class _Run:
         else:
             self.engine = DataSpread(**options)
             self.writers = self.readers = [self.engine]
+        if self.plan is not None:
+            self.plan.crash_enabled = True
         self.sessions_opened = axes.writers
         self.engine.aggregate_store.min_state_area = 1  # tiny grid: force running states
         if self.latency is not None:

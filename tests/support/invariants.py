@@ -5,7 +5,9 @@ inner ops.  A failure is an ``AssertionError`` whose message starts with
 the name of the invariant that broke:
 
 * ``graph`` — the dependency graph equals one rebuilt from the stored
-  formulas (model and placeholders) and the view anchors;
+  formulas (model and placeholders), each resolved at its own cell, and
+  the view anchors; every formula whose text holds a ``$``-anchored
+  component is marked anchored;
 * ``registration`` — every stored formula is registered exactly once, in
   the reverse index and the range stripes, and nothing else is;
 * ``index`` — ``direct_dependents`` equals :func:`scan_dependents` on a
@@ -38,8 +40,9 @@ from functools import lru_cache
 
 from repro.errors import FormulaSyntaxError
 from repro.formula.aggregates import RangeAggregateState
-from repro.formula.evaluator import extract_references
+from repro.formula.evaluator import references
 from repro.formula.functions import RangeValue
+from repro.formula.parser import parse_stored
 from repro.formula.stripes import bucket_keys
 from repro.grid.address import MAX_COLUMNS, MAX_ROWS, CellAddress
 from repro.grid.range import RangeRef
@@ -81,14 +84,23 @@ def _spans(ranges) -> tuple[tuple[int, int, int, int], ...]:
 
 
 @lru_cache(maxsize=4096)
-def _references(text: str) -> tuple | None:
-    """``(cells, spans)`` a formula text registers (``None``: it does not
-    parse, so it is stored but never registered)."""
+def _parsed(text: str):
+    """The AST of a stored formula text (``None``: it does not parse, so it
+    is stored but never registered)."""
     try:
-        cells, ranges = extract_references(text)
+        return parse_stored(text)
     except FormulaSyntaxError:
         return None
-    return frozenset(cells), _spans(ranges)
+
+
+def _references(text: str, address: CellAddress) -> tuple | None:
+    """``(cells, spans, anchored)`` of the stored formula text at
+    ``address``: what it registers, and whether it is marked anchored."""
+    node = _parsed(text)
+    if node is None:
+        return None
+    cells, ranges, anchored = references(node, address)
+    return frozenset(cells), _spans(ranges), anchored
 
 
 def stored_cells(spread) -> dict[CellAddress, object]:
@@ -129,9 +141,12 @@ def check_engine(spread, *, workspace=None, in_transaction: bool = False,
 def _check_graph(spread) -> None:
     graph = spread.dependency_graph
     expected: dict[CellAddress, tuple] = {}
+    anchored = set()
     for address, cell in stored_cells(spread).items():
-        if cell.formula is not None and (references := _references(cell.formula)):
-            expected[address] = references
+        if cell.formula is not None and (found := _references(cell.formula, address)):
+            expected[address] = found[:2]
+            if found[2]:
+                anchored.add(address)
     for anchor, view in spread._views.items():
         expected[anchor] = (frozenset(), _spans(view.watched_regions()))
     registered = graph._precedents
@@ -142,6 +157,10 @@ def _check_graph(spread) -> None:
     if actual != expected:
         wrong = next(address for address in actual if actual[address] != expected[address])
         _require(False, "graph", wrong, actual[wrong], expected[wrong])
+    # An anchored mark outlives anchors a structural edit collapsed to
+    # ``#REF!`` (it only buys an AST check), but never misses one.
+    _require(anchored <= graph._anchored <= registered.keys(), "graph", "anchored",
+             sorted(anchored - graph._anchored)[:5], sorted(graph._anchored - registered.keys())[:5])
     # Exactly once in each index: the reverse cell map and the stripes.
     reverse: dict[CellAddress, set] = {}
     stripes: dict[object, dict[CellAddress, list]] = {}

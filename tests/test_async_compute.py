@@ -78,7 +78,7 @@ class TestAsyncEngine:
         assert spread.cache.provisional_count == 1
         spread.flush_compute()
         stored = spread.model.get_cell(2, 1)
-        assert stored.value == 9 and stored.formula == "A1*3"
+        assert stored.value == 9 and stored.formula == "R[-1]C[0]*3"  # stored form
         assert spread.cache.provisional_count == 0
 
     def test_batch_exit_enqueues_once_without_committing_placeholders(self):
@@ -298,8 +298,9 @@ class TestAsyncEngine:
         spread.flush_compute()
         assert spread.get_cell(6, 1).formula == "SUM(A1:A3)"
         assert spread.get_value(6, 1) == 3
-        # The placeholder text survived the cache clear + remap.
-        assert spread.model.get_cell(6, 1).formula == "SUM(A1:A3)"
+        # The placeholder text survived the cache clear + remap (the range
+        # straddled the insert: its stored offsets grew).
+        assert spread.model.get_cell(6, 1).formula == "SUM(R[-5]C[0]:R[-3]C[0])"
 
     def test_structural_edit_cancels_deleted_queued_cells(self):
         spread = DataSpread(async_recompute=True)

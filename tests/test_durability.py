@@ -22,6 +22,7 @@ from repro.grid.range import RangeRef
 from repro.query import col, region as grid_region, select
 from repro.storage.recovery import recover, recovered_cells, replay_records
 from repro.storage.snapshot import (
+    SNAPSHOT_VERSION,
     list_wal_generations,
     load_snapshot,
     snapshot_path,
@@ -30,11 +31,13 @@ from repro.storage.snapshot import (
 )
 from repro.storage.wal import (
     FRAME_HEADER,
+    WAL_VERSION,
     WALWriter,
     cell_record,
     committed_records,
     decode_frames,
     encode_frame,
+    header_record,
     read_records,
 )
 
@@ -121,6 +124,14 @@ class TestFrameCodec:
 # ---------------------------------------------------------------------- #
 # WAL writer: durability counters and transient-error retry
 # ---------------------------------------------------------------------- #
+def _headed_log(tmp_path) -> str:
+    """A log that already holds its header, so a writer opened on it with a
+    fault plan injects into record appends only."""
+    path = str(tmp_path / "wal.log")
+    WALWriter(path).close()
+    return path
+
+
 class TestWALWriter:
     def test_singleton_and_group_commit_counters(self, tmp_path):
         path = str(tmp_path / "wal.log")
@@ -158,7 +169,7 @@ class TestWALWriter:
         assert writer.retries == 2
 
     def test_retry_exhaustion_raises_walerror(self, tmp_path):
-        path = str(tmp_path / "wal.log")
+        path = _headed_log(tmp_path)
         plan = FaultPlan(append_errors=99)
         writer = WALWriter(path, io_factory=plan.io_factory(),
                            max_retries=2, backoff_seconds=0.0)
@@ -167,7 +178,7 @@ class TestWALWriter:
         writer.close()
 
     def test_crash_leaves_intact_prefix(self, tmp_path):
-        path = str(tmp_path / "wal.log")
+        path = _headed_log(tmp_path)
         plan = FaultPlan(crash_after_appends=3, torn_tail=True)
         writer = WALWriter(path, io_factory=plan.io_factory(), backoff_seconds=0.0)
         writer.append(cell_record(1, 1, 1, None))
@@ -175,7 +186,7 @@ class TestWALWriter:
         with pytest.raises(SimulatedCrash):
             writer.append(cell_record(3, 1, 3, None))
         # The torn third frame is on disk but unreadable; the prefix survives.
-        assert os.path.getsize(path) > 2 * len(encode_frame(cell_record(1, 1, 1, None))) - 1
+        assert os.path.getsize(path) > 3 * len(encode_frame(cell_record(1, 1, 1, None))) - 1
         assert [r["r"] for r in read_records(path)] == [1, 2]
         assert writer.durable_commits == 2
 
@@ -186,14 +197,25 @@ class TestWALWriter:
 class TestSnapshot:
     def test_round_trip(self, tmp_path):
         directory = str(tmp_path)
-        cells = [(1, 1, 10, None), (2, 3, "x", "A1+1")]
+        cells = [(1, 1, 10, None), (2, 3, "x", "R[-1]C[-2]+1")]
         size = write_snapshot(directory, generation=4, cells=cells,
                               config={"mapping_scheme": "rcv"})
         assert size > 0
         snapshot = load_snapshot(directory)
         assert snapshot["generation"] == 4
+        assert snapshot["version"] == SNAPSHOT_VERSION == 2
         assert [tuple(c) for c in snapshot["cells"]] == cells
         assert snapshot["config"]["mapping_scheme"] == "rcv"
+
+    def test_a1_text_is_stored_at_its_own_cell(self, tmp_path):
+        # A snapshot built from the engine's reads hands over A1 text; the
+        # file holds stored text only, so recovery reads one format.
+        directory = str(tmp_path)
+        cells = [(2, 3, 1, "A1+1"), (5, 3, 4, "A4+1"), (6, 3, 0, "SUM($A$1:B6)"),
+                 (7, 3, "?", "not a formula(")]
+        write_snapshot(directory, generation=1, cells=cells)
+        assert [c[3] for c in load_snapshot(directory)["cells"]] == [
+            "R[-1]C[-2]+1", "R[-1]C[-2]+1", "SUM(R1C1:R[0]C[-1])", "not a formula("]
 
     def test_missing_snapshot_is_none(self, tmp_path):
         assert load_snapshot(str(tmp_path)) is None
@@ -316,7 +338,8 @@ class TestEngineWAL:
             with spread.batch():
                 for row in range(10, 10 + formulas):
                     spread.set_value(row, 1, row)
-                    spread.set_formula(row, 2, f"A{row}*2")
+                    # Each reads A1 across the line: its text changes.
+                    spread.set_formula(row, 2, f"A1+A{row}*2")
             spread.flush_compute()
             commits, frames = backend.durable_commits, backend.frames_appended
             spread.insert_row_after(3)
@@ -328,7 +351,8 @@ class TestEngineWAL:
             assert group[0]["t"] == "begin" and group[-1]["t"] == "commit"
             assert group[1]["t"] == "structural"
             assert [r["f"] for r in group[2:-1]] == [
-                f"A{row}*2" for row in range(11, 11 + formulas)]
+                f"R[{1 - row}]C[-1]+R[0]C[-1]*2" for row in range(11, 11 + formulas)]
+            assert spread.get_cell(11, 2).formula == "A1+A11*2"
             spread.close()
         assert deltas == [1, 1]
 
@@ -410,7 +434,7 @@ class TestEngineWAL:
         assert not any(r.get("f") for r in records)
         spread.flush_compute()
         records = committed_records(read_records(backend.log_path))
-        assert {"t": "cell", "r": 1, "c": 2, "v": 40, "f": "A1*10"} in records
+        assert {"t": "cell", "r": 1, "c": 2, "v": 40, "f": "R[0]C[-1]*10"} in records
         spread.close()
 
     def test_checkpoint_rotates_and_truncates(self, tmp_path):
@@ -515,12 +539,16 @@ class TestRecovery:
 
     def test_structural_replay_remaps_and_rewrites(self, tmp_path):
         # A structural record whose engine-side rewritten texts never made
-        # it to the log: replay must re-key cells AND rewrite formulas.
-        base = {(2, 1): (5, None), (2, 2): (5, "A2*1")}
+        # it to the log: replay must re-key cells AND rewrite the formulas
+        # whose stored text the edit changes.  B2 reads A1 (across the
+        # line: its offset grows) and A2 (beside it: unchanged).
+        base = {(1, 1): (1, None), (2, 1): (5, None),
+                (2, 2): (6, "R[-1]C[-1]+R[0]C[-1]"), (2, 3): (5, "R[0]C[-2]")}
         records = [{"t": "structural", "axis": "row", "kind": "insert",
                     "line": 1, "count": 2}]
         replayed = replay_records(base, records)
-        assert replayed == {(4, 1): (5, None), (4, 2): (5, "A4*1")}
+        assert replayed == {(1, 1): (1, None), (4, 1): (5, None),
+                            (4, 2): (6, "R[-3]C[-1]+R[0]C[-1]"), (4, 3): (5, "R[0]C[-2]")}
 
     def test_recompute_heals_stale_dependents(self, tmp_path):
         directory = str(tmp_path)
@@ -549,17 +577,95 @@ class TestRecovery:
         directory = str(tmp_path)
         with open(snapshot_path(directory), "wb") as handle:
             handle.write(encode_frame({
-                "t": "snapshot", "version": 1, "generation": 1,
+                "t": "snapshot", "version": SNAPSHOT_VERSION, "generation": 1,
                 "config": {"mapping_scheme": "monotonic"},
-                "cells": [[1, 1, 5, None], [2, 1, 10, "A1*2"]],
+                "cells": [[1, 1, 5, None], [2, 1, 10, "R[-1]C[0]*2"]],
             }))
         with open(wal_path(directory, 1), "wb") as handle:
-            handle.write(encode_frame(cell_record(3, 1, 7, None)))
+            handle.write(encode_frame(header_record()) + encode_frame(cell_record(3, 1, 7, None)))
         recovered = recover(directory)
         assert [recovered.get_value(row, 1) for row in (1, 2, 3)] == [5, 10, 7]
         recovered.set_value(1, 1, 6)
         assert recovered.get_value(2, 1) == 12
         recovered.close()
+
+
+# ---------------------------------------------------------------------- #
+# format versions: the log and the snapshot say which text they hold
+# ---------------------------------------------------------------------- #
+def _files(directory: str) -> dict[str, bytes]:
+    return {name: open(os.path.join(directory, name), "rb").read()
+            for name in sorted(os.listdir(directory))}
+
+
+class TestFormatVersion:
+    """Formula text is stored position-free.  A workspace of the format
+    before it — A1 text, logs with no header, snapshots of version 1 — is
+    refused loudly, with nothing on disk touched, never adopted as text
+    that does not parse."""
+
+    def test_every_generation_log_opens_with_a_header(self, tmp_path):
+        directory = str(tmp_path)
+        spread = DataSpread(durability="wal", storage_dir=directory)
+        spread.set_value(1, 1, 1)
+        first = next(decode_frames(open(wal_path(directory, 0), "rb").read()))
+        spread.checkpoint()
+        spread.set_value(1, 1, 2)
+        second = next(decode_frames(open(wal_path(directory, 1), "rb").read()))
+        spread.close()
+        assert first == second == header_record() == {"t": "header", "version": WAL_VERSION}
+        assert read_records(wal_path(directory, 1)) == [cell_record(1, 1, 2, None)]
+
+    def test_a_log_without_a_header_is_refused(self, tmp_path):
+        directory = str(tmp_path)
+        with open(wal_path(directory, 0), "wb") as handle:
+            handle.write(encode_frame(cell_record(1, 1, 5, None))
+                         + encode_frame(cell_record(1, 2, None, "A1*2")))
+        before = _files(directory)
+        with pytest.raises(RecoveryError, match="header"):
+            recover(directory)
+        assert _files(directory) == before
+
+    def test_a_header_of_another_version_is_refused(self, tmp_path):
+        directory = str(tmp_path)
+        with open(wal_path(directory, 0), "wb") as handle:
+            handle.write(encode_frame({"t": "header", "version": 1})
+                         + encode_frame(cell_record(1, 2, None, "A1*2")))
+        before = _files(directory)
+        with pytest.raises(RecoveryError, match="version 1"):
+            recover(directory)
+        assert _files(directory) == before
+
+    def test_a_version_1_snapshot_is_refused(self, tmp_path):
+        directory = str(tmp_path)
+        with open(snapshot_path(directory), "wb") as handle:
+            handle.write(encode_frame({
+                "t": "snapshot", "version": 1, "generation": 1, "config": {},
+                "cells": [[1, 1, 5, None], [2, 1, 10, "A1*2"]],
+            }))
+        open(wal_path(directory, 1), "wb").close()
+        before = _files(directory)
+        with pytest.raises(RecoveryError, match="version 1"):
+            recover(directory)
+        assert _files(directory) == before
+
+    @pytest.mark.parametrize("kept", [0, FRAME_HEADER.size + 3])
+    def test_a_log_whose_header_never_landed_is_empty(self, tmp_path, kept):
+        # A crash before (or while) the header frame was written.
+        directory = str(tmp_path)
+        with open(wal_path(directory, 0), "wb") as handle:
+            handle.write(encode_frame(header_record())[:kept])
+        assert read_records(wal_path(directory, 0)) == []
+        recovered = recover(directory)
+        assert recovered.cell_count() == 0
+        recovered.close()
+
+    def test_a_header_only_log_is_no_durable_state(self, tmp_path):
+        directory = str(tmp_path)
+        DataSpread(durability="wal", storage_dir=directory).close()
+        spread = DataSpread(durability="wal", storage_dir=directory)
+        spread.close()
+        assert read_records(wal_path(directory, 0)) == []
 
 
 # ---------------------------------------------------------------------- #

@@ -20,6 +20,7 @@ from repro.errors import CircularDependencyError
 from repro.formula.dependencies import DependencyGraph
 from repro.formula.evaluator import Evaluator, extract_references
 from repro.formula.parser import parse_formula
+from repro.formula.relative import to_stored
 from repro.formula.rewrite import StructuralEdit, rewrite_formula
 from repro.formula.serializer import to_formula
 from repro.formula.stripes import (
@@ -723,7 +724,7 @@ class TestStructuralRewrite:
         graph.stats.reset()
         # Rows 150+: only the C-stripe range changes span.
         report = graph.apply_structural_edit(StructuralEdit.insert_rows(150))
-        assert report.changed == {addr("Z2")}
+        assert report.changed == {addr("Z2"): addr("Z2")}
         assert graph._range_buckets[1].tree is a_tree  # the A stripe kept its tree
         assert graph._range_buckets[3].stale
         graph.stats.reset()
@@ -799,15 +800,18 @@ class TestStructuralRewrite:
             return new_end - new_start != end - start
 
         expected = DependencyGraph()
-        changed, reshaped = set(), set()
+        changed, reshaped = {}, set()
         for address, text in formulas.items():
             new_address = edit.map_address(address)
             if new_address is None:
                 continue
             node, text_changed = rewrite_formula(parse_formula(text), edit)
             expected.register(new_address, node)
+            # ``changed`` is about the stored (offset) text, exactly: none
+            # of these formulas has an anchored component.
+            if to_stored(node, new_address) != to_stored(parse_formula(text), address):
+                changed[new_address] = address
             if text_changed:
-                changed.add(new_address)
                 old_cells, old_ranges = extract_references(parse_formula(text))
                 if (any(edit.map_address(cell) is None for cell in old_cells)
                         or any(resized(region) for region in old_ranges)):
@@ -865,7 +869,9 @@ class TestStructuralRewrite:
         d_tree = graph._range_buckets[4].tree
         report = graph.apply_structural_edit(StructuralEdit.insert_rows(150))
         assert graph._precedents[addr("Z1")] is above
-        assert report.changed == report.reshaped == {addr("Z2")}
+        assert report.reshaped == {addr("Z2")}
+        # Z400 moved away from the cells it reads: its offsets changed.
+        assert report.changed == {addr("Z2"): addr("Z2"), addr("Z401"): addr("Z400")}
         assert graph._cell_dependents[addr("B3")] == {addr("Z1"), addr("Z401")}
         # A holds Z2, which grew, and C holds Z400, which moved: both
         # rebuild once.  D is read by Z1 alone and keeps its tree.
@@ -946,19 +952,22 @@ class TestParseCacheBounds:
             Evaluator(lambda row, column: 0, parse_cache_capacity=0)
 
     def test_formula_parsed_once_per_registration(self, monkeypatch):
-        import repro.formula.evaluator as evaluator_module
+        import repro.engine.dataspread as dataspread_module
 
         calls = []
-        original = evaluator_module.parse_formula
+        original = dataspread_module.parse_formula
 
         def counting(text):
             calls.append(text)
             return original(text)
 
-        monkeypatch.setattr(evaluator_module, "parse_formula", counting)
+        monkeypatch.setattr(dataspread_module, "parse_formula", counting)
         spread = DataSpread()
         spread.set_formula(1, 2, "A1*2+1")
-        assert calls.count("A1*2+1") == 1
+        assert calls == ["A1*2+1"]
+        # Registered and evaluated from that AST: the stored text is not
+        # parsed until the formula is evaluated again.
+        assert spread.evaluator.parse_cache_stats().misses == 0
 
 
 class TestIncrementalIndexMaintenance:
@@ -1080,7 +1089,7 @@ def _record_evaluations(spread: DataSpread) -> list[CellAddress]:
     evaluated: list[CellAddress] = []
 
     def counting(node):
-        evaluated.append(evaluator.aggregate_cell)
+        evaluated.append(evaluator.formula_cell)
         return evaluate_node(node)
 
     evaluator.evaluate_node = counting
