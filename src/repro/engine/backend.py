@@ -127,7 +127,7 @@ class WALBackend:
         # Commits/frames accumulated by writers already rotated away.
         self._commit_base = 0
         self._frame_base = 0
-        self._writer = self._open_writer(self._generation)
+        self._writer = self._open_writer(self._generation, fresh=expect_fresh)
 
     # ------------------------------------------------------------------ #
     @property
@@ -210,6 +210,7 @@ class WALBackend:
             self.directory,
             generation=new_generation,
             cells=self._snapshot_cells(),
+            stored=True,
         )
         self._commit_base += self._writer.durable_commits
         self._frame_base += self._writer.frames_appended
@@ -227,16 +228,24 @@ class WALBackend:
         self._writer.close()
 
     # ------------------------------------------------------------------ #
-    def _open_writer(self, generation: int) -> WALWriter:
+    def _open_writer(self, generation: int, *, fresh: bool = False) -> WALWriter:
         """The generation's log, created if missing; the writer heads an
-        empty log with the format ``header`` record."""
+        empty log with the format ``header`` record.
+
+        ``fresh`` empties the log first: it holds no durable state (see
+        :meth:`_has_existing_state`), but may hold a torn header or a torn
+        first commit, and a frame appended after torn bytes would read as
+        corruption to the next recovery.
+        """
         path = wal_path(self.directory, generation)
-        if not os.path.exists(path):
+        if fresh or not os.path.exists(path):
             with open(path, "wb"):
                 pass
         return WALWriter(path, **self._wal_options)
 
     def _has_existing_state(self) -> bool:
+        """Whether the directory holds a snapshot or a log with a record
+        after its header (or a log of another format)."""
         if load_snapshot(self.directory) is not None:
             return True
         for generation in list_wal_generations(self.directory):

@@ -446,25 +446,23 @@ class Evaluator:
 # ---------------------------------------------------------------------- #
 # static analysis
 # ---------------------------------------------------------------------- #
-def extract_references(formula: str | FormulaNode, origin: CellAddress | None = None,
-                       ) -> tuple[list[CellAddress], list[RangeRef]]:
-    """Return the single-cell and range references a formula reads.
+def extract_references(formula: str | FormulaNode) -> tuple[list[CellAddress], list[RangeRef]]:
+    """Return the single-cell and range references an A1 formula reads.
 
-    Text is A1.  A stored AST's references resolve at ``origin``, the cell
-    holding the formula; one that resolves off the sheet reads nothing.
-    Used to build the dependency graph and to measure per-formula access
-    footprints for the Section II statistics.
+    Used to measure per-formula access footprints for the Section II
+    statistics; the dependency graph registers through :func:`references`.
     """
     node = parse_formula(formula) if isinstance(formula, str) else formula
-    cells, ranges, _anchored = references(node, origin)
+    cells, ranges, _anchored = references(node)
     return cells, ranges
 
 
 def references(node: FormulaNode, origin: CellAddress | None = None,
                ) -> tuple[list[CellAddress], list[RangeRef], bool]:
-    """:func:`extract_references` of an AST, plus whether any reference
+    """The cells and ranges an AST reads, and whether any reference
     component is ``$``-anchored — the dependency graph's registration in
-    one walk."""
+    one walk.  A stored AST's references resolve at ``origin``, the cell
+    holding the formula; one that resolves off the sheet reads nothing."""
     cells: list[CellAddress] = []
     ranges: list[RangeRef] = []
     anchored = False

@@ -142,7 +142,7 @@ def to_a1(node: FormulaNode, origin: CellAddress) -> FormulaNode:
 
 def stored_text(node: FormulaNode, origin: CellAddress) -> str:
     """The stored text of an A1 AST entered at ``origin``."""
-    return to_formula(node, origin)
+    return to_formula(to_stored(node, origin))
 
 
 def normalized_text(formula: str, origin: CellAddress) -> str:

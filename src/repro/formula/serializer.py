@@ -5,8 +5,9 @@ re-parsing the text yields an equal AST — A1 references as A1
 (``parse_formula(to_formula(node)) == node``), stored-form offset references
 as stored text (``parse_stored(to_formula(node)) == node``).  The engine
 relies on this round-trip to persist formulas: an entered formula and a
-structurally rewritten one are serialized to stored text, kept as the cell's
-source text, and primed into the evaluator's bounded AST cache.
+structurally rewritten one are serialized to stored text and kept as the
+cell's source text, and a rewritten AST is primed into the evaluator's
+bounded AST cache.
 
 Parenthesization is minimal: a child expression is wrapped only when its
 binding power is too weak for the position it occupies, so ``A1+B1*2``
@@ -30,7 +31,7 @@ from repro.formula.ast_nodes import (
     UnaryOpNode,
 )
 from repro.formula.parser import _BINARY_PRECEDENCE, _RIGHT_ASSOCIATIVE
-from repro.grid.address import CellAddress, column_index_to_letter
+from repro.grid.address import column_index_to_letter
 
 #: Binding powers above every binary operator (which top out at 50): prefix
 #: ``-x`` binds tighter than any binary, postfix ``x%`` tighter still, and
@@ -48,9 +49,8 @@ def _precedence(node: FormulaNode) -> int:
     return _ATOM_PRECEDENCE
 
 
-def _wrap(node: FormulaNode, minimum: int, origin: CellAddress | None, *,
-          strict: bool = False) -> str:
-    text = _serialize(node, origin)
+def _wrap(node: FormulaNode, minimum: int, *, strict: bool = False) -> str:
+    text = _serialize(node)
     precedence = _precedence(node)
     if precedence < minimum or (strict and precedence == minimum):
         return f"({text})"
@@ -74,18 +74,7 @@ def _stored_corner(row: int, column: int, row_absolute: bool, column_absolute: b
     return _component("R", row, row_absolute) + _component("C", column, column_absolute)
 
 
-def _a1_corner(row: int, column: int, row_absolute: bool, column_absolute: bool,
-               origin: CellAddress | None) -> str:
-    """An A1 corner as written, or with ``origin`` as the stored corner of the
-    formula held there."""
-    if origin is None:
-        return _corner(row, column, column_absolute, row_absolute)
-    return _stored_corner(row if row_absolute else row - origin.row,
-                          column if column_absolute else column - origin.column,
-                          row_absolute, column_absolute)
-
-
-def _serialize(node: FormulaNode, origin: CellAddress | None = None) -> str:
+def _serialize(node: FormulaNode) -> str:
     if isinstance(node, NumberNode):
         value = node.value
         return repr(int(value)) if value.is_integer() else repr(value)
@@ -94,16 +83,16 @@ def _serialize(node: FormulaNode, origin: CellAddress | None = None) -> str:
     if isinstance(node, BoolNode):
         return "TRUE" if node.value else "FALSE"
     if isinstance(node, CellRefNode):
-        return _a1_corner(node.address.row, node.address.column,
-                          node.row_absolute, node.column_absolute, origin)
+        return _corner(node.address.row, node.address.column,
+                       node.column_absolute, node.row_absolute)
     if isinstance(node, RangeRefNode):
         # Always emit both corners: a 1x1 range must round-trip as a range
         # reference, not collapse into a single-cell reference.
         region = node.range
-        start = _a1_corner(region.top, region.left,
-                           node.start_row_absolute, node.start_column_absolute, origin)
-        end = _a1_corner(region.bottom, region.right,
-                         node.end_row_absolute, node.end_column_absolute, origin)
+        start = _corner(region.top, region.left,
+                        node.start_column_absolute, node.start_row_absolute)
+        end = _corner(region.bottom, region.right,
+                      node.end_column_absolute, node.end_row_absolute)
         return f"{start}:{end}"
     if isinstance(node, OffsetCellRefNode):
         return _stored_corner(node.row, node.column, node.row_absolute, node.column_absolute)
@@ -117,27 +106,22 @@ def _serialize(node: FormulaNode, origin: CellAddress | None = None) -> str:
         return node.code
     if isinstance(node, UnaryOpNode):
         if node.operator == "%":
-            return _wrap(node.operand, _POSTFIX_PRECEDENCE, origin) + "%"
-        return node.operator + _wrap(node.operand, _PREFIX_PRECEDENCE, origin)
+            return _wrap(node.operand, _POSTFIX_PRECEDENCE) + "%"
+        return node.operator + _wrap(node.operand, _PREFIX_PRECEDENCE)
     if isinstance(node, BinaryOpNode):
         precedence = _BINARY_PRECEDENCE[node.operator]
         right_associative = node.operator in _RIGHT_ASSOCIATIVE
-        left = _wrap(node.left, precedence, origin, strict=right_associative)
-        right = _wrap(node.right, precedence, origin, strict=not right_associative)
+        left = _wrap(node.left, precedence, strict=right_associative)
+        right = _wrap(node.right, precedence, strict=not right_associative)
         return f"{left}{node.operator}{right}"
     if isinstance(node, FunctionCallNode):
-        arguments = ",".join(_serialize(argument, origin) for argument in node.arguments)
+        arguments = ",".join(_serialize(argument) for argument in node.arguments)
         return f"{node.name}({arguments})"
     raise TypeError(f"cannot serialize AST node {type(node).__name__}")
 
 
-def to_formula(node: FormulaNode, origin: CellAddress | None = None) -> str:
+def to_formula(node: FormulaNode) -> str:
     """Render an AST as formula source text (without the leading ``=``).
-
-    With ``origin``, the A1 references of ``node`` are written in stored
-    form, as the formula held at ``origin`` keeps them: the text
-    ``to_formula(to_stored(node, origin))`` gives, without building the
-    stored AST.
 
     >>> from repro.formula.parser import parse_formula
     >>> to_formula(parse_formula("SUM(B2:C10) + D2"))
@@ -145,4 +129,4 @@ def to_formula(node: FormulaNode, origin: CellAddress | None = None) -> str:
     >>> parse_formula(to_formula(parse_formula("(A1+B1)*2"))) == parse_formula("(A1+B1)*2")
     True
     """
-    return _serialize(node, origin)
+    return _serialize(node)

@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Any
 from repro.errors import FormulaSyntaxError, RecoveryError
 from repro.formula.ast_nodes import FormulaNode
 from repro.formula.parser import parse_stored
-from repro.formula.relative import reference_leaves, text_shifts, to_a1
+from repro.formula.relative import reference_leaves, text_shifts, to_a1, to_stored
 from repro.formula.rewrite import StructuralEdit, rewrite_formula
 from repro.formula.serializer import to_formula
 from repro.grid.address import CellAddress
@@ -118,7 +118,7 @@ def _rewrite_text(formula: str, edit: StructuralEdit, source: CellAddress,
     if entry is None or not text_shifts(entry[1], edit, source):
         return formula
     moved, _changed = rewrite_formula(to_a1(entry[0], source), edit)
-    return to_formula(moved, target)
+    return to_formula(to_stored(moved, target))
 
 
 def recovered_cells(directory: str) -> CellMap:

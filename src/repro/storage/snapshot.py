@@ -75,31 +75,26 @@ def write_snapshot(
     generation: int,
     cells: list[tuple[int, int, Any, str | None]],
     config: dict[str, Any] | None = None,
+    stored: bool = False,
 ) -> int:
     """Atomically write the workspace snapshot; returns its size in bytes.
 
     ``cells`` holds ``(row, column, value, formula)`` tuples of every
-    committed non-empty cell.  The file holds stored formula text: the
-    engine's checkpoint hands it over as it is, and A1 text — a snapshot
-    built from the engine's reads, which render A1 — is converted at its
-    own cell.
+    committed non-empty cell.  The file holds stored formula text.  The
+    engine's checkpoint passes ``stored``: its text is stored form already
+    and is written as it is.  Otherwise the cells may come from the
+    engine's reads, which render A1, and each text is converted to stored
+    form at its own cell when it is A1
+    (:func:`~repro.formula.relative.normalized_text`).
     """
-    stored: dict[str, bool] = {}  # text -> whether it is stored form already
-
-    def normalized(row: int, column: int, formula: str | None) -> str | None:
-        if formula is None or stored.get(formula):
-            return formula
-        text = normalized_text(formula, CellAddress(row, column))
-        stored[formula] = text == formula
-        return text
-
+    if not stored:
+        cells = _normalized(cells)
     record = {
         "t": "snapshot",
         "version": SNAPSHOT_VERSION,
         "generation": generation,
         "config": config or {},
-        "cells": [[row, column, value, normalized(row, column, formula)]
-                  for row, column, value, formula in cells],
+        "cells": [[row, column, value, formula] for row, column, value, formula in cells],
     }
     frame = encode_frame(record)
     final = snapshot_path(directory)
@@ -110,6 +105,22 @@ def write_snapshot(
         os.fsync(handle.fileno())
     os.replace(temp, final)
     return len(frame)
+
+
+def _normalized(cells: list[tuple[int, int, Any, str | None]],
+                ) -> list[tuple[int, int, Any, str | None]]:
+    """``cells`` with every A1 formula text converted at its own cell."""
+    stored: dict[str, bool] = {}  # text -> whether it is stored form already
+
+    def normalized(row: int, column: int, formula: str | None) -> str | None:
+        if formula is None or stored.get(formula):
+            return formula
+        text = normalized_text(formula, CellAddress(row, column))
+        stored[formula] = text == formula
+        return text
+
+    return [(row, column, value, normalized(row, column, formula))
+            for row, column, value, formula in cells]
 
 
 def load_snapshot(directory: str) -> dict[str, Any] | None:

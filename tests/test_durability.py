@@ -20,6 +20,7 @@ from repro.engine.dataspread import DataSpread
 from repro.errors import LinkTableError, RecoveryError, StorageError, WALError
 from repro.grid.range import RangeRef
 from repro.query import col, region as grid_region, select
+from repro.storage import snapshot as snapshot_module
 from repro.storage.recovery import recover, recovered_cells, replay_records
 from repro.storage.snapshot import (
     SNAPSHOT_VERSION,
@@ -216,6 +217,20 @@ class TestSnapshot:
         write_snapshot(directory, generation=1, cells=cells)
         assert [c[3] for c in load_snapshot(directory)["cells"]] == [
             "R[-1]C[-2]+1", "R[-1]C[-2]+1", "SUM(R1C1:R[0]C[-1])", "not a formula("]
+
+    def test_a_checkpoint_writes_its_stored_text_as_it_is(self, tmp_path, monkeypatch):
+        # Only a snapshot built from rendered A1 needs the A1-or-stored
+        # guess; the engine's checkpoint holds stored text already.
+        def no_guess(formula, origin):
+            raise AssertionError("checkpoint re-parsed its own stored text")
+
+        monkeypatch.setattr(snapshot_module, "normalized_text", no_guess)
+        spread = DataSpread(durability="wal", storage_dir=str(tmp_path))
+        spread.set_value(1, 1, 3)
+        spread.set_formula(2, 1, "A1+1")
+        spread.checkpoint()
+        spread.close()
+        assert [c[3] for c in load_snapshot(str(tmp_path))["cells"]] == [None, "R[-1]C[0]+1"]
 
     def test_missing_snapshot_is_none(self, tmp_path):
         assert load_snapshot(str(tmp_path)) is None
@@ -666,6 +681,29 @@ class TestFormatVersion:
         spread = DataSpread(durability="wal", storage_dir=directory)
         spread.close()
         assert read_records(wal_path(directory, 0)) == []
+
+    @pytest.mark.parametrize("torn", ["header", "first commit"])
+    def test_a_fresh_engine_over_a_torn_log_commits_recoverably(self, tmp_path, torn):
+        # A log holding no record after its header is no durable state, so a
+        # fresh engine may open it; its commits must not land after the torn
+        # bytes, where the next recovery would read them as corruption.
+        directory = str(tmp_path)
+        header = encode_frame(header_record())
+        first = encode_frame(cell_record(1, 1, 5, None))
+        data = (header[:FRAME_HEADER.size + 3] if torn == "header"
+                else header + first[:len(first) - 2])
+        with open(wal_path(directory, 0), "wb") as handle:
+            handle.write(data)
+        assert read_records(wal_path(directory, 0)) == []
+        spread = DataSpread(durability="wal", storage_dir=directory)
+        spread.set_value(1, 1, 7)
+        spread.set_formula(1, 2, "A1*2")
+        spread.close()
+        recovered = recover(directory)
+        assert recovered.get_value(1, 1) == 7
+        assert recovered.get_cell(1, 2).formula == "A1*2"
+        assert recovered.get_value(1, 2) == 14
+        recovered.close()
 
 
 # ---------------------------------------------------------------------- #
